@@ -30,6 +30,7 @@ from .codes import (
     codespace_basis,
     generator_matrix,
     null_space_involution,
+    sector_assignment,
     verify_correctability,
 )
 from .control import (
@@ -41,7 +42,6 @@ from .control import (
     correction_unitary,
     driving_hamiltonian,
     nojump_invariance_check,
-    sector_assignment,
 )
 from .linalg import (
     bloch_decompose,

@@ -8,7 +8,8 @@ Subcommands:
   no-jump codespace invariance; nonzero exit on any breach.
 * ``simulate``   - run the trajectory ensemble and write the fidelity CSV.
 * ``oracle-compare`` - trace distance between the ensemble mean and the
-  master-equation integration, as CSV.
+  master-equation integration, as CSV.  The oracle has no feedback, so
+  runs with feedback on are refused (exit 2).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error.
 """
@@ -26,20 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .channels import ErrorChannel, jump_backaction, kraus_set
+from .channels import ErrorChannel, kraus_set
 from .codes import (
     CORRECTABILITY_ATOL,
     CodeSynthesisError,
-    generator_matrix,
+    anticommuting_terms,
     verify_correctability,
 )
-from .control import (
-    CorrectabilityError,
-    build_control_plan,
-    nojump_invariance_check,
-    sector_assignment,
-)
-from .linalg import ORTHO_ATOL, bloch_matrix, max_abs, tensor_embed
+from .control import CorrectabilityError, build_control_plan, nojump_invariance_check
+from .linalg import ORTHO_ATOL, max_abs
 from .trajectory import (
     SimConfig,
     StepSizeError,
@@ -322,24 +318,13 @@ def _format_coeff(value: complex) -> str:
 
 
 def _anticommutation_residual(code, channels) -> float:
-    """Max norm of {generator, embedded backaction} over channels (and axes)."""
+    """Max norm of {generator, backaction term} over channels and their terms."""
+    s_mats = code.generator_matrices()
     worst = 0.0
-    if len(code.generators) == 1:
-        s_mat = generator_matrix(code.generators[0])
-        for ch in channels:
-            d_emb = tensor_embed(jump_backaction(ch).matrix, ch.qubit, code.n)
-            worst = max(worst, max_abs(s_mat @ d_emb + d_emb @ s_mat))
-    else:
-        s_mats = [generator_matrix(g) for g in code.generators]
-        axes = {"x": (1.0, 0, 0), "y": (0, 1.0, 0), "z": (0, 0, 1.0)}
-        for ch in channels:
-            bloch = jump_backaction(ch).bloch
-            for component, axis in zip(bloch, "xyz"):
-                term = component * tensor_embed(
-                    bloch_matrix(axes[axis]), ch.qubit, code.n
-                )
-                s_mat = s_mats[sector_assignment(axis, code.generators)]
-                worst = max(worst, max_abs(s_mat @ term + term @ s_mat))
+    for ch in channels:
+        for term, index in anticommuting_terms(ch, code):
+            s_mat = s_mats[index]
+            worst = max(worst, max_abs(s_mat @ term + term @ s_mat))
     return worst
 
 
@@ -469,6 +454,12 @@ def _cmd_simulate(cfg: SimConfig, output: str, force: bool) -> tuple[int, list[s
 
 
 def _cmd_oracle_compare(cfg: SimConfig, output: str, force: bool) -> tuple[int, list[str]]:
+    if cfg.feedback_enabled:
+        raise ConfigError(
+            "oracle-compare needs feedback off (--no-feedback or "
+            '"feedback": false): the master-equation oracle has no jump '
+            "corrections, so the distance would mean nothing"
+        )
     result = run_ensemble(cfg, collect_density=True)
     times, oracle = master_equation_oracle(cfg)
     if result.density_times.shape != times.shape or np.any(

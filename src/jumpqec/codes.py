@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ErrorChannel, jump_backaction
-from .linalg import bloch_matrix, is_hermitian, max_abs, tensor_embed
+from .linalg import PAULIS, bloch_matrix, is_hermitian, max_abs, tensor_embed
 
 __all__ = [
     "RankThreeError",
@@ -37,6 +37,8 @@ __all__ = [
     "null_space_involution",
     "codespace_basis",
     "build_code",
+    "sector_assignment",
+    "anticommuting_terms",
     "verify_correctability",
 ]
 
@@ -45,6 +47,8 @@ RANK_RTOL = 1e-9
 
 #: Residual above which a codespace matrix element counts as nonzero.
 CORRECTABILITY_ATOL = 1e-10
+
+_AXIS_PAULI = dict(zip("xyz", PAULIS))
 
 
 class CodeSynthesisError(Exception):
@@ -244,6 +248,53 @@ def build_code(
     )
 
 
+def sector_assignment(
+    axis: str, generators: tuple[np.ndarray, ...] | list[np.ndarray]
+) -> int:
+    """Index of the generator that anticommutes with ``sigma_axis`` everywhere.
+
+    Only defined for the generator pair ``(X^n, Z^n)`` in that order:
+    the x axis maps to ``Z^n``, the z axis to ``X^n``, and the y axis
+    (which anticommutes with both) is fixed to ``X^n`` for determinism.
+    """
+    if axis not in _AXIS_PAULI:
+        raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
+    if len(generators) != 2 or not (
+        np.array_equal(generators[0], np.tile((1.0, 0.0, 0.0), (len(generators[0]), 1)))
+        and np.array_equal(
+            generators[1], np.tile((0.0, 0.0, 1.0), (len(generators[1]), 1))
+        )
+    ):
+        raise ValueError(
+            "sector assignment applies only to the (X^n, Z^n) generator pair"
+        )
+    return {"x": 1, "y": 0, "z": 0}[axis]
+
+
+def anticommuting_terms(
+    ch: ErrorChannel, code: StabilizerCode
+) -> list[tuple[np.ndarray, int]]:
+    """Backaction terms of ``ch``, each with the generator that anticommutes with it.
+
+    Terms are embedded at the channel's qubit and paired with an index into
+    ``code.generators``.  With one generator the whole traceless backaction
+    pairs with generator 0.  Otherwise each nonzero Bloch component gives
+    one term ``d_l sigma_l``, paired by :func:`sector_assignment` (which
+    raises ``ValueError`` unless the generators are ``(X^n, Z^n)``).
+    """
+    ba = jump_backaction(ch)
+    if len(code.generators) == 1:
+        return [(tensor_embed(ba.matrix, ch.qubit, code.n), 0)]
+    return [
+        (
+            component * tensor_embed(_AXIS_PAULI[axis], ch.qubit, code.n),
+            sector_assignment(axis, code.generators),
+        )
+        for component, axis in zip(ba.bloch, "xyz")
+        if component != 0.0
+    ]
+
+
 @dataclass(frozen=True, eq=False)
 class CorrectabilityReport:
     """Per-channel maxima of codespace backaction matrix elements."""
@@ -282,16 +333,8 @@ def verify_correctability(
         ba = jump_backaction(ch)
         worst = _codespace_residual(basis, tensor_embed(ba.matrix, ch.qubit, code.n))
         if len(code.generators) == 2:
-            for component, pauli in zip(ba.bloch, ("x", "y", "z")):
-                axis_term = component * bloch_matrix(
-                    {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)}[pauli]
-                )
-                worst = max(
-                    worst,
-                    _codespace_residual(
-                        basis, tensor_embed(axis_term, ch.qubit, code.n)
-                    ),
-                )
+            for term, _ in anticommuting_terms(ch, code):
+                worst = max(worst, _codespace_residual(basis, term))
         residuals.append(worst)
         labels.append(ch.label)
     return CorrectabilityReport(residuals=tuple(residuals), labels=tuple(labels))

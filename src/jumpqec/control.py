@@ -23,29 +23,19 @@ from .channels import (
     jump_backaction,
 )
 from .codes import (
-    CORRECTABILITY_ATOL,
     CorrectabilityReport,
     StabilizerCode,
-    generator_matrix,
+    anticommuting_terms,
+    sector_assignment,
     verify_correctability,
 )
-from .linalg import (
-    HERMITIAN_ATOL,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    is_hermitian,
-    max_abs,
-    tensor_embed,
-    unitary_completion,
-)
+from .linalg import HERMITIAN_ATOL, is_hermitian, tensor_embed, unitary_completion
 
 __all__ = [
     "CorrectabilityError",
     "Correction",
     "ControlPlan",
     "NoJumpInvariance",
-    "sector_assignment",
     "driving_hamiltonian",
     "correction_unitary",
     "build_control_plan",
@@ -55,7 +45,10 @@ __all__ = [
 #: Effective rate below which a channel never fires and has no correction.
 NULL_CHANNEL_ATOL = 1e-12
 
-_AXIS_PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
+_BACKACTION_MESSAGE = (
+    "code does not satisfy the codespace backaction condition "
+    "(max residual {residual:.3e})"
+)
 
 
 class CorrectabilityError(Exception):
@@ -103,29 +96,6 @@ class NoJumpInvariance(NamedTuple):
     residual: float
 
 
-def sector_assignment(
-    axis: str, generators: tuple[np.ndarray, ...] | list[np.ndarray]
-) -> int:
-    """Index of the generator that anticommutes with ``sigma_axis`` everywhere.
-
-    Only defined for the generator pair ``(X^n, Z^n)`` in that order:
-    the x axis maps to ``Z^n``, the z axis to ``X^n``, and the y axis
-    (which anticommutes with both) is fixed to ``X^n`` for determinism.
-    """
-    if axis not in _AXIS_PAULI:
-        raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
-    if len(generators) != 2 or not (
-        np.array_equal(generators[0], np.tile((1.0, 0.0, 0.0), (len(generators[0]), 1)))
-        and np.array_equal(
-            generators[1], np.tile((0.0, 0.0, 1.0), (len(generators[1]), 1))
-        )
-    ):
-        raise ValueError(
-            "sector assignment applies only to the (X^n, Z^n) generator pair"
-        )
-    return {"x": 1, "y": 0, "z": 0}[axis]
-
-
 def _offset_term(ch: ErrorChannel, n: int) -> np.ndarray:
     mu = ch.offset
     local = 0.5j * (np.conj(mu) * ch.operator - mu * ch.operator.conj().T)
@@ -137,30 +107,36 @@ def _driving(
 ) -> np.ndarray:
     n = code.n
     dim = 2**n
+    s_mats = code.generator_matrices()
     h = np.zeros((dim, dim), dtype=np.complex128)
-    if len(code.generators) == 1:
-        s_mat = generator_matrix(code.generators[0])
-        for ch in channels:
-            d_emb = tensor_embed(jump_backaction(ch).matrix, ch.qubit, n)
-            h += 0.5j * (d_emb @ s_mat) + _offset_term(ch, n)
-    else:
-        s_mats = [generator_matrix(g) for g in code.generators]
-        for ch in channels:
-            bloch = jump_backaction(ch).bloch
-            for component, axis in zip(bloch, "xyz"):
-                if component == 0.0:
-                    continue
-                sigma_emb = tensor_embed(_AXIS_PAULI[axis], ch.qubit, n)
-                h += 0.5j * component * (
-                    sigma_emb @ s_mats[sector_assignment(axis, code.generators)]
-                )
-            h += _offset_term(ch, n)
+    for ch in channels:
+        for term, index in anticommuting_terms(ch, code):
+            h += 0.5j * (term @ s_mats[index])
+        h += _offset_term(ch, n)
     if not is_hermitian(h, tol=HERMITIAN_ATOL):
         raise ValueError(
             "driving Hamiltonian is not Hermitian; the code's generators do "
             "not anticommute with every channel backaction"
         )
     return h
+
+
+def _require_correctable(
+    code: StabilizerCode,
+    channels: tuple[ErrorChannel, ...] | list[ErrorChannel],
+    message: str,
+    **fields,
+) -> None:
+    """Raise :class:`CorrectabilityError` unless ``code`` protects every channel.
+
+    ``message`` is formatted with ``residual`` (the report's maximum) and
+    ``fields``; the report is attached to the error.
+    """
+    report = verify_correctability(code, channels)
+    if not report.passed:
+        raise CorrectabilityError(
+            message.format(residual=report.max_residual, **fields), report
+        )
 
 
 def driving_hamiltonian(
@@ -176,13 +152,7 @@ def driving_hamiltonian(
     Raises :class:`CorrectabilityError` when the code does not protect
     against the channels (the construction has no meaning then).
     """
-    report = verify_correctability(code, channels)
-    if not report.passed:
-        raise CorrectabilityError(
-            f"code does not satisfy the codespace backaction condition "
-            f"(max residual {report.max_residual:.3e})",
-            report,
-        )
+    _require_correctable(code, channels, _BACKACTION_MESSAGE)
     return _driving(channels, code)
 
 
@@ -213,13 +183,13 @@ def correction_unitary(
     """
     if n is not None and n != code.n:
         raise ValueError(f"qubit count {n} does not match the code's n={code.n}")
-    report = verify_correctability(code, [ch])
-    if not report.passed:
-        raise CorrectabilityError(
-            f"channel {ch.label!r} is not correctable on this code "
-            f"(residual {report.max_residual:.3e})",
-            report,
-        )
+    _require_correctable(
+        code,
+        [ch],
+        "channel {label!r} is not correctable on this code "
+        "(residual {residual:.3e})",
+        label=ch.label,
+    )
     return _correction(ch, code)
 
 
@@ -230,13 +200,7 @@ def build_control_plan(
 
     Correctability is verified once for the whole channel set.
     """
-    report = verify_correctability(code, channels)
-    if not report.passed:
-        raise CorrectabilityError(
-            f"code does not satisfy the codespace backaction condition "
-            f"(max residual {report.max_residual:.3e})",
-            report,
-        )
+    _require_correctable(code, channels, _BACKACTION_MESSAGE)
     driving = _driving(channels, code)
     driving.flags.writeable = False
     corrections = {ch: _correction(ch, code) for ch in channels}

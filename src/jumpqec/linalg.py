@@ -132,29 +132,16 @@ def _orthonormal_error(vectors: np.ndarray) -> float:
     return max_abs(gram - np.eye(vectors.shape[0]))
 
 
-def _complete_basis(rows: np.ndarray, dim: int) -> np.ndarray:
+def _complete_basis(rows: np.ndarray) -> np.ndarray:
     """Extend orthonormal rows to a full basis of C^dim.
 
-    Remaining directions are found by Gram-Schmidt against the canonical
-    basis vectors in index order, which makes the completion deterministic.
+    The added rows span the orthogonal complement of ``rows``: they are the
+    trailing columns of the unitary factor of a complete Householder QR of
+    ``rows^dagger``, conjugated.  The result is deterministic for a given
+    LAPACK build.
     """
-    basis = [row for row in rows]
-    for k in range(dim):
-        if len(basis) == dim:
-            break
-        v = np.zeros(dim, dtype=np.complex128)
-        v[k] = 1.0
-        # Orthogonalize twice; a second pass keeps the residual at machine
-        # precision even when e_k is nearly inside the current span.
-        for _ in range(2):
-            for b in basis:
-                v = v - np.vdot(b, v) * b
-        norm = float(np.linalg.norm(v))
-        if norm > 1e-8:
-            basis.append(v / norm)
-    if len(basis) != dim:
-        raise ValueError("failed to complete an orthonormal basis")
-    return np.array(basis)
+    q, _ = np.linalg.qr(rows.conj().T, mode="complete")
+    return np.vstack([rows, q[:, rows.shape[0] :].conj().T])
 
 
 def unitary_completion(
@@ -162,10 +149,11 @@ def unitary_completion(
 ) -> np.ndarray:
     """Unitary ``U`` with ``U @ sources[i] = targets[i]`` for all ``i``.
 
-    Both lists must be orthonormal within ``ORTHO_ATOL``.  The action on
-    the orthogonal complement is fixed deterministically by completing both
-    lists against the canonical basis in index order, so repeated calls
-    yield the identical matrix.
+    Both lists must be orthonormal within ``ORTHO_ATOL``.  Each list is
+    completed to a full basis by a complete QR (see ``_complete_basis``),
+    and ``U`` maps the sources' complement onto the targets' complement in
+    that order.  The action on the complement is deterministic for a given
+    LAPACK build, so repeated calls yield the identical matrix.
     """
     src = np.array([np.asarray(v, dtype=np.complex128) for v in sources])
     tgt = np.array([np.asarray(v, dtype=np.complex128) for v in targets])
@@ -175,14 +163,13 @@ def unitary_completion(
         )
     if src.ndim != 2:
         raise ValueError("expected non-empty lists of vectors")
-    dim = src.shape[1]
-    if src.shape[0] > dim:
+    if src.shape[0] > src.shape[1]:
         raise ValueError("more vectors than the space dimension")
     for name, rows in (("sources", src), ("targets", tgt)):
         err = _orthonormal_error(rows)
         if err > ORTHO_ATOL:
             raise ValueError(f"{name} are not orthonormal (residual {err:.3e})")
-    full_src = _complete_basis(src, dim)
-    full_tgt = _complete_basis(tgt, dim)
+    full_src = _complete_basis(src)
+    full_tgt = _complete_basis(tgt)
     # U = sum_i |t_i><s_i| over the completed bases.
     return full_tgt.T @ full_src.conj()

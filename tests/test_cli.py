@@ -297,6 +297,16 @@ class TestExecute:
         values = [float(line.split(",")[1]) for line in lines[1:]]
         assert all(0.0 <= v <= 1.0 for v in values)
 
+    def test_oracle_compare_refuses_feedback(self, tmp_path, capsys):
+        config = write_config(tmp_path, minimal_doc(duration=0.1, trajectories=2))
+        out = tmp_path / "i.csv"
+        code, manifest = execute(
+            ["oracle-compare", "--config", config, "--output", str(out)]
+        )
+        assert code == 2 and manifest is None
+        assert "--no-feedback" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unreadable_config(self, tmp_path, capsys):
         code, manifest = execute(
             ["simulate", "--config", str(tmp_path / "missing.json")]

@@ -228,7 +228,8 @@ class TestJumpExactness:
     def test_corrected_jumps_fix_every_codespace_vector(self):
         from jumpqec import effective_jump_operator
 
-        for n, channels in random_suite(seed=61, count=10):
+        suite = random_suite(seed=61, count=10) + [(8, relaxation_channels(8))]
+        for n, channels in suite:
             code = build_code(channels, n)
             plan = build_control_plan(channels, code)
             for ch in channels:
