@@ -1,187 +1,108 @@
-"""Step-loop kernels for the stochastic jump simulation.
+"""The trajectory-block step engine of the stochastic jump simulation.
 
-Two implementations of the same per-step semantics: a numba-compiled
-loop and a vectorized pure-numpy fallback.  Selection is via the
-``JUMPQEC_BACKEND`` environment variable (``auto``, ``numba``, ``numpy``)
-or an explicit ``backend=`` argument upstream.
+One engine evolves a block of ``B`` trajectories together as the columns
+of a ``(dim, B)`` state matrix.  Per step, one product applies every
+(possibly correction-folded) jump operator to every column, giving the
+``(m, dim, B)`` branches; a column's jump probabilities are the squared
+norms of its branches.  Each column's own uniform selects a jump by
+cumulative comparison, falling through to the no-jump operator (one
+product for the whole block), and every column is renormalized.  A total
+jump probability above ``1 + PROBABILITY_SLACK``, or a collapsed norm,
+aborts the block with a negative status (the step size is too large).
 
-Both consume the same pre-drawn uniform array, so a given backend is
-bit-reproducible run to run.  Across backends the floating-point
-reductions differ in the last bits (BLAS matvec versus gufunc matmul),
-so cross-backend agreement is close but not bit-exact.
-
-Per step: jump probabilities are the squared norms of each (possibly
-correction-folded) jump operator applied to the state; one uniform
-selects a jump by cumulative comparison, falling through to the no-jump
-operator; the state is renormalized.  A total jump probability exceeding
-1 + 1e-9 aborts with a negative status (the step size is too large).
+Column ``b`` reads only column ``b`` of the pre-drawn uniforms, so jump
+selections do not depend on the block size or on which trajectories
+share a block.  A block is bit-reproducible run to run; across block
+sizes the matrix products may round differently in the last bits.  The
+engine reduces as it steps (fidelity sums, cumulative jump totals, the
+jump log and, on request, density sums) and keeps no per-trajectory
+series.  ``trajectory.step`` is the per-trajectory reference for these
+semantics.
 """
 
 from __future__ import annotations
 
-import os
+from typing import NamedTuple
 
 import numpy as np
-
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
 
 #: Total jump probability may exceed 1 by at most this before aborting.
 PROBABILITY_SLACK = 1e-9
 
 
-def resolve_backend(name: str | None = None) -> str:
-    """Map a requested backend name (or the env default) to numba/numpy."""
-    if name is None:
-        name = os.environ.get("JUMPQEC_BACKEND", "auto")
-    name = name.lower()
-    if name == "auto":
-        return "numba" if NUMBA_AVAILABLE else "numpy"
-    if name == "numba":
-        if not NUMBA_AVAILABLE:
-            raise RuntimeError("numba backend requested but numba is not importable")
-        return "numba"
-    if name == "numpy":
-        return "numpy"
-    raise ValueError(f"unknown backend {name!r} (use auto, numba, or numpy)")
+class BlockResult(NamedTuple):
+    """What :func:`run_steps` reduces from one block of trajectories.
+
+    ``status`` is the block's jump total, or ``-(step + 1)`` when step
+    ``step`` aborted; ``failed_column`` is then the lowest column that
+    failed, and -1 otherwise.  ``fid_sum`` and ``fid_sq_sum`` sum the
+    columns' fidelities (and their squares) at every grid point, and
+    ``jump_counts`` is the block's cumulative jump total.  The jump log
+    lists each jump's step, column and channel, ordered by step, then
+    column.
+    """
+
+    status: int
+    failed_column: int
+    fid_sum: np.ndarray
+    fid_sq_sum: np.ndarray
+    jump_counts: np.ndarray
+    jump_steps: np.ndarray
+    jump_columns: np.ndarray
+    jump_channels: np.ndarray
 
 
-@njit(cache=True)
-def _step_loop_numba(psi0, ops, no_jump, uniforms, sample_idx,
-                     fid_out, cum_out, jump_steps, jump_channels, snap_out):
-    steps = uniforms.shape[0]
+def run_steps(psi0, ops, no_jump, uniforms, sample_idx, rho_sum=None):
+    """Evolve ``uniforms.shape[1]`` trajectories from ``psi0`` as one block.
+
+    ``ops`` holds the ``m`` applied jump operators ``(m, dim, dim)`` and
+    ``uniforms`` one uniform per step and trajectory ``(steps, B)``.  When
+    ``rho_sum`` is given, ``rho_sum[i]`` gains the block's summed outer
+    products ``psi psi^dagger`` at grid index ``sample_idx[i]``.
+    """
+    steps, width = uniforms.shape
     m = ops.shape[0]
-    dim = psi0.shape[0]
-    psi = psi0.copy()
-    ref = psi0.copy()
-    fid_out[0] = 1.0
-    cum_out[0] = 0
-    si = 0
-    if sample_idx.shape[0] > 0 and sample_idx[0] == 0:
-        snap_out[0] = psi
-        si = 1
+    ref = psi0.conj()
+    psi = np.repeat(psi0[:, None], width, axis=1)
+    slots = {} if rho_sum is None else {int(s): i for i, s in enumerate(sample_idx)}
+    fid_sum = np.empty(steps + 1)
+    fid_sq_sum = np.empty(steps + 1)
+    fid_sum[0] = fid_sq_sum[0] = width
+    counts = np.zeros(steps + 1, dtype=np.int64)
+    jump_steps, jump_columns, jump_channels = [], [], []
     jumps = 0
-    probs = np.empty(m, dtype=np.float64)
-    phis = np.empty((m, dim), dtype=np.complex128)
-    for s in range(steps):
-        total = 0.0
-        for k in range(m):
-            phi = np.dot(ops[k], psi)
-            phis[k] = phi
-            p = np.vdot(phi, phi).real
-            probs[k] = p
-            total += p
-        if 1.0 - total < -PROBABILITY_SLACK:
-            return -(s + 1)
-        u = uniforms[s]
-        chosen = -1
-        acc = 0.0
-        for k in range(m):
-            acc += probs[k]
-            if u < acc:
-                chosen = k
-                break
-        if chosen >= 0:
-            psi = phis[chosen].copy()
-            jump_steps[jumps] = s
-            jump_channels[jumps] = chosen
-            jumps += 1
-        else:
-            psi = np.dot(no_jump, psi)
-        nrm = np.sqrt(np.vdot(psi, psi).real)
-        if nrm <= 0.0:
-            return -(s + 1)
-        psi = psi / nrm
-        f = abs(np.vdot(ref, psi)) ** 2
-        if f > 1.0:
-            f = 1.0
-        fid_out[s + 1] = f
-        cum_out[s + 1] = jumps
-        if si < sample_idx.shape[0] and sample_idx[si] == s + 1:
-            snap_out[si] = psi
-            si += 1
-    return jumps
-
-
-def _step_loop_numpy(psi0, ops, no_jump, uniforms, sample_idx,
-                     fid_out, cum_out, jump_steps, jump_channels, snap_out):
-    steps = uniforms.shape[0]
-    m = ops.shape[0]
-    psi = psi0.copy()
-    ref = psi0
-    fid_out[0] = 1.0
-    cum_out[0] = 0
-    si = 0
-    if sample_idx.shape[0] > 0 and sample_idx[0] == 0:
-        snap_out[0] = psi
-        si = 1
-    jumps = 0
+    failed = -1
+    if 0 in slots:
+        rho_sum[slots[0]] += psi @ psi.conj().T
     for s in range(steps):
         phis = ops @ psi
-        probs = np.einsum("kd,kd->k", phis.conj(), phis).real
-        acc = np.cumsum(probs)
-        total = acc[-1] if m else 0.0
-        if 1.0 - total < -PROBABILITY_SLACK:
-            return -(s + 1)
-        chosen = int(np.searchsorted(acc, uniforms[s], side="right")) if m else 0
-        if chosen < m:
-            psi = phis[chosen].copy()
-            jump_steps[jumps] = s
-            jump_channels[jumps] = chosen
-            jumps += 1
-        else:
-            psi = no_jump @ psi
-        nrm = np.sqrt(np.vdot(psi, psi).real)
-        if nrm <= 0.0:
-            return -(s + 1)
-        psi = psi / nrm
-        f = abs(np.vdot(ref, psi)) ** 2
-        if f > 1.0:
-            f = 1.0
-        fid_out[s + 1] = f
-        cum_out[s + 1] = jumps
-        if si < sample_idx.shape[0] and sample_idx[si] == s + 1:
-            snap_out[si] = psi
-            si += 1
-    return jumps
-
-
-def run_steps(psi0, ops, no_jump, uniforms, sample_idx, backend: str):
-    """Run the step loop on the chosen backend.
-
-    Returns ``(status, fid, cumulative, jump_steps, jump_channels,
-    snapshots)`` where ``status`` is the jump count, or ``-(step + 1)``
-    when step ``step`` aborted on an invalid branch probability.
-    Jump arrays are trimmed to the recorded length.
-    """
-    steps = uniforms.shape[0]
-    dim = psi0.shape[0]
-    fid = np.empty(steps + 1, dtype=np.float64)
-    cum = np.zeros(steps + 1, dtype=np.int64)
-    jump_steps = np.empty(steps, dtype=np.int64)
-    jump_channels = np.empty(steps, dtype=np.int64)
-    snapshots = np.empty((sample_idx.shape[0], dim), dtype=np.complex128)
-    loop = _step_loop_numba if backend == "numba" else _step_loop_numpy
-    status = loop(
-        np.ascontiguousarray(psi0, dtype=np.complex128),
-        np.ascontiguousarray(ops, dtype=np.complex128),
-        np.ascontiguousarray(no_jump, dtype=np.complex128),
-        uniforms,
-        np.ascontiguousarray(sample_idx, dtype=np.int64),
-        fid, cum, jump_steps, jump_channels, snapshots,
+        acc = np.einsum("kdb,kdb->kb", phis.conj(), phis).real.cumsum(axis=0)
+        if m and (over := 1.0 - acc[-1] < -PROBABILITY_SLACK).any():
+            failed = int(over.argmax())
+            break
+        chosen = (acc <= uniforms[s]).sum(axis=0)
+        nxt = no_jump @ psi
+        clicked = (chosen < m).nonzero()[0]
+        if clicked.size:
+            nxt[:, clicked] = phis[chosen[clicked], :, clicked].T
+            jump_steps.append(np.full(clicked.size, s))
+            jump_columns.append(clicked)
+            jump_channels.append(chosen[clicked])
+            jumps += clicked.size
+        nrm = np.sqrt(np.einsum("db,db->b", nxt.conj(), nxt).real)
+        if (collapsed := nrm <= 0.0).any():
+            failed = int(collapsed.argmax())
+            break
+        psi = nxt / nrm
+        fid = np.minimum(np.abs(ref @ psi) ** 2, 1.0)
+        fid_sum[s + 1] = fid.sum()
+        fid_sq_sum[s + 1] = (fid * fid).sum()
+        counts[s + 1] = jumps
+        if s + 1 in slots:
+            rho_sum[slots[s + 1]] += psi @ psi.conj().T
+    status = jumps if failed < 0 else -(s + 1)
+    jump_log = (
+        np.concatenate(log) if log else np.zeros(0, dtype=np.int64)
+        for log in (jump_steps, jump_columns, jump_channels)
     )
-    count = status if status >= 0 else 0
-    return status, fid, cum, jump_steps[:count], jump_channels[:count], snapshots
+    return BlockResult(status, failed, fid_sum, fid_sq_sum, counts, *jump_log)

@@ -7,10 +7,15 @@ applied to the state) followed, when feedback is enabled, by that
 channel's correction unitary, or applies the no-jump operator.  The
 driving Hamiltonian enters through the no-jump operator of the Kraus set.
 
-Randomness: every trajectory owns a counter-based generator keyed by
-``(seed, trajectory_index)`` and pre-draws one uniform per step, so
-results are independent of execution order and identical across runs.
-The ensemble reduce is serial and deterministic.
+Trajectories run together in blocks on the one step engine of
+:mod:`jumpqec._kernels`, which follows :func:`step`, the per-trajectory
+reference.  Randomness: every trajectory owns a counter-based generator
+keyed by ``(seed, trajectory_index)`` and pre-draws one uniform per step,
+so jump selections do not depend on execution order or on how
+trajectories are grouped into blocks, and a run repeats bit for bit.
+The engine reduces each block as it steps (fidelity sums, jump totals,
+density sums); no per-trajectory series is stored.  A density series
+larger than ``DENSITY_BUDGET_BYTES`` is refused before any setup.
 
 The oracle integrates the unconditioned master equation (independent of
 the unraveling offset) with classical fixed-step RK4 and is used to
@@ -51,6 +56,13 @@ __all__ = [
 
 #: Density matrices are sampled on at most this many grid points.
 MAX_DENSITY_SAMPLES = 1000
+
+#: Largest density series (ensemble mean or oracle) allocated, in bytes.
+DENSITY_BUDGET_BYTES = 2 * 2**30
+
+#: Bytes each of a block's ``(m, dim, B)`` branches and ``(steps, B)``
+#: uniforms may take; this sets the block width ``B``.
+_BLOCK_BYTES = 8 * 2**20
 
 
 class StepSizeError(Exception):
@@ -306,31 +318,55 @@ def _trajectory_uniforms(cfg: SimConfig, trajectory_index: int) -> np.ndarray:
     return np.random.Generator(bits).random(cfg.steps)
 
 
-def _run_single(cfg: SimConfig, trajectory_index: int, setup: SimulationSetup,
-                backend: str):
-    uniforms = _trajectory_uniforms(cfg, trajectory_index)
-    status, fid, cum, jsteps, jchans, snaps = _kernels.run_steps(
+def _block_width(cfg: SimConfig, setup: SimulationSetup) -> int:
+    """Trajectories per block: the branch and uniform buffers stay bounded."""
+    m, dim = setup.applied_jumps.shape[:2]
+    column_bytes = max(16 * m * dim, 8 * cfg.steps)
+    return max(1, _BLOCK_BYTES // column_bytes)
+
+
+def _run_block(
+    cfg: SimConfig,
+    setup: SimulationSetup,
+    indices: range,
+    rho_sum: np.ndarray | None = None,
+) -> _kernels.BlockResult:
+    uniforms = np.stack([_trajectory_uniforms(cfg, i) for i in indices], axis=1)
+    result = _kernels.run_steps(
         setup.initial,
         setup.applied_jumps,
         setup.kraus.no_jump,
         uniforms,
         setup.sample_indices,
-        backend,
+        rho_sum,
     )
-    if status < 0:
-        bad = -status - 1
+    if result.status < 0:
+        bad = -result.status - 1
         raise StepSizeError(
             f"total jump probability exceeded 1 at step {bad} "
-            f"(t={bad * cfg.dt:.6g}) in trajectory {trajectory_index}; decrease dt"
+            f"(t={bad * cfg.dt:.6g}) in trajectory "
+            f"{indices[result.failed_column]}; decrease dt"
         )
-    return fid, cum, jsteps, jchans, snaps
+    return result
+
+
+def _require_density_budget(cfg: SimConfig, samples: int) -> None:
+    """Refuse a density series above ``DENSITY_BUDGET_BYTES`` before allocating it."""
+    dim = 2**cfg.n
+    need = samples * dim * dim * 16
+    if need > DENSITY_BUDGET_BYTES:
+        raise ValueError(
+            f"the density series needs {need / 2**30:.1f} GiB ({samples} samples "
+            f"of {dim}x{dim} complex matrices), over the "
+            f"{DENSITY_BUDGET_BYTES / 2**30:g} GiB budget; run the ensemble with "
+            f"collect_density=False, or use fewer qubits"
+        )
 
 
 def run_trajectory(
     cfg: SimConfig,
     trajectory_index: int,
     setup: SimulationSetup | None = None,
-    backend: str | None = None,
 ) -> tuple[FidelityRecord, list[tuple[float, ErrorChannel]]]:
     """Simulate one trajectory, deterministic in ``(seed, trajectory_index)``.
 
@@ -340,36 +376,35 @@ def run_trajectory(
     """
     if setup is None:
         setup = prepare(cfg)
-    resolved = _kernels.resolve_backend(backend)
-    fid, cum, jsteps, jchans, _snaps = _run_single(
-        cfg, trajectory_index, setup, resolved
-    )
+    result = _run_block(cfg, setup, range(trajectory_index, trajectory_index + 1))
     order = [ch for ch, _ in setup.kraus.jumps]
-    log = [(float((s + 1) * cfg.dt), order[k]) for s, k in zip(jsteps, jchans)]
+    log = [
+        (float((s + 1) * cfg.dt), order[k])
+        for s, k in zip(result.jump_steps, result.jump_channels)
+    ]
     record = FidelityRecord(
         times=setup.times,
-        mean_fidelity=fid,
-        std_fidelity=np.zeros_like(fid),
-        jump_counts=cum,
+        mean_fidelity=result.fid_sum,
+        std_fidelity=np.zeros_like(result.fid_sum),
+        jump_counts=result.jump_counts,
     )
     return record, log
 
 
-def run_ensemble(
-    cfg: SimConfig,
-    backend: str | None = None,
-    collect_density: bool = True,
-) -> EnsembleResult:
+def run_ensemble(cfg: SimConfig, collect_density: bool = True) -> EnsembleResult:
     """Average ``cfg.trajectories`` independent trajectories.
 
-    The mean density matrix series (outer products averaged over
-    trajectories) is kept on the subsampled grid of
-    :func:`density_sample_indices`; pass ``collect_density=False`` to skip
-    it for large registers.
+    Trajectories run in blocks (see :mod:`jumpqec._kernels`); jump
+    selections do not depend on how they are grouped.  The mean density
+    matrix series (outer products averaged over trajectories) is kept on
+    the subsampled grid of :func:`density_sample_indices`; pass
+    ``collect_density=False`` to skip it for large registers.  A series
+    over ``DENSITY_BUDGET_BYTES`` raises ``ValueError`` before any setup.
     """
-    setup = prepare(cfg)
-    resolved = _kernels.resolve_backend(backend)
     steps = cfg.steps
+    if collect_density:
+        _require_density_budget(cfg, len(density_sample_indices(steps)))
+    setup = prepare(cfg)
     dim = setup.initial.shape[0]
     fid_sum = np.zeros(steps + 1)
     fid_sq_sum = np.zeros(steps + 1)
@@ -379,14 +414,15 @@ def run_ensemble(
         rho_sum = np.zeros(
             (setup.sample_indices.shape[0], dim, dim), dtype=np.complex128
         )
-    for index in range(cfg.trajectories):
-        fid, cum, _js, _jc, snaps = _run_single(cfg, index, setup, resolved)
-        fid_sum += fid
-        fid_sq_sum += fid * fid
-        jump_sum += cum
-        if rho_sum is not None:
-            rho_sum += np.einsum("sd,se->sde", snaps, snaps.conj())
     n_traj = cfg.trajectories
+    width = _block_width(cfg, setup)
+    for start in range(0, n_traj, width):
+        block = _run_block(
+            cfg, setup, range(start, min(start + width, n_traj)), rho_sum
+        )
+        fid_sum += block.fid_sum
+        fid_sq_sum += block.fid_sq_sum
+        jump_sum += block.jump_counts
     mean = fid_sum / n_traj
     variance = np.maximum(fid_sq_sum / n_traj - mean * mean, 0.0)
     record = FidelityRecord(
@@ -428,8 +464,14 @@ def master_equation_oracle(
     1e-3 of the characteristic evolution time; the density matrix is
     re-symmetrized every grid step and a trace drift beyond 1e-6 aborts.
     Feedback plays no role here; driving is included when enabled.
-    Returns ``(sampled times, density matrices)``.
+    Returns ``(sampled times, density matrices)``; a series over
+    ``DENSITY_BUDGET_BYTES`` raises ``ValueError`` before any setup.
     """
+    steps = cfg.steps
+    if sample_indices is None:
+        sample_indices = density_sample_indices(steps)
+    sample_indices = np.asarray(sample_indices, dtype=np.int64)
+    _require_density_budget(cfg, sample_indices.shape[0])
     code = simulation_code(cfg)
     psi0 = _initial_vector(cfg, code)
     n = cfg.n
@@ -462,10 +504,6 @@ def master_equation_oracle(
     substeps = max(1, int(math.ceil(cfg.dt / h_target - 1e-12)))
     h = cfg.dt / substeps
 
-    steps = cfg.steps
-    if sample_indices is None:
-        sample_indices = density_sample_indices(steps)
-    sample_indices = np.asarray(sample_indices, dtype=np.int64)
     rho = np.outer(psi0, psi0.conj())
     out = np.empty((sample_indices.shape[0], dim, dim), dtype=np.complex128)
     pointer = 0

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -296,6 +297,26 @@ class TestExecute:
         assert len(lines) == 42
         values = [float(line.split(",")[1]) for line in lines[1:]]
         assert all(0.0 <= v <= 1.0 for v in values)
+
+    def test_oracle_compare_refuses_oversized_density(self, tmp_path, capsys):
+        doc = minimal_doc(
+            n=10,
+            dt=1e-3,
+            feedback=False,
+            driving=False,
+            channels=[{"qubit": q, "E": SIGMA_MINUS_JSON} for q in range(10)],
+        )
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "big.csv"
+        started = time.monotonic()
+        code, manifest = execute(
+            ["oracle-compare", "--config", config, "--output", str(out)]
+        )
+        assert time.monotonic() - started < 1.0
+        assert code == 2 and manifest is None
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "GiB" in err and "collect_density=False" in err
 
     def test_oracle_compare_refuses_feedback(self, tmp_path, capsys):
         config = write_config(tmp_path, minimal_doc(duration=0.1, trajectories=2))

@@ -8,6 +8,7 @@ from jumpqec import (
     SimConfig,
     StepSizeError,
     TrajectoryState,
+    effective_jump_operator,
     fidelity,
     jump_backaction,
     kraus_set,
@@ -16,6 +17,7 @@ from jumpqec import (
     run_ensemble,
     run_trajectory,
     step,
+    tensor_embed,
     trace_distance,
 )
 
@@ -167,6 +169,26 @@ class TestRunTrajectory:
         with pytest.raises(StepSizeError, match="trajectory"):
             run_trajectory(cfg, 0)
 
+    def test_channel_jump_totals_are_poisson(self):
+        # README config: the closed loop keeps the state on the initial ray,
+        # so channel k clicks at the constant rate |A_k psi0|^2.
+        cfg = SimConfig(
+            n=2, channels=relaxation_channels(2, gamma=0.5), dt=1e-3,
+            duration=3.0, seed=7, trajectories=200,
+        )
+        setup = prepare(cfg)
+        totals = dict.fromkeys(range(len(cfg.channels)), 0)
+        for index in range(cfg.trajectories):
+            _, log = run_trajectory(cfg, index, setup)
+            for _, ch in log:
+                totals[cfg.channels.index(ch)] += 1
+        for k, ch in enumerate(cfg.channels):
+            jump = tensor_embed(effective_jump_operator(ch), ch.qubit, cfg.n)
+            rate = np.linalg.norm(jump @ setup.initial) ** 2
+            expected = rate * cfg.duration * cfg.trajectories
+            assert expected > 100
+            assert abs(totals[k] - expected) <= 5.0 * np.sqrt(expected)
+
 
 class TestStateComparisons:
     def test_fidelity_ignores_global_phase(self):
@@ -227,6 +249,16 @@ class TestRunEnsemble:
             np.outer(setup.initial, setup.initial.conj()),
             atol=1e-14,
         )
+
+    def test_oversized_density_series_refused_before_setup(self):
+        # n=10: 1001 samples of 1024 x 1024 complex matrices, about 16 GiB.
+        cfg = SimConfig(
+            n=10, channels=relaxation_channels(10), dt=1e-3, duration=1.0,
+            feedback_enabled=False, driving_enabled=False,
+        )
+        for run in (run_ensemble, master_equation_oracle):
+            with pytest.raises(ValueError, match=r"15\.6 GiB.*collect_density=False"):
+                run(cfg)
 
     def test_density_collection_optional(self):
         cfg = SimConfig(
