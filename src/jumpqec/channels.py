@@ -11,13 +11,14 @@ the no-jump operator
 
 applies.  This no-jump form is the unique first-order choice for which the
 Kraus set is trace preserving up to O(dt^2) and the ensemble average
-reproduces the offset-independent Lindblad equation.
+reproduces the offset-independent Lindblad generator defined here.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,7 @@ __all__ = [
     "jump_backaction",
     "kraus_set",
     "cptp_defect",
+    "lindblad_generator",
     "lindblad_rhs",
 ]
 
@@ -217,6 +219,36 @@ def cptp_defect(ks: KrausSet) -> float:
     return max_abs(total - np.eye(dim))
 
 
+def lindblad_generator(
+    channels: list[ErrorChannel] | tuple[ErrorChannel, ...],
+    hamiltonian: np.ndarray | None,
+    n: int,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The map ``rho -> drho/dt`` of :func:`lindblad_rhs`, without its checks.
+
+    ``K rho + rho K^dag + sum_k E_k rho E_k^dag`` with the embedded channel
+    operators ``E_k`` and ``K = -i H - sum_k E_k^dag E_k / 2``.
+    """
+    dim = 2**n
+    ops = np.array(
+        [tensor_embed(ch.operator, ch.qubit, n) for ch in channels],
+        dtype=np.complex128,
+    ).reshape(-1, dim, dim)
+    tall = ops.reshape(-1, dim)  # rows stack E_1, ..., E_m
+    k = -0.5 * (tall.conj().T @ tall)
+    if hamiltonian is not None:
+        k -= 1j * np.asarray(hamiltonian, dtype=np.complex128)
+    k_dag = k.conj().T
+    wide = ops.transpose(1, 0, 2).reshape(dim, -1)  # columns E_1 | ... | E_m
+    ops_dag = ops.conj().transpose(0, 2, 1)
+
+    def generator(rho: np.ndarray) -> np.ndarray:
+        # wide times the rows rho E_1^dag, ..., rho E_m^dag sums the jumps.
+        return k @ rho + rho @ k_dag + wide @ (rho @ ops_dag).reshape(-1, dim)
+
+    return generator
+
+
 def lindblad_rhs(
     rho: np.ndarray,
     channels: list[ErrorChannel] | tuple[ErrorChannel, ...],
@@ -235,13 +267,7 @@ def lindblad_rhs(
         raise ValueError(f"density matrix shape {rho.shape} does not match n={n}")
     if max_abs(rho - rho.conj().T) > 1e-10 or abs(np.trace(rho) - 1.0) > 1e-10:
         raise ValueError("input is not a valid density matrix (Hermitian, trace 1)")
-    if hamiltonian is None:
-        hamiltonian = np.zeros((dim, dim), dtype=np.complex128)
-    out = -1j * (hamiltonian @ rho - rho @ hamiltonian)
     for ch in channels:
         if ch.qubit >= n:
             raise ValueError(f"channel qubit {ch.qubit} out of range for n={n}")
-        e = tensor_embed(ch.operator, ch.qubit, n)
-        ee = e.conj().T @ e
-        out = out + e @ rho @ e.conj().T - 0.5 * (ee @ rho + rho @ ee)
-    return out
+    return lindblad_generator(channels, hamiltonian, n)(rho)

@@ -87,9 +87,6 @@ class ControlPlan:
     corrections: dict[ErrorChannel, Correction]
     sector_map: dict[str, int] | None
 
-    def correction_for(self, channel: ErrorChannel) -> Correction:
-        return self.corrections[channel]
-
 
 class NoJumpInvariance(NamedTuple):
     a: float
@@ -168,9 +165,7 @@ def _correction(ch: ErrorChannel, code: StabilizerCode) -> Correction:
     return Correction(matrix=matrix, null_channel=False)
 
 
-def correction_unitary(
-    ch: ErrorChannel, code: StabilizerCode, n: int | None = None
-) -> Correction:
+def correction_unitary(ch: ErrorChannel, code: StabilizerCode) -> Correction:
     """Unitary undoing a detected jump of ``ch`` on the codespace.
 
     With ``A`` the embedded effective jump operator and ``c'`` the
@@ -181,8 +176,6 @@ def correction_unitary(
     Channels with ``c' = 0`` never fire; the result is the identity with
     ``null_channel`` set.
     """
-    if n is not None and n != code.n:
-        raise ValueError(f"qubit count {n} does not match the code's n={code.n}")
     _require_correctable(
         code,
         [ch],

@@ -18,8 +18,8 @@ density sums); no per-trajectory series is stored.  A density series
 larger than ``DENSITY_BUDGET_BYTES`` is refused before any setup.
 
 The oracle integrates the unconditioned master equation (independent of
-the unraveling offset) with classical fixed-step RK4 and is used to
-cross-validate ensemble means.
+the unraveling offset) with classical fixed-step RK4 on the ensemble's
+density grid and is used to cross-validate ensemble means.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .channels import ErrorChannel, KrausSet, jump_backaction, kraus_set
+from .channels import ErrorChannel, KrausSet, kraus_set, lindblad_generator
 from .codes import StabilizerCode, build_code, codespace_basis
 from .control import ControlPlan, build_control_plan, driving_hamiltonian
-from .linalg import MAX_QUBITS, max_abs, tensor_embed
+from .linalg import MAX_QUBITS, max_abs
 
 __all__ = [
     "StepSizeError",
@@ -433,10 +433,11 @@ def run_ensemble(cfg: SimConfig, collect_density: bool = True) -> EnsembleResult
     )
     if rho_sum is None:
         return EnsembleResult(record, None, None)
+    rho_sum /= n_traj  # in place, so the mean is not a second series
     return EnsembleResult(
         record,
         setup.times[setup.sample_indices],
-        rho_sum / n_traj,
+        rho_sum,
     )
 
 
@@ -455,49 +456,31 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
-def master_equation_oracle(
-    cfg: SimConfig, sample_indices: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate the unconditioned master equation on the simulation grid.
+def master_equation_oracle(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate the unconditioned master equation on the ensemble's grid.
 
-    Classical fixed-step RK4 with internal substeps no longer than
-    1e-3 of the characteristic evolution time; the density matrix is
-    re-symmetrized every grid step and a trace drift beyond 1e-6 aborts.
-    Feedback plays no role here; driving is included when enabled.
-    Returns ``(sampled times, density matrices)``; a series over
+    Classical fixed-step RK4 of :func:`.channels.lindblad_generator` with
+    internal substeps no longer than 1e-3 of the characteristic evolution
+    time; the density is re-symmetrized every grid step and a trace drift
+    beyond 1e-6 aborts.  Feedback plays no role; driving is included when
+    enabled.  Returns ``(sampled times, density matrices)``; a series over
     ``DENSITY_BUDGET_BYTES`` raises ``ValueError`` before any setup.
     """
     steps = cfg.steps
-    if sample_indices is None:
-        sample_indices = density_sample_indices(steps)
-    sample_indices = np.asarray(sample_indices, dtype=np.int64)
+    sample_indices = density_sample_indices(steps)
     _require_density_budget(cfg, sample_indices.shape[0])
     code = simulation_code(cfg)
     psi0 = _initial_vector(cfg, code)
-    n = cfg.n
-    dim = 2**n
+    dim = 2**cfg.n
+    hamiltonian = None
     if cfg.driving_enabled:
         hamiltonian = driving_hamiltonian(cfg.channels, code)
-    else:
-        hamiltonian = np.zeros((dim, dim), dtype=np.complex128)
-    lindblad_ops = [
-        tensor_embed(ch.operator, ch.qubit, n) for ch in cfg.channels
-    ]
-    anticomm_half = np.zeros((dim, dim), dtype=np.complex128)
-    for op in lindblad_ops:
-        anticomm_half += 0.5 * op.conj().T @ op
-
-    def rhs(rho: np.ndarray) -> np.ndarray:
-        out = -1j * (hamiltonian @ rho - rho @ hamiltonian)
-        out -= anticomm_half @ rho + rho @ anticomm_half
-        for op in lindblad_ops:
-            out += op @ rho @ op.conj().T
-        return out
+    rhs = lindblad_generator(cfg.channels, hamiltonian, cfg.n)
 
     rate_scale = sum(
         float(np.trace(ch.operator.conj().T @ ch.operator).real) / 2.0
         for ch in cfg.channels
-    ) + max_abs(hamiltonian)
+    ) + (0.0 if hamiltonian is None else max_abs(hamiltonian))
     h_target = cfg.dt
     if rate_scale > 0:
         h_target = min(cfg.dt, 1e-3 / rate_scale)
@@ -506,10 +489,8 @@ def master_equation_oracle(
 
     rho = np.outer(psi0, psi0.conj())
     out = np.empty((sample_indices.shape[0], dim, dim), dtype=np.complex128)
-    pointer = 0
-    if sample_indices.size and sample_indices[0] == 0:
-        out[0] = rho
-        pointer = 1
+    out[0] = rho
+    pointer = 1
     for s in range(steps):
         for _ in range(substeps):
             k1 = rhs(rho)
@@ -527,5 +508,4 @@ def master_equation_oracle(
         if pointer < sample_indices.shape[0] and sample_indices[pointer] == s + 1:
             out[pointer] = rho
             pointer += 1
-    times = np.arange(steps + 1) * cfg.dt
-    return times[sample_indices], out
+    return sample_indices * cfg.dt, out

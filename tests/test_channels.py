@@ -10,7 +10,7 @@ from jumpqec import (
     kraus_set,
     lindblad_rhs,
 )
-from jumpqec.linalg import SIGMA_X, SIGMA_Z, bloch_matrix
+from jumpqec.linalg import SIGMA_X, SIGMA_Z, bloch_matrix, tensor_embed
 
 from helpers import SIGMA_MINUS, random_channel_set
 
@@ -171,6 +171,29 @@ class TestLindbladRhs:
         out = lindblad_rhs(plus, [], SIGMA_Z, 1)
         assert_allclose(out, np.array([[0.0, -1j], [1j, 0.0]]), atol=1e-15)
         assert abs(np.trace(out)) <= 1e-12
+
+    def test_matches_kronecker_superoperator(self):
+        # Independent reference: with row-major vec, vec(A rho B) equals
+        # (A kron B^T) vec(rho), so the generator is one dim^2 x dim^2 matrix.
+        rng = np.random.default_rng(41)
+        for n in (1, 2, 3) * 2:
+            dim = 2**n
+            eye = np.eye(dim)
+            channels = random_channel_set(rng, n)
+            ham = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            ham = (ham + ham.conj().T) / 2
+            sup = -1j * (np.kron(ham, eye) - np.kron(eye, ham.T))
+            for ch in channels:
+                e = tensor_embed(ch.operator, ch.qubit, n)
+                ee = e.conj().T @ e
+                sup += np.kron(e, e.conj())
+                sup -= 0.5 * (np.kron(ee, eye) + np.kron(eye, ee.T))
+            raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            rho = raw @ raw.conj().T
+            rho /= np.trace(rho).real
+            expected = (sup @ rho.reshape(-1)).reshape(dim, dim)
+            out = lindblad_rhs(rho, channels, ham, n)
+            assert np.max(np.abs(out - expected)) <= 1e-12
 
     def test_rejects_invalid_density(self):
         with pytest.raises(ValueError):

@@ -156,11 +156,6 @@ class TestCorrectionUnitary:
         with pytest.raises(CorrectabilityError):
             correction_unitary(relaxation_channels(2)[0], wrong)
 
-    def test_rejects_mismatched_register_size(self):
-        code = build_code(relaxation_channels(2), 2)
-        with pytest.raises(ValueError):
-            correction_unitary(relaxation_channels(2)[0], code, n=3)
-
 
 class TestControlPlan:
     def test_single_generator_plan_has_no_sector_map(self):
