@@ -48,7 +48,6 @@ from .linalg import (
     bloch_matrix,
     tensor_embed,
     traceless_decompose,
-    unitary_completion,
 )
 from .trajectory import (
     EnsembleResult,
@@ -98,7 +97,6 @@ __all__ = [
     "bloch_matrix",
     "tensor_embed",
     "traceless_decompose",
-    "unitary_completion",
     "EnsembleResult",
     "FidelityRecord",
     "SimConfig",

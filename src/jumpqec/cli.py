@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time as _time
 from dataclasses import dataclass
@@ -162,10 +163,17 @@ def _parse_channel(doc, index: int, n: int) -> ErrorChannel:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _finite_number(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ConfigError(f"config: non-finite number {token} is not allowed")
+    return value
+
+
 def parse_config(text: str) -> SimConfig:
-    """Parse and validate a JSON configuration document."""
+    """Parse and validate a JSON configuration document of finite numbers."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -6,11 +6,12 @@ coherent term so the two cancel on the codespace, leaving pure amplitude
 decay (``nojump_invariance_check`` measures the residual, which is
 machine-precision rather than O(dt^2)).  Detected jumps are undone by a
 per-channel correction unitary that maps the jumped codespace isometrically
-back onto itself.
+back onto itself, built in closed form (see :func:`correction_unitary`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,7 +30,7 @@ from .codes import (
     sector_assignment,
     verify_correctability,
 )
-from .linalg import HERMITIAN_ATOL, is_hermitian, tensor_embed, unitary_completion
+from .linalg import HERMITIAN_ATOL, is_hermitian, tensor_embed
 
 __all__ = [
     "CorrectabilityError",
@@ -153,14 +154,28 @@ def driving_hamiltonian(
     return _driving(channels, code)
 
 
-def _correction(ch: ErrorChannel, code: StabilizerCode) -> Correction:
-    rate = jump_backaction(ch).rate
-    dim = 2**code.n
-    if rate <= NULL_CHANNEL_ATOL:
-        return Correction(matrix=np.eye(dim, dtype=np.complex128), null_channel=True)
-    jump = tensor_embed(effective_jump_operator(ch), ch.qubit, code.n)
-    images = code.codespace @ jump.T / np.sqrt(rate)
-    matrix = unitary_completion(images, code.codespace)
+def _on_qubit(op: np.ndarray, qubit: int, m: np.ndarray) -> np.ndarray:
+    """``tensor_embed(op, qubit, n) @ m`` without forming the embedding."""
+    return (op @ m.reshape(2**qubit, 2, -1)).reshape(m.shape)
+
+
+def _correction(ch: ErrorChannel, n: int, projector: np.ndarray) -> Correction:
+    ba = jump_backaction(ch)
+    matrix = np.eye(2**n, dtype=np.complex128)
+    if ba.rate <= NULL_CHANNEL_ATOL:
+        return Correction(matrix=matrix, null_channel=True)
+    w, s, vh = np.linalg.svd(effective_jump_operator(ch))
+    # With d = 0 the axis is zero, so is theta, and the bracket stays 1.
+    axis = ba.matrix / (float(np.linalg.norm(ba.bloch)) or 1.0)
+    modulus = (vh.conj().T * s) @ vh
+    theta = math.atan2(np.trace(axis @ modulus).real, np.trace(modulus).real)
+    dp = _on_qubit(axis, ch.qubit, projector)
+    pd = dp.conj().T
+    matrix += (math.cos(theta) - 1.0) * (projector + _on_qubit(axis, ch.qubit, pd))
+    matrix -= math.sin(theta) * (dp - pd)
+    # Right factor U^dag: (M U^dag)[x, c, j] = sum_b U*[c, b] M[x, b, j].
+    columns = matrix.reshape(-1, 2, 2 ** (n - 1 - ch.qubit))
+    matrix = ((w @ vh).conj() @ columns).reshape(matrix.shape)
     matrix.flags.writeable = False
     return Correction(matrix=matrix, null_channel=False)
 
@@ -169,9 +184,16 @@ def correction_unitary(ch: ErrorChannel, code: StabilizerCode) -> Correction:
     """Unitary undoing a detected jump of ``ch`` on the codespace.
 
     With ``A`` the embedded effective jump operator and ``c'`` the
-    channel's rate, the images ``A|psi_i>/sqrt(c')`` of the codespace
-    basis are orthonormal, and the returned unitary maps them back onto
-    the basis: ``U A v = sqrt(c') v`` for every codespace vector ``v``.
+    channel's rate, ``R A v = sqrt(c') v`` for every codespace vector ``v``.
+
+    The 2x2 factor's polar decomposition (one 2x2 SVD) is ``U |A|`` with
+    ``|A| = alpha + beta d_hat.sigma``, ``d.sigma`` the backaction.  With
+    ``P`` the codespace projector, ``D`` the embedded ``d_hat.sigma`` and
+    ``theta = atan2(beta, alpha)``,
+    ``R = (1 + (cos theta - 1)(P + DPD) - sin theta (DP - PD)) U^dag``:
+    since ``PDP = 0``, the bracket rotates ``alpha v + beta D v`` back to
+    ``sqrt(c') v`` and ``R U`` is the identity off ``span(P, DP)``, so only
+    the 2x2 SVD depends on the LAPACK build.  ``d = 0`` gives ``U^dag``.
 
     Channels with ``c' = 0`` never fire; the result is the identity with
     ``null_channel`` set.
@@ -183,7 +205,7 @@ def correction_unitary(ch: ErrorChannel, code: StabilizerCode) -> Correction:
         "(residual {residual:.3e})",
         label=ch.label,
     )
-    return _correction(ch, code)
+    return _correction(ch, code.n, code.codespace.T @ code.codespace.conj())
 
 
 def build_control_plan(
@@ -196,7 +218,8 @@ def build_control_plan(
     _require_correctable(code, channels, _BACKACTION_MESSAGE)
     driving = _driving(channels, code)
     driving.flags.writeable = False
-    corrections = {ch: _correction(ch, code) for ch in channels}
+    projector = code.codespace.T @ code.codespace.conj()
+    corrections = {ch: _correction(ch, code.n, projector) for ch in channels}
     if len(code.generators) == 2:
         sector_map = {ax: sector_assignment(ax, code.generators) for ax in "xyz"}
     else:

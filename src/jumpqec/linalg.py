@@ -1,15 +1,13 @@
-"""Dense complex linear algebra for small qubit registers.
+"""Pauli algebra and dense operators for small qubit registers.
 
 Operators are plain ``numpy.ndarray`` matrices of dtype complex128.  All
 routines here are pure functions; nothing is cached or mutated, so values
 can be shared freely between threads.  The register size is capped at
-``MAX_QUBITS`` qubits (dimension 4096), which keeps every construction
-dense, exact and desk-scale.
+``MAX_QUBITS`` qubits (dimension 4096); runs whose dense operators would
+not fit in memory are refused by ``trajectory.simulation_code``.
 """
 
 from __future__ import annotations
-
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -29,7 +27,6 @@ __all__ = [
     "traceless_decompose",
     "bloch_decompose",
     "bloch_matrix",
-    "unitary_completion",
 ]
 
 #: Largest supported register; 2**12 = 4096 keeps dense algebra cheap.
@@ -125,51 +122,3 @@ def bloch_matrix(bloch: np.ndarray) -> np.ndarray:
     """Inverse of :func:`bloch_decompose`: ``d . sigma`` for a coefficient triple."""
     bx, by, bz = np.asarray(bloch, dtype=float)
     return bx * SIGMA_X + by * SIGMA_Y + bz * SIGMA_Z
-
-
-def _orthonormal_error(vectors: np.ndarray) -> float:
-    gram = vectors.conj() @ vectors.T
-    return max_abs(gram - np.eye(vectors.shape[0]))
-
-
-def _complete_basis(rows: np.ndarray) -> np.ndarray:
-    """Extend orthonormal rows to a full basis of C^dim.
-
-    The added rows span the orthogonal complement of ``rows``: they are the
-    trailing columns of the unitary factor of a complete Householder QR of
-    ``rows^dagger``, conjugated.  The result is deterministic for a given
-    LAPACK build.
-    """
-    q, _ = np.linalg.qr(rows.conj().T, mode="complete")
-    return np.vstack([rows, q[:, rows.shape[0] :].conj().T])
-
-
-def unitary_completion(
-    sources: Sequence[np.ndarray], targets: Sequence[np.ndarray]
-) -> np.ndarray:
-    """Unitary ``U`` with ``U @ sources[i] = targets[i]`` for all ``i``.
-
-    Both lists must be orthonormal within ``ORTHO_ATOL``.  Each list is
-    completed to a full basis by a complete QR (see ``_complete_basis``),
-    and ``U`` maps the sources' complement onto the targets' complement in
-    that order.  The action on the complement is deterministic for a given
-    LAPACK build, so repeated calls yield the identical matrix.
-    """
-    src = np.array([np.asarray(v, dtype=np.complex128) for v in sources])
-    tgt = np.array([np.asarray(v, dtype=np.complex128) for v in targets])
-    if src.shape != tgt.shape:
-        raise ValueError(
-            f"sources and targets disagree in shape: {src.shape} vs {tgt.shape}"
-        )
-    if src.ndim != 2:
-        raise ValueError("expected non-empty lists of vectors")
-    if src.shape[0] > src.shape[1]:
-        raise ValueError("more vectors than the space dimension")
-    for name, rows in (("sources", src), ("targets", tgt)):
-        err = _orthonormal_error(rows)
-        if err > ORTHO_ATOL:
-            raise ValueError(f"{name} are not orthonormal (residual {err:.3e})")
-    full_src = _complete_basis(src)
-    full_tgt = _complete_basis(tgt)
-    # U = sum_i |t_i><s_i| over the completed bases.
-    return full_tgt.T @ full_src.conj()

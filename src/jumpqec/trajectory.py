@@ -14,8 +14,9 @@ keyed by ``(seed, trajectory_index)`` and pre-draws one uniform per step,
 so jump selections do not depend on execution order or on how
 trajectories are grouped into blocks, and a run repeats bit for bit.
 The engine reduces each block as it steps (fidelity sums, jump totals,
-density sums); no per-trajectory series is stored.  A density series
-larger than ``DENSITY_BUDGET_BYTES`` is refused before any setup.
+density sums); no per-trajectory series is stored.  A density series, or
+a set of dense operators, larger than ``DENSITY_BUDGET_BYTES`` is refused
+before any setup.
 
 The oracle integrates the unconditioned master equation (independent of
 the unraveling offset) with classical fixed-step RK4 on the ensemble's
@@ -57,7 +58,8 @@ __all__ = [
 #: Density matrices are sampled on at most this many grid points.
 MAX_DENSITY_SAMPLES = 1000
 
-#: Largest density series (ensemble mean or oracle) allocated, in bytes.
+#: Largest density series (ensemble mean or oracle), or set of dense
+#: operators held by ``prepare()``, allocated, in bytes.
 DENSITY_BUDGET_BYTES = 2 * 2**30
 
 #: Bytes each of a block's ``(m, dim, B)`` branches and ``(steps, B)``
@@ -102,10 +104,12 @@ class SimConfig:
                 raise ValueError(
                     f"channel qubit {ch.qubit} out of range for n={self.n}"
                 )
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if self.duration < self.dt:
-            raise ValueError("duration must be at least one step")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not self.dt <= self.duration < math.inf:
+            raise ValueError(
+                f"duration must be finite and at least one step, got {self.duration}"
+            )
         if not isinstance(self.trajectories, int) or self.trajectories < 1:
             raise ValueError("trajectories must be a positive integer")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
@@ -190,7 +194,19 @@ def density_sample_indices(steps: int) -> np.ndarray:
 
 
 def simulation_code(cfg: SimConfig) -> StabilizerCode:
-    """The code a run protects with: synthesized, or taken from the override."""
+    """The code a run protects with: synthesized, or taken from the override.
+
+    Every run starts here, so dense operators over ``DENSITY_BUDGET_BYTES``
+    raise ``ValueError`` before any synthesis.  ``4 m + 12`` matrices for
+    ``m`` channels cover the tracemalloc peak of ``prepare()``: ``4 m + 2.5``
+    at n = 6-9, up to ``4 m + 11.5`` at n = 4.  This bounds memory, not time.
+    """
+    need = (4 * len(cfg.channels) + 12) * 16 * 4**cfg.n
+    if need > DENSITY_BUDGET_BYTES:
+        raise ValueError(
+            f"the dense operators would take {need / 2**30:.1f} GiB, over the "
+            f"{DENSITY_BUDGET_BYTES / 2**30:g} GiB budget; use fewer qubits or channels"
+        )
     if cfg.code_override is None:
         return build_code(cfg.channels, cfg.n)
     basis = codespace_basis(cfg.code_override, cfg.n)

@@ -328,6 +328,53 @@ class TestExecute:
         assert "--no-feedback" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field, value, token",
+        [
+            ("duration", float("inf"), "Infinity"),
+            ("dt", float("-inf"), "-Infinity"),
+            ("gamma", float("inf"), "Infinity"),
+            ("phi", float("nan"), "NaN"),
+        ],
+    )
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, field, value, token):
+        doc = minimal_doc()
+        if field in ("gamma", "phi"):
+            doc["channels"][0][field] = value
+        else:
+            doc[field] = value
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "nf.csv"
+        code, manifest = execute(["simulate", "--config", config, "--output", str(out)])
+        assert code == 2 and manifest is None
+        assert f"non-finite number {token} " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_literal_and_override_exit_2(self, tmp_path, capsys):
+        config = tmp_path / "big.json"
+        config.write_text(json.dumps(minimal_doc()).replace("1.0", "1e999"))
+        assert execute(["simulate", "--config", str(config)])[0] == 2
+        assert "non-finite number 1e999" in capsys.readouterr().err
+        config = write_config(tmp_path, minimal_doc())
+        assert execute(["simulate", "--config", config, "--dt", "inf"])[0] == 2
+        assert "dt must be positive and finite, got inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "synthesize", "verify"])
+    def test_dense_operators_over_budget_exit_2(self, tmp_path, capsys, command):
+        doc = minimal_doc(
+            n=12,
+            dt=1e-3,
+            channels=[{"qubit": q, "E": SIGMA_MINUS_JSON} for q in range(12)],
+        )
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "big.out"
+        started = time.monotonic()
+        code, manifest = execute([command, "--config", config, "--output", str(out)])
+        assert time.monotonic() - started < 1.0
+        assert code == 2 and manifest is None
+        assert not out.exists()
+        assert "dense operators would take 15.0 GiB" in capsys.readouterr().err
+
     def test_unreadable_config(self, tmp_path, capsys):
         code, manifest = execute(
             ["simulate", "--config", str(tmp_path / "missing.json")]

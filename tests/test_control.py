@@ -9,6 +9,7 @@ from jumpqec import (
     build_control_plan,
     correction_unitary,
     driving_hamiltonian,
+    effective_jump_operator,
     jump_backaction,
     kraus_set,
     nojump_invariance_check,
@@ -20,6 +21,8 @@ from jumpqec.linalg import (
     SIGMA_Z,
     bloch_matrix,
     is_hermitian,
+    is_unitary,
+    max_abs,
     tensor_embed,
 )
 
@@ -130,6 +133,8 @@ class TestCorrectionUnitary:
         for v in code.codespace:
             out = corr.matrix @ jump @ v
             assert np.max(np.abs(out - np.sqrt(kappa) * v)) <= 1e-12
+        # No backaction (d = 0): R is the inverse polar factor, here X itself.
+        assert_allclose(corr.matrix, tensor_embed(SIGMA_X, 1, 2), atol=1e-15)
 
     def test_lowering_channel_restores_codespace(self):
         channels = relaxation_channels(2)
@@ -155,6 +160,65 @@ class TestCorrectionUnitary:
         wrong = manual_code([np.tile([0.0, 0, 1.0], (2, 1))], 2)
         with pytest.raises(CorrectabilityError):
             correction_unitary(relaxation_channels(2)[0], wrong)
+
+
+def _closed_form_cases():
+    """Random sets on both code branches, plus a hand-picked single generator."""
+    cases = [
+        (n, channels, build_code(channels, n))
+        for n, channels in random_suite(seed=71, count=24)
+    ]
+    angles = np.random.default_rng(73).uniform(0.0, 2.0 * np.pi, 4)
+    axes = np.column_stack([np.cos(angles), np.sin(angles), np.zeros(4)])
+    cases.append((4, relaxation_channels(4), manual_code([axes], 4)))
+    return cases
+
+
+def _polar_unitary(ch, n):
+    """Embedded ``U`` of the 2x2 polar decomposition ``E + mu = U |E + mu|``."""
+    w, _, vh = np.linalg.svd(effective_jump_operator(ch))
+    return tensor_embed(w @ vh, ch.qubit, n)
+
+
+class TestClosedFormCorrection:
+    def test_unitary_and_exact_on_the_codespace(self):
+        for n, channels, code in _closed_form_cases():
+            plan = build_control_plan(channels, code)
+            basis = code.codespace.T
+            for ch in channels:
+                corr = plan.corrections[ch]
+                if corr.null_channel:
+                    continue
+                assert is_unitary(corr.matrix, tol=1e-12)
+                jump = tensor_embed(effective_jump_operator(ch), ch.qubit, n)
+                rate = jump_backaction(ch).rate
+                restored = corr.matrix @ jump @ basis
+                assert max_abs(restored - np.sqrt(rate) * basis) <= 1e-12
+
+    def test_identity_off_the_rotation_plane(self):
+        # R U is the identity on the complement of span(P, D P).
+        for n, channels, code in _closed_form_cases():
+            plan = build_control_plan(channels, code)
+            projector = code.codespace.T @ code.codespace.conj()
+            identity = np.eye(2**n)
+            for ch in channels:
+                corr = plan.corrections[ch]
+                if corr.null_channel:
+                    continue
+                ba = jump_backaction(ch)
+                axis = tensor_embed(ba.matrix / np.linalg.norm(ba.bloch), ch.qubit, n)
+                complement = identity - projector - axis @ projector @ axis
+                undone = corr.matrix @ _polar_unitary(ch, n)
+                assert max_abs((undone - identity) @ complement) <= 1e-12
+
+    def test_repeat_call_is_bytewise_identical(self):
+        channels = rank3_channels(4)
+        code = build_code(channels, 4)
+        plan = build_control_plan(channels, code)
+        for ch in channels[:3]:
+            first = correction_unitary(ch, code).matrix.tobytes()
+            assert correction_unitary(ch, code).matrix.tobytes() == first
+            assert plan.corrections[ch].matrix.tobytes() == first
 
 
 class TestControlPlan:

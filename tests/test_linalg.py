@@ -12,10 +12,8 @@ from jumpqec.linalg import (
     bloch_decompose,
     bloch_matrix,
     is_hermitian,
-    is_unitary,
     tensor_embed,
     traceless_decompose,
-    unitary_completion,
 )
 
 
@@ -113,83 +111,6 @@ class TestBlochDecompose:
         assert_allclose(
             bloch_decompose(bloch_matrix(coeffs)), coeffs, atol=1e-12
         )
-
-
-def _random_frame(rng, count, dim):
-    """``count`` orthonormal rows in C^dim."""
-    raw = rng.normal(size=(count, dim)) + 1j * rng.normal(size=(count, dim))
-    q, _ = np.linalg.qr(raw.T)
-    return q.T[:count]
-
-
-def _assert_maps_frames(u, src, tgt):
-    dim = u.shape[0]
-    assert np.max(np.abs(u.conj().T @ u - np.eye(dim))) <= 1e-10
-    assert np.max(np.abs(src @ u.T - tgt)) <= 1e-10
-
-
-class TestUnitaryCompletion:
-    def test_identity_on_ground_state(self):
-        e0 = np.array([1.0, 0.0], dtype=complex)
-        u = unitary_completion([e0], [e0])
-        assert_allclose(u @ e0, e0, atol=1e-12)
-        assert is_unitary(u)
-
-    def test_maps_excited_to_ground(self):
-        e0 = np.array([1.0, 0.0], dtype=complex)
-        e1 = np.array([0.0, 1.0], dtype=complex)
-        u = unitary_completion([e1], [e0])
-        assert_allclose(u @ e1, e0, atol=1e-12)
-        assert is_unitary(u)
-
-    def test_random_pairs_in_dim_four(self):
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            src, tgt = _random_frame(rng, 2, 4), _random_frame(rng, 2, 4)
-            _assert_maps_frames(unitary_completion(src, tgt), src, tgt)
-
-    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16, 33, 64])
-    def test_random_pairs_up_to_dim_64(self, dim):
-        rng = np.random.default_rng(dim)
-        for count in sorted({1, dim // 2, dim}):
-            src, tgt = _random_frame(rng, count, dim), _random_frame(rng, count, dim)
-            _assert_maps_frames(unitary_completion(src, tgt), src, tgt)
-
-    def test_repeat_call_is_bytewise_identical(self):
-        rng = np.random.default_rng(17)
-        src, tgt = _random_frame(rng, 5, 16), _random_frame(rng, 5, 16)
-        first = unitary_completion(src, tgt)
-        assert unitary_completion(src, tgt).tobytes() == first.tobytes()
-
-    def test_maps_source_complement_onto_target_complement(self):
-        rng = np.random.default_rng(19)
-        dim = 16
-        src, tgt = _random_frame(rng, 5, dim), _random_frame(rng, 5, dim)
-        u = unitary_completion(src, tgt)
-        src_complement = np.eye(dim) - src.T @ src.conj()
-        tgt_projector = tgt.T @ tgt.conj()
-        assert np.max(np.abs(tgt_projector @ u @ src_complement)) <= 1e-10
-
-    def test_source_within_1e_9_of_a_canonical_vector(self):
-        rng = np.random.default_rng(23)
-        for dim in (2, 8):
-            near = np.zeros(dim, dtype=complex)
-            near[0] = 1.0
-            near[1] = 1e-9
-            near /= np.linalg.norm(near)
-            src, tgt = near[np.newaxis], _random_frame(rng, 1, dim)
-            _assert_maps_frames(unitary_completion(src, tgt), src, tgt)
-
-    def test_rejects_non_orthonormal_sources(self):
-        v = np.array([1.0, 1.0], dtype=complex)
-        with pytest.raises(ValueError):
-            unitary_completion([v], [np.array([1.0, 0.0], dtype=complex)])
-
-    def test_rejects_length_mismatch(self):
-        e0 = np.array([1.0, 0.0], dtype=complex)
-        e1 = np.array([0.0, 1.0], dtype=complex)
-        with pytest.raises(ValueError):
-            unitary_completion([e0, e1], [e0])
 
 
 def test_hermiticity_predicate():

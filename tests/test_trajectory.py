@@ -22,7 +22,8 @@ from jumpqec import (
     tensor_embed,
     trace_distance,
 )
-from jumpqec.trajectory import _run_block
+from jumpqec import trajectory
+from jumpqec.trajectory import _run_block, simulation_code
 
 from helpers import (
     SIGMA_MINUS,
@@ -68,6 +69,14 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(n=1, channels=(), dt=0.0, duration=1.0)
 
+    @pytest.mark.parametrize(
+        "dt, duration",
+        [(np.inf, 1.0), (np.nan, 1.0), (0.1, np.inf), (0.1, np.nan)],
+    )
+    def test_rejects_non_finite_step_and_duration(self, dt, duration):
+        with pytest.raises(ValueError, match="finite"):
+            SimConfig(n=1, channels=(), dt=dt, duration=duration)
+
     def test_rejects_subgrid_duration(self):
         with pytest.raises(ValueError):
             SimConfig(n=1, channels=(), dt=0.1, duration=0.05)
@@ -89,6 +98,42 @@ class TestSimConfig:
                 duration=1.0,
                 code_override=(np.zeros((1, 3)),),
             )
+
+
+class TestOperatorBudget:
+    @pytest.mark.parametrize(
+        "n, channels",
+        [(n, relaxation_channels(n)) for n in range(4, 9)]
+        # Rank-3 from n=6 on: at n=4 its twelve channels' small arrays weigh
+        # as much as the dense ones, and the peak (59.5 matrices) sits within
+        # 1 % of the estimate (60).
+        + [(n, rank3_channels(n)) for n in (6, 8)],
+    )
+    def test_estimate_covers_prepare_peak(self, monkeypatch, n, channels):
+        cfg = SimConfig(n=n, channels=channels, dt=1e-3, duration=1e-3)
+        tracemalloc.start()
+        try:
+            prepare(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The estimate is at least the peak iff a budget of peak - 1 refuses it.
+        monkeypatch.setattr(trajectory, "DENSITY_BUDGET_BYTES", peak - 1)
+        with pytest.raises(ValueError, match="dense operators"):
+            simulation_code(cfg)
+
+    def test_refused_before_synthesis_at_twelve_qubits(self, monkeypatch):
+        def reached_synthesis(*args):
+            raise AssertionError("synthesis reached")
+
+        monkeypatch.setattr(trajectory, "build_code", reached_synthesis)
+        big = SimConfig(n=12, channels=relaxation_channels(12), dt=1e-3, duration=1e-3)
+        with pytest.raises(ValueError, match=r"15\.0 GiB.*fewer qubits"):
+            simulation_code(big)
+        # n=10 with 10 channels (0.8 GiB) passes the check and reaches synthesis.
+        cfg = SimConfig(n=10, channels=relaxation_channels(10), dt=1e-3, duration=1e-3)
+        with pytest.raises(AssertionError, match="synthesis reached"):
+            simulation_code(cfg)
 
 
 class TestStep:
