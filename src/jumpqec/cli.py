@@ -170,10 +170,22 @@ def _finite_number(token: str) -> float:
     return value
 
 
+def _float_sized_int(token: str) -> int:
+    if math.isinf(float(token)):
+        digits = len(token.lstrip("-"))
+        raise ConfigError(
+            f"config: integer {token[:16]}... of {digits} digits overflows a float"
+        )
+    return int(token)
+
+
 def parse_config(text: str) -> SimConfig:
     """Parse and validate a JSON configuration document of finite numbers."""
     try:
-        doc = json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
+        doc = json.loads(
+            text, parse_float=_finite_number, parse_int=_float_sized_int,
+            parse_constant=_finite_number,
+        )
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

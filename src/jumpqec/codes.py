@@ -1,17 +1,18 @@
 """Stabilizer-code synthesis for sets of detected error channels.
 
-Two constructions cover every channel set:
+Two constructions cover every channel set, and :func:`codespace_basis`
+builds their codespaces, and only theirs, in closed form:
 
 * If, on each qubit, the backaction Bloch vectors of that qubit's channels
   span at most a plane, there is a single-qubit Hermitian involution
   anticommuting with all of them.  The tensor product of those involutions
   is one stabilizer generator whose +1 eigenspace encodes ``n - 1``
-  logical qubits.
+  logical qubits: the even-parity states rotated by each qubit's eigenframe.
 * Otherwise (some qubit carries a full rank-3 constraint set) the
   generalized erasure pair ``X^n, Z^n`` is used: each Pauli axis
   anticommutes with one of the two generators no matter what the
   backaction is.  This requires an even register and encodes ``n - 2``
-  logical qubits.
+  logical qubits in GHZ-type states ``(|j> + |jbar>) / sqrt(2)``.
 
 Correctability of a code against a channel is the vanishing, on the
 codespace, of every matrix element of the channel's traceless backaction
@@ -21,12 +22,13 @@ known).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import ErrorChannel, jump_backaction
-from .linalg import PAULIS, bloch_matrix, is_hermitian, max_abs, tensor_embed
+from .linalg import IDENTITY, PAULIS, bloch_matrix, max_abs, tensor_embed
 
 __all__ = [
     "RankThreeError",
@@ -74,7 +76,8 @@ class StabilizerCode:
             the tensor product of the corresponding ``n_hat . sigma``
             involutions.
         codespace: ``(2**logical_count, 2**n)`` array whose rows form an
-            orthonormal basis of the joint +1 eigenspace.
+            orthonormal basis of the joint +1 eigenspace, in the order of
+            :func:`codespace_basis`.
         logical_count: number of encoded qubits, ``n - len(generators)``.
     """
 
@@ -147,40 +150,57 @@ def null_space_involution(constraints: list[np.ndarray]) -> np.ndarray:
 def codespace_basis(
     generators: tuple[np.ndarray, ...] | list[np.ndarray], n: int
 ) -> np.ndarray:
-    """Orthonormal basis (rows) of the joint +1 eigenspace of the generators.
+    """Orthonormal basis (rows) of the joint +1 eigenspace, in closed form.
 
-    Built from the projector ``prod_i (1 + G_i) / 2`` by pivoted
-    Gram-Schmidt over its columns (largest remaining column first, ties by
-    lowest index), so the basis is deterministic.
+    Row ``k`` belongs to the ``k``-th even-parity index ``j``, ascending.
+    For one generator of unit axes ``n_q`` it is ``(x)_q V_q|j_q>``; the
+    columns of ``V_q`` are the +1 and -1 eigenvectors of ``n_q . sigma``,
+    each the normalized larger column of ``(1 +- n_q . sigma) / 2`` (the
+    first on a tie).  For ``(X^n, Z^n)``, ``n`` even, it is
+    ``(e_j + e_jbar) / sqrt(2)`` with ``j < 2**(n-1)`` and ``jbar`` the
+    bitwise complement.  Other generator sets raise ``ValueError``.
     """
-    dim = 2**n
-    mats = [generator_matrix(g) for g in generators]
-    for g in mats:
-        if not is_hermitian(g):
-            raise ValueError("generator is not Hermitian")
-        if max_abs(g @ g - np.eye(dim)) > 1e-12:
-            raise ValueError("generator is not an involution")
-    for i, a in enumerate(mats):
-        for b in mats[i + 1 :]:
-            if max_abs(a @ b - b @ a) > 1e-12:
-                raise ValueError("generators do not commute")
+    half = 2 ** (n - 1)
+    # odd[k]: whether k < half has odd parity, from the diagonal of Z^(n-1).
+    odd = functools.reduce(np.kron, [(1, -1)] * (n - 1), np.ones(1)) < 0
+    if _is_erasure_pair(generators) and n % 2 == 0:
+        low = np.flatnonzero(~odd)
+        basis = np.zeros((low.size, 2 * half), dtype=np.complex128)
+        rows = np.arange(low.size)
+        basis[rows, low] = basis[rows, 2 * half - 1 - low] = 1.0 / np.sqrt(2.0)
+        return basis
+    if len(generators) != 1 or np.shape(generators[0]) != (n, 3) or not np.allclose(
+        np.linalg.norm(generators[0], axis=1), 1.0, rtol=0.0, atol=1e-12
+    ):
+        raise ValueError(
+            "a codespace is built for one generator of unit [x, y, z] axes, one "
+            "per qubit, or for the (X^n, Z^n) pair in that order with n even"
+        )
+    frames = [_eigenframe(axis) for axis in generators[0]]
+    head = functools.reduce(np.kron, frames[:-1], np.ones((1, 1)))
+    tail = frames[-1].T[odd.astype(np.intp)]
+    return (head.T[:, :, None] * tail[:, None, :]).reshape(half, 2 * half)
 
-    projector = np.eye(dim, dtype=np.complex128)
-    for g in mats:
-        projector = projector @ (np.eye(dim) + g) / 2.0
-    size = int(round(float(np.trace(projector).real)))
-    if size <= 0:
-        raise ValueError("generators stabilize only the zero space")
 
-    residual = projector.copy()
-    basis = np.zeros((size, dim), dtype=np.complex128)
-    for k in range(size):
-        norms = np.linalg.norm(residual, axis=0)
-        pivot = int(np.argmax(norms))
-        v = residual[:, pivot] / norms[pivot]
-        basis[k] = v
-        residual -= np.outer(v, v.conj() @ residual)
-    return basis
+def _eigenframe(axis: np.ndarray) -> np.ndarray:
+    """Columns: the +1 and -1 eigenvectors of ``axis . sigma``."""
+    frame = []
+    for projector in ((IDENTITY + s * bloch_matrix(axis)) / 2 for s in (1, -1)):
+        norms = np.linalg.norm(projector, axis=0)
+        frame.append(projector[:, np.argmax(norms)] / norms.max())
+    return np.stack(frame, axis=1)
+
+
+def _erasure_pair(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.tile((1.0, 0.0, 0.0), (n, 1)), np.tile((0.0, 0.0, 1.0), (n, 1))
+
+
+def _is_erasure_pair(generators: tuple[np.ndarray, ...] | list[np.ndarray]) -> bool:
+    """Whether the generators are ``(X^n, Z^n)``, in that order."""
+    return len(generators) == 2 and all(
+        np.array_equal(g, pair)
+        for g, pair in zip(generators, _erasure_pair(len(generators[0])))
+    )
 
 
 def build_code(
@@ -201,50 +221,28 @@ def build_code(
         if not 0 <= ch.qubit < n:
             raise ValueError(f"channel qubit {ch.qubit} out of range for n={n}")
         bloch = jump_backaction(ch).bloch
+        constraints = per_qubit.setdefault(ch.qubit, [])
         if max_abs(bloch) > 1e-12:
-            per_qubit.setdefault(ch.qubit, []).append(bloch)
-        else:
-            per_qubit.setdefault(ch.qubit, [])
+            constraints.append(bloch)
 
-    axes = np.zeros((n, 3))
-    rank3 = False
-    for q in range(n):
-        if q not in per_qubit:
-            axes[q] = (0.0, 0.0, 1.0)
-            continue
-        try:
-            axes[q] = null_space_involution(per_qubit[q])
-        except RankThreeError:
-            rank3 = True
-            break
-
-    if not rank3:
+    axes = np.tile((0.0, 0.0, 1.0), (n, 1))
+    try:
+        for q, constraints in per_qubit.items():
+            axes[q] = null_space_involution(constraints)
         generators: tuple[np.ndarray, ...] = (axes,)
-        logical = n - 1
-    else:
+    except RankThreeError:
         if n % 2 != 0:
             raise EvenQubitCountRequired(
                 f"rank-3 channel constraints need the X^n/Z^n construction, "
                 f"which requires an even qubit count (got n={n})"
-            )
-        all_x = np.tile((1.0, 0.0, 0.0), (n, 1))
-        all_z = np.tile((0.0, 0.0, 1.0), (n, 1))
-        generators = (all_x, all_z)
-        logical = n - 2
+            ) from None
+        generators = _erasure_pair(n)
 
     basis = codespace_basis(generators, n)
-    if basis.shape[0] != 2**logical:
-        raise CodeSynthesisError(  # pragma: no cover
-            f"codespace dimension {basis.shape[0]} != 2**{logical}"
-        )
-    frozen = []
-    for g in generators:
-        g = np.asarray(g, dtype=float)
-        g.flags.writeable = False
-        frozen.append(g)
-    basis.flags.writeable = False
+    for frozen in (*generators, basis):
+        frozen.flags.writeable = False
     return StabilizerCode(
-        n=n, generators=tuple(frozen), codespace=basis, logical_count=logical
+        n=n, generators=generators, codespace=basis, logical_count=n - len(generators)
     )
 
 
@@ -259,12 +257,7 @@ def sector_assignment(
     """
     if axis not in _AXIS_PAULI:
         raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
-    if len(generators) != 2 or not (
-        np.array_equal(generators[0], np.tile((1.0, 0.0, 0.0), (len(generators[0]), 1)))
-        and np.array_equal(
-            generators[1], np.tile((0.0, 0.0, 1.0), (len(generators[1]), 1))
-        )
-    ):
+    if not _is_erasure_pair(generators):
         raise ValueError(
             "sector assignment applies only to the (X^n, Z^n) generator pair"
         )

@@ -198,8 +198,9 @@ def simulation_code(cfg: SimConfig) -> StabilizerCode:
 
     Every run starts here, so dense operators over ``DENSITY_BUDGET_BYTES``
     raise ``ValueError`` before any synthesis.  ``4 m + 12`` matrices for
-    ``m`` channels cover the tracemalloc peak of ``prepare()``: ``4 m + 2.5``
-    at n = 6-9, up to ``4 m + 11.5`` at n = 4.  This bounds memory, not time.
+    ``m`` channels cover the tracemalloc peak of ``prepare()``: ``3 m + 2.5``
+    at n = 6-9, up to ``3 m + 11`` at n = 4.  This bounds memory, not time.
+    Overrides must be a code family that :func:`codespace_basis` builds.
     """
     need = (4 * len(cfg.channels) + 12) * 16 * 4**cfg.n
     if need > DENSITY_BUDGET_BYTES:
@@ -210,15 +211,12 @@ def simulation_code(cfg: SimConfig) -> StabilizerCode:
     if cfg.code_override is None:
         return build_code(cfg.channels, cfg.n)
     basis = codespace_basis(cfg.code_override, cfg.n)
-    logical = int(round(math.log2(basis.shape[0])))
-    if 2**logical != basis.shape[0]:
-        raise ValueError("override generators fix a non-power-of-two codespace")
     basis.flags.writeable = False
     return StabilizerCode(
         n=cfg.n,
         generators=cfg.code_override,
         codespace=basis,
-        logical_count=logical,
+        logical_count=cfg.n - len(cfg.code_override),
     )
 
 
@@ -258,16 +256,12 @@ def prepare(cfg: SimConfig) -> SimulationSetup:
         plan = build_control_plan(cfg.channels, code)
     hamiltonian = plan.driving if (plan is not None and cfg.driving_enabled) else None
     ks = kraus_set(cfg.channels, hamiltonian, cfg.n, cfg.dt)
-    dim = 2**cfg.n
-    mats = []
-    for ch, omega in ks.jumps:
+    applied = np.empty((len(ks.jumps), 2**cfg.n, 2**cfg.n), dtype=np.complex128)
+    for k, (ch, omega) in enumerate(ks.jumps):
         if cfg.feedback_enabled and plan is not None:
-            mats.append(plan.corrections[ch].matrix @ omega)
+            np.matmul(plan.corrections[ch].matrix, omega, out=applied[k])
         else:
-            mats.append(omega)
-    applied = (
-        np.stack(mats) if mats else np.zeros((0, dim, dim), dtype=np.complex128)
-    )
+            applied[k] = omega
     steps = cfg.steps
     return SimulationSetup(
         code=code,

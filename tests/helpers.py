@@ -89,8 +89,9 @@ def random_suite(seed, count):
 def manual_code(generators, n):
     """StabilizerCode from explicit generator Bloch rows (bypasses synthesis)."""
     gens = tuple(np.asarray(g, dtype=float) for g in generators)
-    basis = codespace_basis(gens, n)
-    logical = int(round(np.log2(basis.shape[0])))
     return StabilizerCode(
-        n=n, generators=gens, codespace=basis, logical_count=logical
+        n=n,
+        generators=gens,
+        codespace=codespace_basis(gens, n),
+        logical_count=n - len(gens),
     )

@@ -359,6 +359,47 @@ class TestExecute:
         assert execute(["simulate", "--config", config, "--dt", "inf"])[0] == 2
         assert "dt must be positive and finite, got inf" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field", ["duration", "gamma", "E", "code_override", "initial_state"]
+    )
+    def test_huge_integer_exits_2(self, tmp_path, capsys, field):
+        huge = 10**400  # 401 digits, beyond the largest float
+        doc = minimal_doc()
+        if field == "duration":
+            doc["duration"] = huge
+        elif field == "gamma":
+            doc["channels"][0]["gamma"] = huge
+        elif field == "E":
+            doc["channels"][0]["E"] = [[[0, 0], [huge, 0]], [[0, 0], [0, 0]]]
+        elif field == "code_override":
+            doc["code_override"] = [[[0, 0, huge]]]
+        else:
+            doc["initial_state"] = [[huge, 0]]
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "huge.csv"
+        code, manifest = execute(["simulate", "--config", config, "--output", str(out)])
+        assert code == 2 and manifest is None
+        err = capsys.readouterr().err
+        assert "integer 1000000000000000... of 401 digits overflows a float" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_reversed_pair_override_exits_2(self, tmp_path, capsys):
+        doc = minimal_doc(
+            n=2,
+            channels=[],
+            code_override=[[[0, 0, 1]] * 2, [[1, 0, 0]] * 2],
+        )
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "reversed.csv"
+        code, manifest = execute(
+            ["simulate", "--config", config, "--output", str(out),
+             "--no-feedback", "--no-driving"]
+        )
+        assert code == 2 and manifest is None
+        assert "(X^n, Z^n) pair in that order" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "synthesize", "verify"])
     def test_dense_operators_over_budget_exit_2(self, tmp_path, capsys, command):
         doc = minimal_doc(

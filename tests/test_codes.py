@@ -157,6 +157,83 @@ class TestCodespaceBasis:
             codespace_basis(gens, 2)
 
 
+def _eigenframe(axis):
+    """Columns: the +1 and -1 eigenvectors of ``axis . sigma``.
+
+    Each is the normalized larger column of ``(1 +- axis . sigma) / 2``.
+    """
+    generator = generator_matrix(axis[None, :])
+    columns = []
+    for sign in (1.0, -1.0):
+        projector = (np.eye(2) + sign * generator) / 2
+        col = projector[:, np.argmax(np.linalg.norm(projector, axis=0))]
+        vec = col / np.linalg.norm(col)
+        assert_allclose(generator @ vec, sign * vec, atol=1e-15)
+        columns.append(vec)
+    return np.stack(columns, axis=1)
+
+
+def _random_axes(rng, n):
+    axes = rng.normal(size=(n, 3))
+    return axes / np.linalg.norm(axes, axis=1, keepdims=True)
+
+
+def _pair(n):
+    return (np.tile([1.0, 0, 0], (n, 1)), np.tile([0.0, 0, 1.0], (n, 1)))
+
+
+class TestClosedFormCodespace:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_random_axes_give_orthonormal_plus_one_rows(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(3):
+            axes = _random_axes(rng, n)
+            basis = codespace_basis([axes], n)
+            assert basis.shape == (2 ** (n - 1), 2**n)
+            gram = basis.conj() @ basis.T
+            assert np.max(np.abs(gram - np.eye(2 ** (n - 1)))) <= 1e-12
+            gen = generator_matrix(axes)
+            assert np.max(np.abs(basis @ gen.T - basis)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_row_k_is_the_rotated_even_parity_product(self, n):
+        axes = _random_axes(np.random.default_rng(n), n)
+        frames = [_eigenframe(a) for a in axes]
+        even = [j for j in range(2**n) if bin(j).count("1") % 2 == 0]
+        basis = codespace_basis([axes], n)
+        for k, j in enumerate(even):
+            expected = np.ones(1)
+            for q, frame in enumerate(frames):
+                expected = np.kron(expected, frame[:, (j >> (n - 1 - q)) & 1])
+            assert_allclose(basis[k], expected, atol=1e-15)
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_pair_rows_are_pinned(self, n):
+        dim = 2**n
+        rows = []
+        for j in range(dim // 2):
+            if bin(j).count("1") % 2 == 0:
+                row = np.zeros(dim, dtype=complex)
+                row[j] = row[dim - 1 - j] = 1 / np.sqrt(2.0)
+                rows.append(row)
+        np.testing.assert_array_equal(codespace_basis(_pair(n), n), np.array(rows))
+
+    @pytest.mark.parametrize(
+        "generators, n",
+        [
+            (_pair(4)[::-1], 4),
+            (_pair(4) + (np.tile([0.0, 1.0, 0], (4, 1)),), 4),
+            ((np.array([[1.0, 0, 0], [0.0, 0, 1.0 + 1e-9]]),), 2),
+            (_pair(3), 3),
+            ((), 2),
+        ],
+        ids=["reversed-pair", "three-generators", "non-unit-row", "odd-pair", "none"],
+    )
+    def test_refuses_other_generator_sets(self, generators, n):
+        with pytest.raises(ValueError, match=r"\(X\^n, Z\^n\)"):
+            codespace_basis(generators, n)
+
+
 class TestVerifyCorrectability:
     def test_matched_code_passes(self):
         channels = relaxation_channels(3)

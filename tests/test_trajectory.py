@@ -100,6 +100,16 @@ class TestSimConfig:
             )
 
 
+def _prepare_peak(cfg):
+    """Tracemalloc peak of ``prepare(cfg)``, in bytes."""
+    tracemalloc.start()
+    try:
+        prepare(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestOperatorBudget:
     @pytest.mark.parametrize(
         "n, channels",
@@ -111,16 +121,22 @@ class TestOperatorBudget:
     )
     def test_estimate_covers_prepare_peak(self, monkeypatch, n, channels):
         cfg = SimConfig(n=n, channels=channels, dt=1e-3, duration=1e-3)
-        tracemalloc.start()
-        try:
-            prepare(cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = _prepare_peak(cfg)
         # The estimate is at least the peak iff a budget of peak - 1 refuses it.
         monkeypatch.setattr(trajectory, "DENSITY_BUDGET_BYTES", peak - 1)
         with pytest.raises(ValueError, match="dense operators"):
             simulation_code(cfg)
+
+    @pytest.mark.parametrize(
+        "n, channels",
+        [(n, relaxation_channels(n)) for n in range(6, 9)]
+        + [(n, rank3_channels(n)) for n in (6, 8)],
+    )
+    def test_prepare_holds_three_copies_per_channel(self, n, channels):
+        # Kraus jumps, corrections and the corrected jumps, written in place.
+        cfg = SimConfig(n=n, channels=channels, dt=1e-3, duration=1e-3)
+        matrices = _prepare_peak(cfg) / (16 * 4**n)
+        assert matrices <= 3 * len(channels) + 4
 
     def test_refused_before_synthesis_at_twelve_qubits(self, monkeypatch):
         def reached_synthesis(*args):
