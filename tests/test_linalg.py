@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from jumpqec import ErrorChannel
+from jumpqec.channels import lindblad_generator
 from jumpqec.linalg import (
     SIGMA_MINUS,
     SIGMA_X,
@@ -11,10 +13,14 @@ from jumpqec.linalg import (
     SIGMA_Z,
     bloch_decompose,
     bloch_matrix,
+    expm1,
     is_hermitian,
     tensor_embed,
     traceless_decompose,
 )
+from jumpqec.trajectory import _propagator_increments
+
+from helpers import random_channel_set
 
 
 class TestTensorEmbed:
@@ -116,3 +122,72 @@ class TestBlochDecompose:
 def test_hermiticity_predicate():
     assert is_hermitian(SIGMA_Y)
     assert not is_hermitian(SIGMA_MINUS)
+
+
+def _propagator(channels, t):
+    """``exp(L_q t)`` of the channels of qubit 0, on the row-major vec."""
+    ((_, increment),) = _propagator_increments(channels, t)
+    return np.eye(4) + increment
+
+
+class TestExpm1:
+    @pytest.mark.parametrize("t", [1e-3, 0.3, 2.0, 40.0])
+    def test_amplitude_damping_closed_form(self, t):
+        p = _propagator((ErrorChannel(qubit=0, operator=SIGMA_MINUS),), t)
+        rho = (p @ np.full(4, 0.5)).reshape(2, 2)
+        assert abs(rho[1, 1] - 0.5 * np.exp(-t)) <= 1e-15
+        assert abs(rho[0, 0] - (1.0 - 0.5 * np.exp(-t))) <= 1e-15
+        assert abs(rho[0, 1] - 0.5 * np.exp(-t / 2)) <= 1e-15
+
+    @pytest.mark.parametrize("t", [1e-3, 0.3, 2.0, 40.0])
+    def test_pure_dephasing_closed_form(self, t):
+        # E = sqrt(g) Z gives L(rho) = g (Z rho Z - rho): coherences decay at 2g.
+        g = 0.7
+        p = _propagator((ErrorChannel(qubit=0, operator=np.sqrt(g) * SIGMA_Z),), t)
+        rho = (p @ np.array([0.25, 0.4 - 0.1j, 0.4 + 0.1j, 0.75])).reshape(2, 2)
+        assert_allclose(np.diag(rho), [0.25, 0.75], rtol=0, atol=1e-15)
+        assert abs(rho[0, 1] - (0.4 - 0.1j) * np.exp(-2 * g * t)) <= 1e-15
+
+    def test_zero_generator_gives_identity_exactly(self):
+        assert np.array_equal(expm1(np.zeros((4, 4))), np.zeros((4, 4)))
+        p = _propagator((ErrorChannel(qubit=0, operator=np.zeros((2, 2))),), 1.0)
+        assert np.array_equal(p, np.eye(4))
+
+    def test_propagators_preserve_trace(self):
+        # vec(1) in row-major order picks rho_00 + rho_11.
+        trace_row = np.array([1.0, 0.0, 0.0, 1.0])
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            channels = random_channel_set(rng, 1)
+            for t in (1e-3, 3e-3, 0.5, 7.0):
+                p = _propagator(channels, t)
+                assert np.max(np.abs(trace_row @ p - trace_row)) <= 1e-14
+
+    def test_increment_keeps_relative_accuracy(self):
+        a = np.array([[0.0, 1.0], [-1.0, 0.0]]) * 1e-9
+        # exp(a) - 1 = [[cos - 1, sin], [-sin, cos - 1]] at angle 1e-9.
+        assert_allclose(
+            expm1(a), [[-5e-19, 1e-9], [-1e-9, -5e-19]], rtol=1e-15, atol=0
+        )
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError):
+            expm1(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+    def test_matches_scipy(self):
+        linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(5)
+        for scale in (1e-6, 1e-2, 0.2, 0.9, 2.0, 5.0, 30.0):
+            for _ in range(10):
+                a = scale * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+                reference = linalg.expm(a)
+                err = np.max(np.abs(np.eye(4) + expm1(a) - reference))
+                assert err <= 1e-13 * max(1.0, np.max(np.abs(reference)))
+        units = np.eye(4, dtype=complex).reshape(4, 2, 2)
+        for _ in range(10):
+            channels = random_channel_set(rng, 1)
+            rhs = lindblad_generator(channels, None, 1)
+            generator = np.stack([rhs(u).reshape(4) for u in units], axis=1)
+            for t in (1e-3, 1.0, 25.0):
+                err = np.abs(_propagator(channels, t) - linalg.expm(generator * t))
+                assert np.max(err) <= 1e-13

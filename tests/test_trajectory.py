@@ -23,6 +23,7 @@ from jumpqec import (
     trace_distance,
 )
 from jumpqec import trajectory
+from jumpqec.channels import lindblad_generator
 from jumpqec.trajectory import _run_block, simulation_code
 
 from helpers import (
@@ -437,3 +438,93 @@ class TestMasterEquationOracle:
                 for a, b in zip(res.mean_density, rhos)
             ]
             assert max(tds) <= 0.05
+
+
+def _fine_rk4(cfg, sample_indices):
+    """Undriven reference: RK4 of ``lindblad_generator`` at a quarter of dt."""
+    rhs = lindblad_generator(cfg.channels, None, cfg.n)
+    psi = simulation_code(cfg).codespace[0]
+    rho = np.outer(psi, psi.conj())
+    h = cfg.dt / 4
+    out = [rho]
+    for s in range(sample_indices[-1] * 4):
+        k1 = rhs(rho)
+        k2 = rhs(rho + 0.5 * h * k1)
+        k3 = rhs(rho + 0.5 * h * k2)
+        k4 = rhs(rho + h * k3)
+        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if (s + 1) % 4 == 0 and (s + 1) // 4 in sample_indices:
+            out.append(rho)
+    return np.array(out)
+
+
+def _undriven(channels, n, dt=1e-3, duration=0.3, **kw):
+    return SimConfig(n=n, channels=channels, dt=dt, duration=duration,
+                     feedback_enabled=False, driving_enabled=False, **kw)
+
+
+class TestExactOracle:
+    @pytest.mark.parametrize(
+        "n, channels",
+        [
+            (n, random_channel_set(np.random.default_rng(seed), n))
+            for n, seed in [(1, 3), (1, 4), (2, 5), (2, 6), (3, 7), (3, 8)]
+        ]
+        + [(4, rank3_channels(4))],
+    )
+    def test_matches_fine_rk4(self, n, channels):
+        cfg = _undriven(channels, n)
+        times, rhos = master_equation_oracle(cfg)
+        indices = trajectory.density_sample_indices(cfg.steps)
+        assert np.array_equal(times, indices * cfg.dt)
+        assert np.max(np.abs(rhos - _fine_rk4(cfg, indices))) <= 1e-10
+
+    def test_strided_samples_match_stride_one(self):
+        channels = random_channel_set(np.random.default_rng(9), 2)
+        # 2002 steps sample every third step, then one step to the end.
+        strided = _undriven(channels, 2, duration=2.002)
+        times, rhos = master_equation_oracle(strided)
+        gaps = np.diff(trajectory.density_sample_indices(strided.steps))
+        assert set(gaps[:-1]) == {3} and gaps[-1] == 1
+        # Up to t = 1 a run of the same grid keeps every step.
+        ref_times, ref = master_equation_oracle(_undriven(channels, 2, duration=1.0))
+        common = times <= 1.0
+        assert np.array_equal(times[common], ref_times[: 3 * common.sum() : 3])
+        assert np.max(np.abs(rhos[common] - ref[: 3 * common.sum() : 3])) <= 1e-12
+        # The final sample from a stride-one grid of 1000 steps of 2.002e-3.
+        _, coarse = master_equation_oracle(
+            _undriven(channels, 2, dt=2.002e-3, duration=2.002)
+        )
+        assert np.max(np.abs(rhos[-1] - coarse[-1])) <= 1e-12
+
+    def test_trace_drift_does_not_blame_dt(self, monkeypatch):
+        exact = trajectory.expm1
+        # Each qubit's map loses 1e-3 of the trace: the abort must fire, and
+        # must not suggest a smaller dt, which the exact path does not use.
+        monkeypatch.setattr(
+            trajectory, "expm1", lambda a: exact(a) - 1e-3 * np.eye(4)
+        )
+        with pytest.raises(StepSizeError, match="trace drifted") as err:
+            master_equation_oracle(_undriven(relaxation_channels(2), 2))
+        assert "smaller dt" not in str(err.value)
+
+    def test_distance_shrinks_as_inverse_sqrt_trajectories(self):
+        # D(T) is the trace distance of the ensemble mean to the oracle,
+        # averaged over the sampled grid and summed over seeds 0-7.  Over
+        # 16 such blocks (seeds 8j..8j+7, j = 0-15) D(100) / D(400) read
+        # 1.73-2.45, mean 2.06, standard deviation 0.17; the band is the
+        # mean +- 4 standard deviations, which excludes both no shrinking
+        # (ratio 1) and a 1/T law (ratio 4).
+        channels = rank3_channels(2)
+        _, oracle = master_equation_oracle(_undriven(channels, 2, duration=0.5))
+
+        def distance(trajectories):
+            total = 0.0
+            for seed in range(8):
+                cfg = _undriven(channels, 2, duration=0.5, seed=seed,
+                                trajectories=trajectories)
+                mean = run_ensemble(cfg).mean_density
+                total += np.mean([trace_distance(a, b) for a, b in zip(mean, oracle)])
+            return total
+
+        assert 1.37 <= distance(100) / distance(400) <= 2.75
