@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ErrorChannel, jump_backaction
-from .linalg import IDENTITY, PAULIS, bloch_matrix, max_abs, tensor_embed
+from .linalg import IDENTITY, PAULIS, bloch_matrix, max_abs, on_qubit
 
 __all__ = [
     "RankThreeError",
@@ -269,7 +269,7 @@ def anticommuting_terms(
 ) -> list[tuple[np.ndarray, int]]:
     """Backaction terms of ``ch``, each with the generator that anticommutes with it.
 
-    Terms are embedded at the channel's qubit and paired with an index into
+    Terms are 2x2 factors at the channel's qubit, paired with an index into
     ``code.generators``.  With one generator the whole traceless backaction
     pairs with generator 0.  Otherwise each nonzero Bloch component gives
     one term ``d_l sigma_l``, paired by :func:`sector_assignment` (which
@@ -277,12 +277,9 @@ def anticommuting_terms(
     """
     ba = jump_backaction(ch)
     if len(code.generators) == 1:
-        return [(tensor_embed(ba.matrix, ch.qubit, code.n), 0)]
+        return [(ba.matrix, 0)]
     return [
-        (
-            component * tensor_embed(_AXIS_PAULI[axis], ch.qubit, code.n),
-            sector_assignment(axis, code.generators),
-        )
+        (component * _AXIS_PAULI[axis], sector_assignment(axis, code.generators))
         for component, axis in zip(ba.bloch, "xyz")
         if component != 0.0
     ]
@@ -311,28 +308,20 @@ def verify_correctability(
 ) -> CorrectabilityReport:
     """Check ``<psi_i| D |psi_k> = 0`` on the codespace for every channel.
 
-    ``D`` is the channel's traceless backaction embedded at its qubit; all
+    ``D`` is the channel's traceless backaction, applied at its qubit; all
     basis pairs including ``i = k`` are checked.  For the two-generator
     erasure code each Pauli-axis term ``d_l sigma_l`` is additionally
     checked on its own, since the construction cancels the axes
     one generator at a time.
     """
-    basis = code.codespace
+    bra, ket = code.codespace.conj(), np.ascontiguousarray(code.codespace.T)
     residuals = []
-    labels = []
     for ch in channels:
         if not 0 <= ch.qubit < code.n:
             raise ValueError(f"channel qubit {ch.qubit} out of range for n={code.n}")
-        ba = jump_backaction(ch)
-        worst = _codespace_residual(basis, tensor_embed(ba.matrix, ch.qubit, code.n))
+        terms = [jump_backaction(ch).matrix]
         if len(code.generators) == 2:
-            for term, _ in anticommuting_terms(ch, code):
-                worst = max(worst, _codespace_residual(basis, term))
-        residuals.append(worst)
-        labels.append(ch.label)
-    return CorrectabilityReport(residuals=tuple(residuals), labels=tuple(labels))
-
-
-def _codespace_residual(basis: np.ndarray, operator: np.ndarray) -> float:
-    elements = basis.conj() @ operator @ basis.T
-    return max_abs(elements)
+            terms += [term for term, _ in anticommuting_terms(ch, code)]
+        residuals.append(max(max_abs(bra @ on_qubit(t, ch.qubit, ket)) for t in terms))
+    labels = tuple(ch.label for ch in channels)
+    return CorrectabilityReport(residuals=tuple(residuals), labels=labels)

@@ -30,7 +30,7 @@ from .codes import (
     sector_assignment,
     verify_correctability,
 )
-from .linalg import HERMITIAN_ATOL, is_hermitian, tensor_embed
+from .linalg import HERMITIAN_ATOL, is_hermitian, on_qubit, tensor_embed
 
 __all__ = [
     "CorrectabilityError",
@@ -103,14 +103,12 @@ def _offset_term(ch: ErrorChannel, n: int) -> np.ndarray:
 def _driving(
     channels: tuple[ErrorChannel, ...] | list[ErrorChannel], code: StabilizerCode
 ) -> np.ndarray:
-    n = code.n
-    dim = 2**n
     s_mats = code.generator_matrices()
-    h = np.zeros((dim, dim), dtype=np.complex128)
+    h = np.zeros((2**code.n,) * 2, dtype=np.complex128)
     for ch in channels:
         for term, index in anticommuting_terms(ch, code):
-            h += 0.5j * (term @ s_mats[index])
-        h += _offset_term(ch, n)
+            h += 0.5j * on_qubit(term, ch.qubit, s_mats[index])
+        h += _offset_term(ch, code.n)
     if not is_hermitian(h, tol=HERMITIAN_ATOL):
         raise ValueError(
             "driving Hamiltonian is not Hermitian; the code's generators do "
@@ -154,11 +152,6 @@ def driving_hamiltonian(
     return _driving(channels, code)
 
 
-def _on_qubit(op: np.ndarray, qubit: int, m: np.ndarray) -> np.ndarray:
-    """``tensor_embed(op, qubit, n) @ m`` without forming the embedding."""
-    return (op @ m.reshape(2**qubit, 2, -1)).reshape(m.shape)
-
-
 def _correction(ch: ErrorChannel, n: int, projector: np.ndarray) -> Correction:
     ba = jump_backaction(ch)
     matrix = np.eye(2**n, dtype=np.complex128)
@@ -169,13 +162,11 @@ def _correction(ch: ErrorChannel, n: int, projector: np.ndarray) -> Correction:
     axis = ba.matrix / (float(np.linalg.norm(ba.bloch)) or 1.0)
     modulus = (vh.conj().T * s) @ vh
     theta = math.atan2(np.trace(axis @ modulus).real, np.trace(modulus).real)
-    dp = _on_qubit(axis, ch.qubit, projector)
+    dp = on_qubit(axis, ch.qubit, projector)
     pd = dp.conj().T
-    matrix += (math.cos(theta) - 1.0) * (projector + _on_qubit(axis, ch.qubit, pd))
+    matrix += (math.cos(theta) - 1.0) * (projector + on_qubit(axis, ch.qubit, pd))
     matrix -= math.sin(theta) * (dp - pd)
-    # Right factor U^dag: (M U^dag)[x, c, j] = sum_b U*[c, b] M[x, b, j].
-    columns = matrix.reshape(-1, 2, 2 ** (n - 1 - ch.qubit))
-    matrix = ((w @ vh).conj() @ columns).reshape(matrix.shape)
+    matrix = on_qubit((w @ vh).conj().T, ch.qubit, matrix, right=True)
     matrix.flags.writeable = False
     return Correction(matrix=matrix, null_channel=False)
 

@@ -33,10 +33,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .channels import ErrorChannel, KrausSet, kraus_set, lindblad_generator
+from .channels import (
+    ErrorChannel, KrausSet, effective_jump_operator, kraus_set, lindblad_generator
+)
 from .codes import StabilizerCode, build_code, codespace_basis
 from .control import ControlPlan, build_control_plan, driving_hamiltonian
-from .linalg import MAX_QUBITS, expm1, max_abs
+from .linalg import MAX_QUBITS, expm1, max_abs, on_qubit
 
 __all__ = [
     "StepSizeError",
@@ -176,13 +178,19 @@ class EnsembleResult(NamedTuple):
 class SimulationSetup:
     """Synthesis products shared by all trajectories of one config."""
 
-    code: StabilizerCode
     plan: ControlPlan | None
     kraus: KrausSet
     applied_jumps: np.ndarray
     initial: np.ndarray
     times: np.ndarray
     sample_indices: np.ndarray
+
+
+def _require_budget(need: int, claim: str, remedy: str) -> None:
+    """Refuse ``need`` bytes above ``DENSITY_BUDGET_BYTES``; ``claim`` names them."""
+    if need > DENSITY_BUDGET_BYTES:
+        budget = DENSITY_BUDGET_BYTES / 2**30
+        raise ValueError(f"{claim}, over the {budget:g} GiB budget; {remedy}")
 
 
 def density_sample_indices(steps: int) -> np.ndarray:
@@ -204,11 +212,8 @@ def simulation_code(cfg: SimConfig) -> StabilizerCode:
     Overrides must be a code family that :func:`codespace_basis` builds.
     """
     need = (4 * len(cfg.channels) + 12) * 16 * 4**cfg.n
-    if need > DENSITY_BUDGET_BYTES:
-        raise ValueError(
-            f"the dense operators would take {need / 2**30:.1f} GiB, over the "
-            f"{DENSITY_BUDGET_BYTES / 2**30:g} GiB budget; use fewer qubits or channels"
-        )
+    claim = f"the dense operators would take {need / 2**30:.1f} GiB"
+    _require_budget(need, claim, "use fewer qubits or channels")
     if cfg.code_override is None:
         return build_code(cfg.channels, cfg.n)
     basis = codespace_basis(cfg.code_override, cfg.n)
@@ -260,12 +265,13 @@ def prepare(cfg: SimConfig) -> SimulationSetup:
     applied = np.empty((len(ks.jumps), 2**cfg.n, 2**cfg.n), dtype=np.complex128)
     for k, (ch, omega) in enumerate(ks.jumps):
         if cfg.feedback_enabled and plan is not None:
-            np.matmul(plan.corrections[ch].matrix, omega, out=applied[k])
+            local_omega = math.sqrt(cfg.dt) * effective_jump_operator(ch)
+            r = plan.corrections[ch].matrix
+            on_qubit(local_omega, ch.qubit, r, right=True, out=applied[k])
         else:
             applied[k] = omega
     steps = cfg.steps
     return SimulationSetup(
-        code=code,
         plan=plan,
         kraus=ks,
         applied_jumps=applied,
@@ -365,13 +371,10 @@ def _require_density_budget(cfg: SimConfig, samples: int) -> None:
     """Refuse a density series above ``DENSITY_BUDGET_BYTES`` before allocating it."""
     dim = 2**cfg.n
     need = samples * dim * dim * 16
-    if need > DENSITY_BUDGET_BYTES:
-        raise ValueError(
-            f"the density series needs {need / 2**30:.1f} GiB ({samples} samples "
-            f"of {dim}x{dim} complex matrices), over the "
-            f"{DENSITY_BUDGET_BYTES / 2**30:g} GiB budget; run the ensemble with "
-            f"collect_density=False, or use fewer qubits"
-        )
+    series = f"{samples} samples of {dim}x{dim} complex matrices"
+    claim = f"the density series needs {need / 2**30:.1f} GiB ({series})"
+    remedy = "run the ensemble with collect_density=False, or use fewer qubits"
+    _require_budget(need, claim, remedy)
 
 
 def run_trajectory(
@@ -460,11 +463,11 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     return min(1.0, float(abs(np.vdot(a, b)) ** 2))
 
 
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Half the trace norm of the difference of two density matrices."""
+def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """Half the trace norm of ``a - b``, per pair if both are ``(..., d, d)`` stacks."""
     diff = a - b
-    diff = (diff + diff.conj().T) / 2.0
-    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff))))
+    diff = (diff + diff.conj().swapaxes(-1, -2)) / 2.0
+    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
 
 
 def master_equation_oracle(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -12,6 +12,7 @@ from jumpqec import (
     null_space_involution,
     verify_correctability,
 )
+from jumpqec.codes import anticommuting_terms
 from jumpqec.linalg import SIGMA_X, SIGMA_Z
 
 from helpers import (
@@ -232,6 +233,48 @@ class TestClosedFormCodespace:
     def test_refuses_other_generator_sets(self, generators, n):
         with pytest.raises(ValueError, match=r"\(X\^n, Z\^n\)"):
             codespace_basis(generators, n)
+
+
+class TestAnticommutingTerms:
+    @pytest.mark.parametrize(
+        "n, channels",
+        [(3, relaxation_channels(3)), (4, rank3_channels(4))]
+        + random_suite(seed=5, count=12),
+    )
+    def test_terms_split_the_backaction_and_anticommute(self, n, channels):
+        from jumpqec import jump_backaction
+        from jumpqec.linalg import tensor_embed
+
+        code = build_code(channels, n)
+        gens = code.generator_matrices()
+        for ch in channels:
+            terms = anticommuting_terms(ch, code)
+            assert all(term.shape == (2, 2) for term, _ in terms)
+            total = sum((term for term, _ in terms), np.zeros((2, 2)))
+            assert_allclose(total, jump_backaction(ch).matrix, rtol=0, atol=1e-15)
+            for term, index in terms:
+                embedded = tensor_embed(term, ch.qubit, n)
+                anti = gens[index] @ embedded + embedded @ gens[index]
+                assert np.max(np.abs(anti)) <= 1e-14
+
+    def test_both_branches_are_covered(self):
+        sizes = {len(build_code(channels, n).generators)
+                 for n, channels in random_suite(seed=5, count=12)}
+        assert sizes == {1, 2}
+
+    def test_generator_pair_pairs_each_axis(self):
+        from jumpqec.linalg import SIGMA_Y
+
+        channels = rank3_channels(4)
+        code = build_code(channels, 4)
+        # Each rank-3 channel's backaction lies along one axis, |d| = 1/3:
+        # x pairs with Z^n (index 1), y and z with X^n (index 0).
+        expected = {"x0": (SIGMA_X, 1), "y0": (SIGMA_Y, 0), "z0": (-SIGMA_Z, 0)}
+        for ch in channels[:3]:
+            [(term, index)] = anticommuting_terms(ch, code)
+            local, sector = expected[ch.label]
+            assert index == sector
+            assert_allclose(term, local / 3, rtol=0, atol=1e-15)
 
 
 class TestVerifyCorrectability:

@@ -15,6 +15,8 @@ from jumpqec import (
     nojump_invariance_check,
     sector_assignment,
 )
+from jumpqec.codes import anticommuting_terms
+from jumpqec.control import _driving
 from jumpqec.linalg import (
     SIGMA_X,
     SIGMA_Y,
@@ -106,6 +108,22 @@ class TestDrivingHamiltonian:
             code = build_code(channels, n)
             ham = driving_hamiltonian(channels, code)
             assert is_hermitian(ham, tol=1e-12)
+
+    def test_local_products_match_the_dense_sum(self):
+        branches = set()
+        for n, channels in random_suite(seed=31, count=24):
+            code = build_code(channels, n)
+            branches.add(len(code.generators))
+            gens = code.generator_matrices()
+            dense = np.zeros((2**n, 2**n), dtype=complex)
+            for ch in channels:
+                for term, index in anticommuting_terms(ch, code):
+                    dense += 0.5j * tensor_embed(term, ch.qubit, n) @ gens[index]
+                mu, e = ch.offset, ch.operator
+                offset = 0.5j * (np.conj(mu) * e - mu * e.conj().T)
+                dense += tensor_embed(offset, ch.qubit, n)
+            assert max_abs(_driving(channels, code) - dense) <= 1e-14
+        assert branches == {1, 2}
 
 
 class TestCorrectionUnitary:

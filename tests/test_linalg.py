@@ -15,6 +15,7 @@ from jumpqec.linalg import (
     bloch_matrix,
     expm1,
     is_hermitian,
+    on_qubit,
     tensor_embed,
     traceless_decompose,
 )
@@ -54,6 +55,50 @@ class TestTensorEmbed:
             left = tensor_embed(a, 0, 3) @ tensor_embed(b, 2, 3)
             right = tensor_embed(b, 2, 3) @ tensor_embed(a, 0, 3)
             assert np.max(np.abs(left - right)) <= 1e-12
+
+
+class TestOnQubit:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_the_embedded_product_on_both_sides(self, n):
+        rng = np.random.default_rng(n)
+        dim = 2**n
+        for qubit in range(n):
+            op = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            embedded = tensor_embed(op, qubit, n)
+            for shape in ((dim,), (dim, dim), (dim, 3), (3, dim)):
+                m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                if shape[0] == dim:
+                    assert_allclose(
+                        on_qubit(op, qubit, m), embedded @ m, rtol=0, atol=1e-13
+                    )
+                if shape[-1] == dim:
+                    assert_allclose(
+                        on_qubit(op, qubit, m, right=True),
+                        m @ embedded,
+                        rtol=0,
+                        atol=1e-13,
+                    )
+
+    @pytest.mark.parametrize("right", [False, True])
+    def test_writes_into_the_output_in_place(self, right):
+        rng = np.random.default_rng(3)
+        n, op = 4, SIGMA_MINUS + 0.5 * SIGMA_Y
+        m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        stack = np.zeros((3, 16, 16), dtype=complex)
+        for qubit in range(n):
+            embedded = tensor_embed(op, qubit, n)
+            out = stack[1]
+            assert on_qubit(op, qubit, m, right=right, out=out) is out
+            expected = m @ embedded if right else embedded @ m
+            assert_allclose(stack[1], expected, rtol=0, atol=1e-13)
+            assert not stack[0].any() and not stack[2].any()
+
+    def test_leaves_its_input_alone(self):
+        m = np.arange(16, dtype=complex).reshape(4, 4)
+        before = m.copy()
+        on_qubit(SIGMA_X, 0, m)
+        on_qubit(SIGMA_X, 1, m, right=True)
+        assert np.array_equal(m, before)
 
 
 hermitian_2x2 = st.lists(

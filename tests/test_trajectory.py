@@ -24,6 +24,8 @@ from jumpqec import (
 )
 from jumpqec import trajectory
 from jumpqec.channels import lindblad_generator
+from jumpqec.control import driving_hamiltonian
+from jumpqec.linalg import expm1, max_abs
 from jumpqec.trajectory import _run_block, simulation_code
 
 from helpers import (
@@ -275,6 +277,16 @@ class TestStateComparisons:
         rho = np.array([[0.5, 0.2], [0.2, 0.5]])
         assert trace_distance(rho, rho) == pytest.approx(0.0, abs=1e-15)
 
+    def test_stacked_trace_distances_equal_the_pairwise_ones(self):
+        rng = np.random.default_rng(4)
+        a, b = (
+            rng.normal(size=(7, 4, 4)) + 1j * rng.normal(size=(7, 4, 4))
+            for _ in range(2)
+        )
+        stacked = trace_distance(a, b)
+        assert stacked.shape == (7,)
+        assert np.array_equal(stacked, [trace_distance(x, y) for x, y in zip(a, b)])
+
     def test_trace_distance_orthogonal_pure(self):
         a = np.diag([1.0, 0.0]).astype(complex)
         b = np.diag([0.0, 1.0]).astype(complex)
@@ -438,6 +450,30 @@ class TestMasterEquationOracle:
                 for a, b in zip(res.mean_density, rhos)
             ]
             assert max(tds) <= 0.05
+
+
+class TestDrivenOracle:
+    @pytest.mark.parametrize(
+        "n, channels",
+        [
+            (2, relaxation_channels(2, gamma=0.4)),
+            (3, relaxation_channels(3)),
+            (2, random_channel_set(np.random.default_rng(12), 2)),
+        ],
+    )
+    def test_matches_the_dense_propagator(self, n, channels):
+        cfg = SimConfig(n=n, channels=channels, dt=1e-2, duration=1.0,
+                        feedback_enabled=False, driving_enabled=True)
+        hamiltonian = driving_hamiltonian(channels, simulation_code(cfg))
+        assert max_abs(hamiltonian) > 0.1
+        generator = lindblad_generator(channels, hamiltonian, n)
+        dim = 2**n
+        units = np.eye(dim * dim, dtype=complex).reshape(-1, dim, dim)
+        dense = np.stack([generator(u).reshape(-1) for u in units], axis=1)
+        times, rhos = master_equation_oracle(cfg)
+        rho0 = rhos[0].reshape(-1)
+        exact = [rho0 + expm1(dense * t) @ rho0 for t in times]
+        assert np.max(np.abs(rhos.reshape(len(times), -1) - exact)) <= 1e-10
 
 
 def _fine_rk4(cfg, sample_indices):
