@@ -2,13 +2,14 @@
 
 One engine evolves a block of ``B`` trajectories together as the columns
 of a ``(dim, B)`` state matrix.  Per step, one product applies every
-(possibly correction-folded) jump operator to every column, giving the
-``(m, dim, B)`` branches; a column's jump probabilities are the squared
-norms of its branches.  Each column's own uniform selects a jump by
-cumulative comparison, falling through to the no-jump operator (one
-product for the whole block), and every column is renormalized.  A total
-jump probability above ``1 + PROBABILITY_SLACK``, or a collapsed norm,
-aborts the block with a negative status (the step size is too large).
+jump operator to every column, giving the ``(m, dim, B)`` branches; a
+column's jump probabilities are the squared norms of its branches.  Each
+column's own uniform selects a jump by cumulative comparison, falling
+through to the no-jump operator (one product for the whole block), a
+column that jumped gets its channel's correction, if any, and every
+column is renormalized.  A total jump probability above
+``1 + PROBABILITY_SLACK``, or a collapsed norm, aborts the block with a
+negative status (the step size is too large).
 
 Column ``b`` reads only column ``b`` of the pre-drawn uniforms, so jump
 selections do not depend on the block size or on which trajectories
@@ -52,13 +53,14 @@ class BlockResult(NamedTuple):
     jump_channels: np.ndarray
 
 
-def run_steps(psi0, ops, no_jump, uniforms, sample_idx, rho_sum=None):
+def run_steps(psi0, ops, no_jump, uniforms, sample_idx, rho_sum=None, corrections=None):
     """Evolve ``uniforms.shape[1]`` trajectories from ``psi0`` as one block.
 
-    ``ops`` holds the ``m`` applied jump operators ``(m, dim, dim)`` and
+    ``ops`` holds the ``m`` jump operators ``(m, dim, dim)`` and
     ``uniforms`` one uniform per step and trajectory ``(steps, B)``.  When
     ``rho_sum`` is given, ``rho_sum[i]`` gains the block's summed outer
-    products ``psi psi^dagger`` at grid index ``sample_idx[i]``.
+    products ``psi psi^dagger`` at grid index ``sample_idx[i]``.  A jump of
+    channel ``k`` is followed by ``corrections[k]`` unless that is ``None``.
     """
     steps, width = uniforms.shape
     m = ops.shape[0]
@@ -85,6 +87,9 @@ def run_steps(psi0, ops, no_jump, uniforms, sample_idx, rho_sum=None):
         clicked = (chosen < m).nonzero()[0]
         if clicked.size:
             nxt[:, clicked] = phis[chosen[clicked], :, clicked].T
+            if corrections is not None:
+                for b in clicked:
+                    nxt[:, b] = corrections[chosen[b]] @ nxt[:, b]
             jump_steps.append(np.full(clicked.size, s))
             jump_columns.append(clicked)
             jump_channels.append(chosen[clicked])

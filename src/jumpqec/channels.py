@@ -116,21 +116,22 @@ class Backaction:
 class KrausSet:
     """First-order Kraus decomposition of one time step of length ``dt``.
 
-    ``jumps`` holds one ``(channel, operator)`` pair per channel, in input
-    order; ``no_jump`` is the between-detections operator on the full
-    register.  ``warnings`` is non-empty when the requested step violates
-    the weak-coupling budget (the set is still usable).
+    ``operators`` stacks the ``(m, dim, dim)`` jump operators of ``channels``
+    in input order; ``no_jump`` is the between-detections operator on the
+    full register.  ``warnings`` is non-empty when the requested step
+    violates the weak-coupling budget (the set is still usable).
     """
 
     dt: float
     no_jump: np.ndarray
-    jumps: tuple[tuple[ErrorChannel, np.ndarray], ...]
+    operators: np.ndarray
+    channels: tuple[ErrorChannel, ...]
     n: int
     warnings: tuple[str, ...] = field(default=())
 
     @property
-    def channels(self) -> tuple[ErrorChannel, ...]:
-        return tuple(ch for ch, _ in self.jumps)
+    def jumps(self) -> tuple[tuple[ErrorChannel, np.ndarray], ...]:
+        return tuple(zip(self.channels, self.operators))
 
 
 def effective_jump_operator(channel: ErrorChannel) -> np.ndarray:
@@ -172,14 +173,14 @@ def kraus_set(
         raise ValueError("hamiltonian is not Hermitian within tolerance")
 
     sqrt_dt = math.sqrt(dt)
-    jumps = []
+    operators = np.empty((len(channels), dim, dim), dtype=np.complex128)
     backaction_sum = np.zeros((dim, dim), dtype=np.complex128)
     probability_budget = 0.0
-    for ch in channels:
+    for k, ch in enumerate(channels):
         if ch.qubit >= n:
             raise ValueError(f"channel qubit {ch.qubit} out of range for n={n}")
         a = effective_jump_operator(ch)
-        jumps.append((ch, _frozen_array(tensor_embed(a, ch.qubit, n) * sqrt_dt)))
+        operators[k] = tensor_embed(a, ch.qubit, n) * sqrt_dt
         mu = ch.offset
         e = ch.operator
         local = 0.5 * (e.conj().T @ e) + np.conj(mu) * e + 0.5 * abs(mu) ** 2 * IDENTITY
@@ -190,6 +191,7 @@ def kraus_set(
     no_jump = np.eye(dim, dtype=np.complex128) - dt * (
         1j * hamiltonian + backaction_sum
     )
+    operators.flags.writeable = False
     warnings = ()
     if probability_budget > WEAK_COUPLING_BUDGET:
         warnings = (
@@ -200,7 +202,8 @@ def kraus_set(
     return KrausSet(
         dt=float(dt),
         no_jump=_frozen_array(no_jump),
-        jumps=tuple(jumps),
+        operators=operators,
+        channels=tuple(channels),
         n=n,
         warnings=warnings,
     )

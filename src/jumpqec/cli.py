@@ -35,7 +35,10 @@ from .codes import (
     anticommuting_terms,
     verify_correctability,
 )
-from .control import CorrectabilityError, build_control_plan, nojump_invariance_check
+from .control import (
+    CorrectabilityError, build_control_plan, driving_hamiltonian,
+    nojump_invariance_check,
+)
 from .linalg import ORTHO_ATOL, max_abs, on_qubit
 from .trajectory import (
     SimConfig,
@@ -417,8 +420,9 @@ def _cmd_verify(cfg: SimConfig, output: str, force: bool) -> tuple[int, list[str
     }
     nojump = None
     if correct.passed:
-        plan = build_control_plan(cfg.channels, code)
-        hamiltonian = plan.driving if cfg.driving_enabled else None
+        hamiltonian = None
+        if cfg.driving_enabled:
+            hamiltonian = driving_hamiltonian(cfg.channels, code)
         ks = kraus_set(cfg.channels, hamiltonian, cfg.n, cfg.dt)
         nojump = nojump_invariance_check(ks, code)
         checks["nojump_invariance"] = {

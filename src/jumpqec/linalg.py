@@ -93,19 +93,16 @@ def tensor_embed(op: np.ndarray, qubit: int, n: int) -> np.ndarray:
     return np.kron(left, np.kron(op, right))
 
 
-def on_qubit(op, qubit: int, m: np.ndarray, *, right=False, out=None) -> np.ndarray:
+def on_qubit(op, qubit: int, m: np.ndarray, *, right=False) -> np.ndarray:
     """``tensor_embed(op, qubit, n) @ m``, or ``m @ tensor_embed(...)`` if ``right``.
 
     ``n`` is read off ``m``, a vector or matrix; the embedding is never formed.
-    ``out`` (C-contiguous, ``m``'s shape, not overlapping it) takes the result.
     """
     if right:  # (m E)[x, a, c, r] = sum_b m[x, a, b, r] op[b, c]
         op, shape = np.transpose(op), (-1, 2, m.shape[-1] >> (qubit + 1))
     else:
         shape = (2**qubit, 2, -1)
-    out = np.empty(m.shape, np.result_type(op, m)) if out is None else out
-    np.matmul(op, m.reshape(shape), out=out.reshape(shape))
-    return out
+    return np.matmul(op, m.reshape(shape)).reshape(m.shape)
 
 
 def traceless_decompose(m: np.ndarray) -> tuple[np.ndarray, float]:

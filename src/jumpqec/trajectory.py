@@ -33,12 +33,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .channels import (
-    ErrorChannel, KrausSet, effective_jump_operator, kraus_set, lindblad_generator
-)
+from .channels import ErrorChannel, KrausSet, kraus_set, lindblad_generator
 from .codes import StabilizerCode, build_code, codespace_basis
-from .control import ControlPlan, build_control_plan, driving_hamiltonian
-from .linalg import MAX_QUBITS, expm1, max_abs, on_qubit
+from .control import build_control_plan, driving_hamiltonian
+from .linalg import MAX_QUBITS, expm1, max_abs
 
 __all__ = [
     "StepSizeError",
@@ -178,9 +176,9 @@ class EnsembleResult(NamedTuple):
 class SimulationSetup:
     """Synthesis products shared by all trajectories of one config."""
 
-    plan: ControlPlan | None
     kraus: KrausSet
-    applied_jumps: np.ndarray
+    #: One unitary per channel of ``kraus``; ``None`` exactly when feedback is off.
+    corrections: tuple[np.ndarray, ...] | None
     initial: np.ndarray
     times: np.ndarray
     sample_indices: np.ndarray
@@ -206,12 +204,15 @@ def simulation_code(cfg: SimConfig) -> StabilizerCode:
     """The code a run protects with: synthesized, or taken from the override.
 
     Every run starts here, so dense operators over ``DENSITY_BUDGET_BYTES``
-    raise ``ValueError`` before any synthesis.  ``4 m + 12`` matrices for
-    ``m`` channels cover the tracemalloc peak of ``prepare()``: ``3 m + 2.5``
-    at n = 6-9, up to ``3 m + 11`` at n = 4.  This bounds memory, not time.
+    raise ``ValueError`` before any synthesis.  ``2 m + 12`` matrices for
+    ``m`` channels cover the tracemalloc peak of ``prepare()``: ``2 m + 4.5``
+    to ``2 m + 6.1`` at n = 6-9, up to ``2 m + 11.2`` at n = 4 with one
+    channel per qubit.  Only where small arrays weigh as much as the dense
+    ones does the peak pass the count: ``2 m + 13.1`` (4.5 KiB more) at
+    n = 4 with twelve rank-3 channels.  This bounds memory, not time.
     Overrides must be a code family that :func:`codespace_basis` builds.
     """
-    need = (4 * len(cfg.channels) + 12) * 16 * 4**cfg.n
+    need = (2 * len(cfg.channels) + 12) * 16 * 4**cfg.n
     claim = f"the dense operators would take {need / 2**30:.1f} GiB"
     _require_budget(need, claim, "use fewer qubits or channels")
     if cfg.code_override is None:
@@ -260,21 +261,15 @@ def prepare(cfg: SimConfig) -> SimulationSetup:
     plan = None
     if cfg.feedback_enabled or cfg.driving_enabled:
         plan = build_control_plan(cfg.channels, code)
-    hamiltonian = plan.driving if (plan is not None and cfg.driving_enabled) else None
+    hamiltonian = plan.driving if cfg.driving_enabled else None
     ks = kraus_set(cfg.channels, hamiltonian, cfg.n, cfg.dt)
-    applied = np.empty((len(ks.jumps), 2**cfg.n, 2**cfg.n), dtype=np.complex128)
-    for k, (ch, omega) in enumerate(ks.jumps):
-        if cfg.feedback_enabled and plan is not None:
-            local_omega = math.sqrt(cfg.dt) * effective_jump_operator(ch)
-            r = plan.corrections[ch].matrix
-            on_qubit(local_omega, ch.qubit, r, right=True, out=applied[k])
-        else:
-            applied[k] = omega
+    corrections = None
+    if cfg.feedback_enabled:
+        corrections = tuple(plan.corrections[ch].matrix for ch in ks.channels)
     steps = cfg.steps
     return SimulationSetup(
-        plan=plan,
         kraus=ks,
-        applied_jumps=applied,
+        corrections=corrections,
         initial=_initial_vector(cfg, code),
         times=np.arange(steps + 1) * cfg.dt,
         sample_indices=density_sample_indices(steps),
@@ -284,23 +279,18 @@ def prepare(cfg: SimConfig) -> SimulationSetup:
 def step(
     ts: TrajectoryState,
     ks: KrausSet,
-    plan: ControlPlan | None,
+    corrections: tuple[np.ndarray, ...] | None,
     rng,
 ) -> tuple[TrajectoryState, ErrorChannel | None]:
     """Advance one time step in place; reference implementation.
 
     Draws a single uniform from ``rng``; a jump of channel ``k`` fires
-    when the uniform falls below the cumulative probability through ``k``.
-    Passing ``plan=None`` disables the feedback correction.  Returns the
-    fired channel, or ``None`` for the no-jump branch.
+    when the uniform falls below the cumulative probability through ``k``,
+    followed by ``corrections[k]`` unless ``corrections`` is ``None``.
+    Returns the fired channel, or ``None`` for the no-jump branch.
     """
-    psi = ts.state
-    branches = []
-    probs = []
-    for ch, omega in ks.jumps:
-        phi = omega @ psi
-        branches.append((ch, phi))
-        probs.append(float(np.vdot(phi, phi).real))
+    branches = [omega @ ts.state for omega in ks.operators]
+    probs = [float(np.vdot(phi, phi).real) for phi in branches]
     total = sum(probs)
     if 1.0 - total < -_kernels.PROBABILITY_SLACK:
         raise StepSizeError(
@@ -310,16 +300,16 @@ def step(
     u = float(rng.random())
     event = None
     acc = 0.0
-    for (ch, phi), p in zip(branches, probs):
+    for k, p in enumerate(probs):
         acc += p
         if u < acc:
-            event = ch
-            psi = phi
-            if plan is not None:
-                psi = plan.corrections[ch].matrix @ psi
+            event = ks.channels[k]
+            psi = branches[k]
+            if corrections is not None:
+                psi = corrections[k] @ psi
             break
     if event is None:
-        psi = ks.no_jump @ psi
+        psi = ks.no_jump @ ts.state
     nrm = float(np.sqrt(np.vdot(psi, psi).real))
     if nrm <= 0.0:
         raise StepSizeError(f"state norm collapsed at t={ts.time:.6g}")
@@ -337,7 +327,7 @@ def _trajectory_uniforms(cfg: SimConfig, trajectory_index: int) -> np.ndarray:
 
 def _block_width(cfg: SimConfig, setup: SimulationSetup) -> int:
     """Trajectories per block: the branch and uniform buffers stay bounded."""
-    m, dim = setup.applied_jumps.shape[:2]
+    m, dim = setup.kraus.operators.shape[:2]
     column_bytes = max(16 * m * dim, 8 * cfg.steps)
     return max(1, _BLOCK_BYTES // column_bytes)
 
@@ -351,11 +341,12 @@ def _run_block(
     uniforms = np.stack([_trajectory_uniforms(cfg, i) for i in indices], axis=1)
     result = _kernels.run_steps(
         setup.initial,
-        setup.applied_jumps,
+        setup.kraus.operators,
         setup.kraus.no_jump,
         uniforms,
         setup.sample_indices,
         rho_sum,
+        setup.corrections,
     )
     if result.status < 0:
         bad = -result.status - 1
@@ -391,9 +382,8 @@ def run_trajectory(
     if setup is None:
         setup = prepare(cfg)
     result = _run_block(cfg, setup, range(trajectory_index, trajectory_index + 1))
-    order = [ch for ch, _ in setup.kraus.jumps]
     log = [
-        (float((s + 1) * cfg.dt), order[k])
+        (float((s + 1) * cfg.dt), setup.kraus.channels[k])
         for s, k in zip(result.jump_steps, result.jump_channels)
     ]
     record = FidelityRecord(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from jumpqec import SimConfig
+from jumpqec import SimConfig, cli
 from jumpqec.cli import (
     ConfigError,
     canonical_config,
@@ -211,6 +211,31 @@ class TestExecute:
         assert report["checks"]["nojump_invariance"]["passed"] is True
         assert "correctability: PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "doc, flags",
+        [
+            (rank3_doc(4), []),
+            # Dephasing has no backaction, so it passes without driving.
+            (minimal_doc(n=2, channels=[
+                {"qubit": q, "E": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}
+                for q in range(2)
+            ]), ["--no-driving"]),
+        ],
+        ids=["driven", "undriven"],
+    )
+    def test_verify_builds_no_control_plan(
+        self, tmp_path, capsys, monkeypatch, doc, flags
+    ):
+        def build_control_plan(*args):
+            raise AssertionError("control plan built")
+
+        monkeypatch.setattr(cli, "build_control_plan", build_control_plan)
+        config = write_config(tmp_path, doc)
+        out = str(tmp_path / "verify.json")
+        code, _ = execute(["verify", "--config", config, "--output", out, *flags])
+        assert code == 0
+        assert "nojump_invariance: PASS" in capsys.readouterr().out
+
     def test_verify_wrong_code_fails(self, tmp_path, capsys):
         doc = canonical_config(
             SimConfig(
@@ -414,7 +439,7 @@ class TestExecute:
         assert time.monotonic() - started < 1.0
         assert code == 2 and manifest is None
         assert not out.exists()
-        assert "dense operators would take 15.0 GiB" in capsys.readouterr().err
+        assert "dense operators would take 9.0 GiB" in capsys.readouterr().err
 
     def test_unreadable_config(self, tmp_path, capsys):
         code, manifest = execute(

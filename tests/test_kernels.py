@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,7 +7,7 @@ from numpy.testing import assert_allclose
 import jumpqec.trajectory as trajectory
 from jumpqec import ErrorChannel, SimConfig, StepSizeError, TrajectoryState
 from jumpqec import fidelity, prepare, run_ensemble, step
-from jumpqec._kernels import run_steps
+from jumpqec._kernels import BlockResult, run_steps
 from jumpqec.trajectory import _trajectory_uniforms
 
 from helpers import SIGMA_MINUS, relaxation_channels
@@ -40,25 +42,54 @@ def _run_block(setup, uniforms, sample_idx):
     dim = setup.initial.shape[0]
     rho_sum = np.zeros((sample_idx.shape[0], dim, dim), dtype=complex)
     result = run_steps(
-        setup.initial, setup.applied_jumps, setup.kraus.no_jump,
-        uniforms, sample_idx, rho_sum,
+        setup.initial, setup.kraus.operators, setup.kraus.no_jump,
+        uniforms, sample_idx, rho_sum, setup.corrections,
     )
     return result, rho_sum
 
 
 def _reference(setup, uniforms):
     """``step()`` run on one uniform stream: events, fidelities, states."""
-    order = [ch for ch, _ in setup.kraus.jumps]
+    order = setup.kraus.channels
     ts = TrajectoryState(state=setup.initial.copy())
     rng = _Replay(uniforms)
     events, fids, states = [], [1.0], [setup.initial.copy()]
     for s in range(uniforms.shape[0]):
-        ts, event = step(ts, setup.kraus, setup.plan, rng)
+        ts, event = step(ts, setup.kraus, setup.corrections, rng)
         if event is not None:
             events.append((s, order.index(event)))
         fids.append(fidelity(setup.initial, ts.state))
         states.append(ts.state)
     return events, np.array(fids), np.array(states)
+
+
+def _block_matches_reference(cfg, width):
+    """Run ``width`` trajectories as one block and check them against ``step()``.
+
+    Jump events must agree exactly, fidelity and density sums within 1e-12.
+    """
+    setup = prepare(cfg)
+    uniforms = _uniform_block(cfg, range(width))
+    sample_idx = np.array([0, 1, 17, 100, cfg.steps], dtype=np.int64)
+    result, rho_sum = _run_block(setup, uniforms, sample_idx)
+    assert result.status >= 0
+    fid_sum = np.zeros(cfg.steps + 1)
+    fid_sq_sum = np.zeros(cfg.steps + 1)
+    rho_ref = np.zeros_like(rho_sum)
+    total = 0
+    for b in range(width):
+        events, fids, states = _reference(setup, uniforms[:, b])
+        assert _column_log(result, b) == events
+        total += len(events)
+        fid_sum += fids
+        fid_sq_sum += fids * fids
+        snaps = states[sample_idx]
+        rho_ref += np.einsum("sd,se->sde", snaps, snaps.conj())
+    assert total > 0 and result.status == total == result.jump_counts[-1]
+    assert_allclose(result.fid_sum, fid_sum, atol=1e-12)
+    assert_allclose(result.fid_sq_sum, fid_sq_sum, atol=1e-12)
+    assert_allclose(rho_sum, rho_ref, atol=1e-12)
+    return result
 
 
 def _column_log(result, column):
@@ -86,28 +117,28 @@ class TestKernelMatchesReference:
         assert_allclose(rho_sum, ref_rho, atol=1e-12)
 
     def test_block_of_six_matches_reference(self):
-        cfg = _bare_config()
-        setup = prepare(cfg)
-        uniforms = _uniform_block(cfg, range(6))
-        sample_idx = np.array([0, 1, 17, 100, cfg.steps], dtype=np.int64)
-        result, rho_sum = _run_block(setup, uniforms, sample_idx)
-        assert result.status >= 0
-        fid_sum = np.zeros(cfg.steps + 1)
-        fid_sq_sum = np.zeros(cfg.steps + 1)
-        rho_ref = np.zeros_like(rho_sum)
-        total = 0
-        for b in range(6):
-            events, fids, states = _reference(setup, uniforms[:, b])
-            assert _column_log(result, b) == events
-            total += len(events)
-            fid_sum += fids
-            fid_sq_sum += fids * fids
-            snaps = states[sample_idx]
-            rho_ref += np.einsum("sd,se->sde", snaps, snaps.conj())
-        assert total > 0 and result.status == total == result.jump_counts[-1]
-        assert_allclose(result.fid_sum, fid_sum, atol=1e-12)
-        assert_allclose(result.fid_sq_sum, fid_sq_sum, atol=1e-12)
-        assert_allclose(rho_sum, rho_ref, atol=1e-12)
+        _block_matches_reference(_bare_config(), 6)
+
+    def test_feedback_block_matches_reference(self):
+        cfg = SimConfig(
+            n=2, channels=relaxation_channels(2, gamma=0.3), dt=0.02,
+            duration=4.0, seed=13,
+        )
+        result = _block_matches_reference(cfg, 12)
+        # Steps where two columns click different channels, and the same one.
+        clicks = {}
+        for s, k in zip(result.jump_steps, result.jump_channels):
+            clicks.setdefault(int(s), []).append(int(k))
+        assert any(len(set(ks)) > 1 for ks in clicks.values())
+        assert any(len(set(ks)) < len(ks) for ks in clicks.values())
+
+    def test_driven_block_without_feedback_matches_reference(self):
+        cfg = SimConfig(
+            n=2, channels=relaxation_channels(2, gamma=0.3), dt=0.02,
+            duration=4.0, seed=13, feedback_enabled=False,
+        )
+        assert prepare(cfg).corrections is None
+        _block_matches_reference(cfg, 6)
 
     def test_block_size_independence(self):
         cfg = _bare_config()
@@ -191,6 +222,15 @@ class TestKernelMatchesReference:
         )
         traces = np.trace(rho_sum, axis1=1, axis2=2)
         assert_allclose(traces, 3.0, atol=1e-12)
+
+
+class TestKernelContract:
+    def test_benchmark_reads_uniforms_and_status_in_place(self):
+        # The benchmark's kernel hook reads ``uniforms`` as the 4th
+        # positional argument and the jump total as the first result field.
+        params = list(inspect.signature(run_steps).parameters)
+        assert params[:4] == ["psi0", "ops", "no_jump", "uniforms"]
+        assert BlockResult._fields[0] == "status"
 
 
 class TestBlockAbort:

@@ -79,20 +79,6 @@ class TestOnQubit:
                         atol=1e-13,
                     )
 
-    @pytest.mark.parametrize("right", [False, True])
-    def test_writes_into_the_output_in_place(self, right):
-        rng = np.random.default_rng(3)
-        n, op = 4, SIGMA_MINUS + 0.5 * SIGMA_Y
-        m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-        stack = np.zeros((3, 16, 16), dtype=complex)
-        for qubit in range(n):
-            embedded = tensor_embed(op, qubit, n)
-            out = stack[1]
-            assert on_qubit(op, qubit, m, right=right, out=out) is out
-            expected = m @ embedded if right else embedded @ m
-            assert_allclose(stack[1], expected, rtol=0, atol=1e-13)
-            assert not stack[0].any() and not stack[2].any()
-
     def test_leaves_its_input_alone(self):
         m = np.arange(16, dtype=complex).reshape(4, 4)
         before = m.copy()

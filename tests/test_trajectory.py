@@ -118,8 +118,8 @@ class TestOperatorBudget:
         "n, channels",
         [(n, relaxation_channels(n)) for n in range(4, 9)]
         # Rank-3 from n=6 on: at n=4 its twelve channels' small arrays weigh
-        # as much as the dense ones, and the peak (59.5 matrices) sits within
-        # 1 % of the estimate (60).
+        # as much as the dense ones, and the peak (37.1 matrices) passes the
+        # estimate (36).
         + [(n, rank3_channels(n)) for n in (6, 8)],
     )
     def test_estimate_covers_prepare_peak(self, monkeypatch, n, channels):
@@ -135,11 +135,11 @@ class TestOperatorBudget:
         [(n, relaxation_channels(n)) for n in range(6, 9)]
         + [(n, rank3_channels(n)) for n in (6, 8)],
     )
-    def test_prepare_holds_three_copies_per_channel(self, n, channels):
-        # Kraus jumps, corrections and the corrected jumps, written in place.
+    def test_prepare_holds_two_copies_per_channel(self, n, channels):
+        # The Kraus jumps and the corrections.
         cfg = SimConfig(n=n, channels=channels, dt=1e-3, duration=1e-3)
         matrices = _prepare_peak(cfg) / (16 * 4**n)
-        assert matrices <= 3 * len(channels) + 4
+        assert matrices <= 2 * len(channels) + 7
 
     def test_refused_before_synthesis_at_twelve_qubits(self, monkeypatch):
         def reached_synthesis(*args):
@@ -147,9 +147,9 @@ class TestOperatorBudget:
 
         monkeypatch.setattr(trajectory, "build_code", reached_synthesis)
         big = SimConfig(n=12, channels=relaxation_channels(12), dt=1e-3, duration=1e-3)
-        with pytest.raises(ValueError, match=r"15\.0 GiB.*fewer qubits"):
+        with pytest.raises(ValueError, match=r"9\.0 GiB.*fewer qubits"):
             simulation_code(big)
-        # n=10 with 10 channels (0.8 GiB) passes the check and reaches synthesis.
+        # n=10 with 10 channels (0.5 GiB) passes the check and reaches synthesis.
         cfg = SimConfig(n=10, channels=relaxation_channels(10), dt=1e-3, duration=1e-3)
         with pytest.raises(AssertionError, match="synthesis reached"):
             simulation_code(cfg)
@@ -171,7 +171,7 @@ class TestStep:
         )
         setup = prepare(cfg)
         ts = TrajectoryState(state=setup.initial.copy())
-        ts, event = step(ts, setup.kraus, setup.plan, _FixedUniform(0.0))
+        ts, event = step(ts, setup.kraus, setup.corrections, _FixedUniform(0.0))
         assert event is cfg.channels[0]
         assert fidelity(ts.state, setup.initial) == pytest.approx(1.0, abs=1e-9)
         assert ts.jump_log == [(pytest.approx(0.01), cfg.channels[0])]
