@@ -116,22 +116,27 @@ class Backaction:
 class KrausSet:
     """First-order Kraus decomposition of one time step of length ``dt``.
 
-    ``operators`` stacks the ``(m, dim, dim)`` jump operators of ``channels``
-    in input order; ``no_jump`` is the between-detections operator on the
-    full register.  ``warnings`` is non-empty when the requested step
+    ``factors`` stacks the ``(m, 2, 2)`` one-qubit jump factors
+    ``sqrt(dt) (E + mu)`` of ``channels`` in input order, each acting on
+    its channel's qubit; ``no_jump`` is the between-detections operator on
+    the full register.  ``warnings`` is non-empty when the requested step
     violates the weak-coupling budget (the set is still usable).
     """
 
     dt: float
     no_jump: np.ndarray
-    operators: np.ndarray
+    factors: np.ndarray
     channels: tuple[ErrorChannel, ...]
     n: int
     warnings: tuple[str, ...] = field(default=())
 
     @property
     def jumps(self) -> tuple[tuple[ErrorChannel, np.ndarray], ...]:
-        return tuple(zip(self.channels, self.operators))
+        """``(channel, dense jump operator)`` pairs, embedded on each access."""
+        return tuple(
+            (ch, tensor_embed(f, ch.qubit, self.n))
+            for ch, f in zip(self.channels, self.factors)
+        )
 
 
 def effective_jump_operator(channel: ErrorChannel) -> np.ndarray:
@@ -173,14 +178,13 @@ def kraus_set(
         raise ValueError("hamiltonian is not Hermitian within tolerance")
 
     sqrt_dt = math.sqrt(dt)
-    operators = np.empty((len(channels), dim, dim), dtype=np.complex128)
+    factors = np.empty((len(channels), 2, 2), dtype=np.complex128)
     backaction_sum = np.zeros((dim, dim), dtype=np.complex128)
     probability_budget = 0.0
     for k, ch in enumerate(channels):
         if ch.qubit >= n:
             raise ValueError(f"channel qubit {ch.qubit} out of range for n={n}")
-        a = effective_jump_operator(ch)
-        operators[k] = tensor_embed(a, ch.qubit, n) * sqrt_dt
+        factors[k] = effective_jump_operator(ch) * sqrt_dt
         mu = ch.offset
         e = ch.operator
         local = 0.5 * (e.conj().T @ e) + np.conj(mu) * e + 0.5 * abs(mu) ** 2 * IDENTITY
@@ -191,7 +195,7 @@ def kraus_set(
     no_jump = np.eye(dim, dtype=np.complex128) - dt * (
         1j * hamiltonian + backaction_sum
     )
-    operators.flags.writeable = False
+    factors.flags.writeable = False
     warnings = ()
     if probability_budget > WEAK_COUPLING_BUDGET:
         warnings = (
@@ -202,7 +206,7 @@ def kraus_set(
     return KrausSet(
         dt=float(dt),
         no_jump=_frozen_array(no_jump),
-        operators=operators,
+        factors=factors,
         channels=tuple(channels),
         n=n,
         warnings=warnings,

@@ -30,7 +30,7 @@ from .codes import (
     sector_assignment,
     verify_correctability,
 )
-from .linalg import HERMITIAN_ATOL, is_hermitian, on_qubit, tensor_embed
+from .linalg import HERMITIAN_ATOL, IDENTITY, is_hermitian, on_qubit, tensor_embed
 
 __all__ = [
     "CorrectabilityError",
@@ -62,14 +62,42 @@ class CorrectabilityError(Exception):
 
 @dataclass(frozen=True, eq=False)
 class Correction:
-    """Recovery unitary for one channel.
+    """Recovery unitary for one channel, kept as its one-qubit data.
 
-    ``null_channel`` marks channels with vanishing effective rate: no jump
-    can ever fire, so the matrix is the identity placeholder.
+    ``R = (1 + (cos theta - 1)(P + DPD) - sin theta (DP - PD)) U^dag`` with
+    ``U^dag`` and the unit backaction axis ``D`` acting on ``qubit``, and
+    ``P`` the projector onto the rows of ``codespace`` (see
+    :func:`correction_unitary`).  ``null_channel`` marks channels with
+    vanishing effective rate: no jump can ever fire, and ``R`` is the
+    identity.
     """
 
-    matrix: np.ndarray
+    u_dag: np.ndarray
+    axis: np.ndarray
+    theta: float
+    qubit: int
+    codespace: np.ndarray
     null_channel: bool = False
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """``R v`` for a vector or the columns of a ``(dim, k)`` matrix."""
+        w = on_qubit(self.u_dag, self.qubit, v)
+        if not self.theta:
+            return w
+        c, d, q = self.codespace, self.axis, self.qubit
+        # Codespace coefficients a = C* w and b = C* D w, so that P w = C^T a,
+        # P D w = C^T b, D P w = D C^T a and D P D w = D C^T b.
+        a = (c @ w.conj()).conj()
+        b = (c @ on_qubit(d, q, w).conj()).conj()
+        cos, sin = math.cos(self.theta) - 1.0, math.sin(self.theta)
+        w += c.T @ (cos * a + sin * b)
+        w += on_qubit(d, q, c.T @ (cos * b - sin * a))
+        return w
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense ``R``: :meth:`apply` on the identity."""
+        return self.apply(np.eye(self.codespace.shape[1], dtype=np.complex128))
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,23 +180,17 @@ def driving_hamiltonian(
     return _driving(channels, code)
 
 
-def _correction(ch: ErrorChannel, n: int, projector: np.ndarray) -> Correction:
+def _correction(ch: ErrorChannel, code: StabilizerCode) -> Correction:
     ba = jump_backaction(ch)
-    matrix = np.eye(2**n, dtype=np.complex128)
     if ba.rate <= NULL_CHANNEL_ATOL:
-        return Correction(matrix=matrix, null_channel=True)
+        zero = np.zeros((2, 2), dtype=np.complex128)
+        return Correction(IDENTITY, zero, 0.0, ch.qubit, code.codespace, True)
     w, s, vh = np.linalg.svd(effective_jump_operator(ch))
-    # With d = 0 the axis is zero, so is theta, and the bracket stays 1.
+    # With d = 0 the axis is zero, so is theta, and R is U^dag.
     axis = ba.matrix / (float(np.linalg.norm(ba.bloch)) or 1.0)
     modulus = (vh.conj().T * s) @ vh
     theta = math.atan2(np.trace(axis @ modulus).real, np.trace(modulus).real)
-    dp = on_qubit(axis, ch.qubit, projector)
-    pd = dp.conj().T
-    matrix += (math.cos(theta) - 1.0) * (projector + on_qubit(axis, ch.qubit, pd))
-    matrix -= math.sin(theta) * (dp - pd)
-    matrix = on_qubit((w @ vh).conj().T, ch.qubit, matrix, right=True)
-    matrix.flags.writeable = False
-    return Correction(matrix=matrix, null_channel=False)
+    return Correction((w @ vh).conj().T, axis, theta, ch.qubit, code.codespace)
 
 
 def correction_unitary(ch: ErrorChannel, code: StabilizerCode) -> Correction:
@@ -196,7 +218,7 @@ def correction_unitary(ch: ErrorChannel, code: StabilizerCode) -> Correction:
         "(residual {residual:.3e})",
         label=ch.label,
     )
-    return _correction(ch, code.n, code.codespace.T @ code.codespace.conj())
+    return _correction(ch, code)
 
 
 def build_control_plan(
@@ -209,8 +231,7 @@ def build_control_plan(
     _require_correctable(code, channels, _BACKACTION_MESSAGE)
     driving = _driving(channels, code)
     driving.flags.writeable = False
-    projector = code.codespace.T @ code.codespace.conj()
-    corrections = {ch: _correction(ch, code.n, projector) for ch in channels}
+    corrections = {ch: _correction(ch, code) for ch in channels}
     if len(code.generators) == 2:
         sector_map = {ax: sector_assignment(ax, code.generators) for ax in "xyz"}
     else:

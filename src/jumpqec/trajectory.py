@@ -13,9 +13,11 @@ reference.  Randomness: every trajectory owns a counter-based generator
 keyed by ``(seed, trajectory_index)`` and pre-draws one uniform per step,
 so jump selections do not depend on execution order or on how
 trajectories are grouped into blocks, and a run repeats bit for bit.
-The engine reduces each block as it steps (fidelity sums, jump totals,
-density sums); no per-trajectory series is stored.  A density series, or
-a set of dense operators, larger than ``DENSITY_BUDGET_BYTES`` is refused
+The engine reduces each block as it steps (infidelity sums and spreads,
+jump totals, density sums); no per-trajectory series is stored.  Jumps
+and corrections stay one-qubit data; the no-jump operator is the one
+dense matrix per step.  A density series, a set of dense operators, or a
+run's per-step series larger than ``DENSITY_BUDGET_BYTES`` is refused
 before any setup.
 
 The oracle evolves the unconditioned master equation (independent of the
@@ -35,7 +37,7 @@ import numpy as np
 from . import _kernels
 from .channels import ErrorChannel, KrausSet, kraus_set, lindblad_generator
 from .codes import StabilizerCode, build_code, codespace_basis
-from .control import build_control_plan, driving_hamiltonian
+from .control import Correction, build_control_plan, driving_hamiltonian
 from .linalg import MAX_QUBITS, expm1, max_abs
 
 __all__ = [
@@ -63,9 +65,16 @@ MAX_DENSITY_SAMPLES = 1000
 #: operators held by ``prepare()``, allocated, in bytes.
 DENSITY_BUDGET_BYTES = 2 * 2**30
 
-#: Bytes each of a block's ``(m, dim, B)`` branches and ``(steps, B)``
-#: uniforms may take; this sets the block width ``B``.
+#: Bytes each of a block's gathered amplitudes and ``(steps, B)`` uniforms
+#: may take; this sets the block width ``B``.
 _BLOCK_BYTES = 8 * 2**20
+
+#: Bytes a run holds per time step: the grid times, the engine's and the
+#: ensemble's infidelity and jump sums and record columns, a block's
+#: uniforms, and a CSV line of up to about 70 characters, held as a string
+#: and again in the joined text.  Peak RSS grew by 208 and 258 B per step
+#: from 10k to 200k steps with 25- and 41-character lines.
+_STEP_BYTES = 320
 
 
 class StepSizeError(Exception):
@@ -110,6 +119,11 @@ class SimConfig:
         if not self.dt <= self.duration < math.inf:
             raise ValueError(
                 f"duration must be finite and at least one step, got {self.duration}"
+            )
+        if not math.isfinite(self.duration / self.dt):
+            raise ValueError(
+                f"duration / dt = {self.duration} / {self.dt} is not a finite "
+                "step count"
             )
         if not isinstance(self.trajectories, int) or self.trajectories < 1:
             raise ValueError("trajectories must be a positive integer")
@@ -177,8 +191,8 @@ class SimulationSetup:
     """Synthesis products shared by all trajectories of one config."""
 
     kraus: KrausSet
-    #: One unitary per channel of ``kraus``; ``None`` exactly when feedback is off.
-    corrections: tuple[np.ndarray, ...] | None
+    #: One correction per channel of ``kraus``; ``None`` exactly when feedback is off.
+    corrections: tuple[Correction, ...] | None
     initial: np.ndarray
     times: np.ndarray
     sample_indices: np.ndarray
@@ -204,15 +218,15 @@ def simulation_code(cfg: SimConfig) -> StabilizerCode:
     """The code a run protects with: synthesized, or taken from the override.
 
     Every run starts here, so dense operators over ``DENSITY_BUDGET_BYTES``
-    raise ``ValueError`` before any synthesis.  ``2 m + 12`` matrices for
-    ``m`` channels cover the tracemalloc peak of ``prepare()``: ``2 m + 4.5``
-    to ``2 m + 6.1`` at n = 6-9, up to ``2 m + 11.2`` at n = 4 with one
+    raise ``ValueError`` before any synthesis.  Twelve matrices cover the
+    tracemalloc peak of ``prepare()``, which keeps no dense matrix per
+    channel: 4.8 to 6.8 matrices at n = 5-9 and 11.1 at n = 4 with one
     channel per qubit.  Only where small arrays weigh as much as the dense
-    ones does the peak pass the count: ``2 m + 13.1`` (4.5 KiB more) at
+    ones does the peak pass the count: 13.1 matrices (4.4 KiB more) at
     n = 4 with twelve rank-3 channels.  This bounds memory, not time.
     Overrides must be a code family that :func:`codespace_basis` builds.
     """
-    need = (2 * len(cfg.channels) + 12) * 16 * 4**cfg.n
+    need = 12 * 16 * 4**cfg.n
     claim = f"the dense operators would take {need / 2**30:.1f} GiB"
     _require_budget(need, claim, "use fewer qubits or channels")
     if cfg.code_override is None:
@@ -251,12 +265,24 @@ def _initial_vector(cfg: SimConfig, code: StabilizerCode) -> np.ndarray:
     return np.ascontiguousarray(psi, dtype=np.complex128)
 
 
+def _require_step_budget(cfg: SimConfig) -> None:
+    """Refuse a run whose per-step series exceed ``DENSITY_BUDGET_BYTES``."""
+    steps = cfg.steps
+    need = steps * _STEP_BYTES
+    claim = f"{steps} time steps would take {need / 2**30:.1f} GiB"
+    _require_budget(need, claim, "use a larger dt or a shorter duration")
+
+
 def prepare(cfg: SimConfig) -> SimulationSetup:
     """Synthesize everything trajectories need: code, controls, Kraus set.
 
+    A run too long for ``DENSITY_BUDGET_BYTES`` raises ``ValueError`` first.
     The control plan is only built when feedback or driving is enabled, so
-    fully unprotected runs do not require correctability.
+    fully unprotected runs do not require correctability.  Jumps and
+    corrections stay one-qubit data; the no-jump operator is the only dense
+    matrix the engine reads.
     """
+    _require_step_budget(cfg)
     code = simulation_code(cfg)
     plan = None
     if cfg.feedback_enabled or cfg.driving_enabled:
@@ -265,7 +291,7 @@ def prepare(cfg: SimConfig) -> SimulationSetup:
     ks = kraus_set(cfg.channels, hamiltonian, cfg.n, cfg.dt)
     corrections = None
     if cfg.feedback_enabled:
-        corrections = tuple(plan.corrections[ch].matrix for ch in ks.channels)
+        corrections = tuple(plan.corrections[ch] for ch in ks.channels)
     steps = cfg.steps
     return SimulationSetup(
         kraus=ks,
@@ -279,7 +305,7 @@ def prepare(cfg: SimConfig) -> SimulationSetup:
 def step(
     ts: TrajectoryState,
     ks: KrausSet,
-    corrections: tuple[np.ndarray, ...] | None,
+    corrections: tuple[Correction, ...] | None,
     rng,
 ) -> tuple[TrajectoryState, ErrorChannel | None]:
     """Advance one time step in place; reference implementation.
@@ -287,9 +313,10 @@ def step(
     Draws a single uniform from ``rng``; a jump of channel ``k`` fires
     when the uniform falls below the cumulative probability through ``k``,
     followed by ``corrections[k]`` unless ``corrections`` is ``None``.
-    Returns the fired channel, or ``None`` for the no-jump branch.
+    Returns the fired channel, or ``None`` for the no-jump branch.  Jumps
+    and corrections act as dense matrices here.
     """
-    branches = [omega @ ts.state for omega in ks.operators]
+    branches = [omega @ ts.state for _, omega in ks.jumps]
     probs = [float(np.vdot(phi, phi).real) for phi in branches]
     total = sum(probs)
     if 1.0 - total < -_kernels.PROBABILITY_SLACK:
@@ -306,7 +333,7 @@ def step(
             event = ks.channels[k]
             psi = branches[k]
             if corrections is not None:
-                psi = corrections[k] @ psi
+                psi = corrections[k].matrix @ psi
             break
     if event is None:
         psi = ks.no_jump @ ts.state
@@ -326,9 +353,14 @@ def _trajectory_uniforms(cfg: SimConfig, trajectory_index: int) -> np.ndarray:
 
 
 def _block_width(cfg: SimConfig, setup: SimulationSetup) -> int:
-    """Trajectories per block: the branch and uniform buffers stay bounded."""
-    m, dim = setup.kraus.operators.shape[:2]
-    column_bytes = max(16 * m * dim, 8 * cfg.steps)
+    """Trajectories per block: the amplitude pairs and uniforms stay bounded.
+
+    Per trajectory and step the engine gathers ``dim`` amplitudes and their
+    squared moduli for each qubit that carries a channel; it holds one
+    uniform per step.
+    """
+    charged = len({ch.qubit for ch in setup.kraus.channels})
+    column_bytes = max(24 * charged * setup.initial.shape[0], 8 * cfg.steps)
     return max(1, _BLOCK_BYTES // column_bytes)
 
 
@@ -341,12 +373,11 @@ def _run_block(
     uniforms = np.stack([_trajectory_uniforms(cfg, i) for i in indices], axis=1)
     result = _kernels.run_steps(
         setup.initial,
-        setup.kraus.operators,
-        setup.kraus.no_jump,
+        setup.kraus,
+        setup.corrections,
         uniforms,
         setup.sample_indices,
         rho_sum,
-        setup.corrections,
     )
     if result.status < 0:
         bad = -result.status - 1
@@ -388,8 +419,8 @@ def run_trajectory(
     ]
     record = FidelityRecord(
         times=setup.times,
-        mean_fidelity=result.fid_sum,
-        std_fidelity=np.zeros_like(result.fid_sum),
+        mean_fidelity=1.0 - result.infid_sum,
+        std_fidelity=np.zeros_like(result.infid_sum),
         jump_counts=result.jump_counts,
     )
     return record, log
@@ -410,8 +441,8 @@ def run_ensemble(cfg: SimConfig, collect_density: bool = True) -> EnsembleResult
         _require_density_budget(cfg, len(density_sample_indices(steps)))
     setup = prepare(cfg)
     dim = setup.initial.shape[0]
-    fid_sum = np.zeros(steps + 1)
-    fid_sq_sum = np.zeros(steps + 1)
+    infid_sum = np.zeros(steps + 1)
+    infid_m2 = np.zeros(steps + 1)
     jump_sum = np.zeros(steps + 1, dtype=np.int64)
     rho_sum = None
     if collect_density:
@@ -421,18 +452,18 @@ def run_ensemble(cfg: SimConfig, collect_density: bool = True) -> EnsembleResult
     n_traj = cfg.trajectories
     width = _block_width(cfg, setup)
     for start in range(0, n_traj, width):
-        block = _run_block(
-            cfg, setup, range(start, min(start + width, n_traj)), rho_sum
-        )
-        fid_sum += block.fid_sum
-        fid_sq_sum += block.fid_sq_sum
+        indices = range(start, min(start + width, n_traj))
+        block = _run_block(cfg, setup, indices, rho_sum)
+        if start:  # pool the blocks' squared deviations (Chan et al.)
+            gap = block.infid_sum / len(indices) - infid_sum / start
+            infid_m2 += gap * gap * (start * len(indices) / indices.stop)
+        infid_sum += block.infid_sum
+        infid_m2 += block.infid_m2
         jump_sum += block.jump_counts
-    mean = fid_sum / n_traj
-    variance = np.maximum(fid_sq_sum / n_traj - mean * mean, 0.0)
     record = FidelityRecord(
         times=setup.times,
-        mean_fidelity=np.clip(mean, 0.0, 1.0),
-        std_fidelity=np.sqrt(variance),
+        mean_fidelity=np.clip(1.0 - infid_sum / n_traj, 0.0, 1.0),
+        std_fidelity=np.sqrt(infid_m2 / n_traj),
         jump_counts=jump_sum,
     )
     if rho_sum is None:

@@ -50,6 +50,17 @@ def _disk_entry(rng):
     return radius * np.exp(1j * angle)
 
 
+def _random_channel(rng, qubit, index):
+    operator = np.array([[_disk_entry(rng) for _ in range(2)] for _ in range(2)])
+    return ErrorChannel(
+        qubit=qubit,
+        operator=operator,
+        gamma=float(rng.uniform()),
+        phi=float(rng.uniform(0.0, 2.0 * np.pi)),
+        label=f"q{qubit}c{index}",
+    )
+
+
 def random_channel_set(rng, n):
     """Random channels with entries in the unit disk, gamma in [0, 1].
 
@@ -58,22 +69,30 @@ def random_channel_set(rng, n):
     two-generator construction.
     """
     limit = 2 if n % 2 else 3
-    channels = []
-    for q in range(n):
-        for c in range(rng.integers(1, limit + 1)):
-            operator = np.array(
-                [[_disk_entry(rng) for _ in range(2)] for _ in range(2)]
-            )
-            channels.append(
-                ErrorChannel(
-                    qubit=q,
-                    operator=operator,
-                    gamma=float(rng.uniform()),
-                    phi=float(rng.uniform(0.0, 2.0 * np.pi)),
-                    label=f"q{q}c{c}",
-                )
-            )
-    return tuple(channels)
+    return tuple(
+        _random_channel(rng, q, c)
+        for q in range(n)
+        for c in range(rng.integers(1, limit + 1))
+    )
+
+
+def family_channel_set(rng, pair):
+    """Random ``(n, channels)`` at n <= 6 for one code family.
+
+    With ``pair`` the register is even and qubit 0 carries three channels,
+    so the code is the ``(X^n, Z^n)`` pair; otherwise every qubit carries
+    one or two channels and the code is a single generator.
+    """
+    if pair:
+        n = int(rng.choice([2, 4, 6]))
+        counts = [3, *rng.integers(1, 4, size=n - 1)]
+    else:
+        n = int(rng.integers(1, 7))
+        counts = rng.integers(1, 3, size=n)
+    channels = tuple(
+        _random_channel(rng, q, c) for q, count in enumerate(counts) for c in range(count)
+    )
+    return n, channels
 
 
 def random_suite(seed, count):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from jumpqec import SimConfig, cli
+from jumpqec import SimConfig, cli, trajectory
 from jumpqec.cli import (
     ConfigError,
     canonical_config,
@@ -439,7 +439,31 @@ class TestExecute:
         assert time.monotonic() - started < 1.0
         assert code == 2 and manifest is None
         assert not out.exists()
-        assert "dense operators would take 9.0 GiB" in capsys.readouterr().err
+        assert "dense operators would take 3.0 GiB" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "dt, duration, message",
+        [
+            (1e-300, 1e300, "is not a finite step count"),
+            (1e-12, 100.0, "100000000000000 time steps would take"),
+        ],
+    )
+    def test_overlong_run_exits_2_before_synthesis(
+        self, tmp_path, capsys, monkeypatch, dt, duration, message
+    ):
+        def reached_synthesis(*args):
+            raise AssertionError("synthesis reached")
+
+        monkeypatch.setattr(trajectory, "build_code", reached_synthesis)
+        config = write_config(tmp_path, minimal_doc(dt=dt, duration=duration))
+        out = tmp_path / "long.csv"
+        started = time.monotonic()
+        code, manifest = execute(["simulate", "--config", config, "--output", str(out)])
+        assert time.monotonic() - started < 1.0
+        assert code == 2 and manifest is None
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
     def test_unreadable_config(self, tmp_path, capsys):
         code, manifest = execute(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from jumpqec import (
@@ -30,6 +32,7 @@ from jumpqec.linalg import (
 
 from helpers import (
     SIGMA_MINUS,
+    family_channel_set,
     manual_code,
     random_suite,
     rank3_channels,
@@ -237,6 +240,39 @@ class TestClosedFormCorrection:
             first = correction_unitary(ch, code).matrix.tobytes()
             assert correction_unitary(ch, code).matrix.tobytes() == first
             assert plan.corrections[ch].matrix.tobytes() == first
+
+
+class TestCorrectionApply:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), pair=st.booleans())
+    def test_matches_the_dense_correction(self, seed, pair):
+        rng = np.random.default_rng(seed)
+        n, channels = family_channel_set(rng, pair)
+        code = build_code(channels, n)
+        assert len(code.generators) == (2 if pair else 1)
+        plan = build_control_plan(channels, code)
+        projector = code.codespace.T @ code.codespace.conj()
+        identity = np.eye(2**n)
+        v = rng.normal(size=(2**n, 3)) + 1j * rng.normal(size=(2**n, 3))
+        for ch in channels:
+            corr = plan.corrections[ch]
+            d = tensor_embed(corr.axis, ch.qubit, n)
+            bracket = (
+                identity
+                + (np.cos(corr.theta) - 1.0) * (projector + d @ projector @ d)
+                - np.sin(corr.theta) * (d @ projector - projector @ d)
+            )
+            dense = bracket @ tensor_embed(corr.u_dag, ch.qubit, n)
+            assert max_abs(corr.apply(v) - dense @ v) <= 1e-12
+            assert max_abs(corr.apply(v[:, 1]) - dense @ v[:, 1]) <= 1e-12
+            assert max_abs(corr.matrix - dense) <= 1e-12
+
+    def test_holds_no_dense_matrix(self):
+        channels = relaxation_channels(4)
+        code = build_code(channels, 4)
+        for corr in build_control_plan(channels, code).corrections.values():
+            assert corr.u_dag.shape == corr.axis.shape == (2, 2)
+            assert corr.codespace is code.codespace
 
 
 class TestControlPlan:

@@ -2,15 +2,23 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import jumpqec
 import jumpqec.trajectory as trajectory
-from jumpqec import ErrorChannel, SimConfig, StepSizeError, TrajectoryState
-from jumpqec import fidelity, prepare, run_ensemble, step
-from jumpqec._kernels import BlockResult, run_steps
+from jumpqec import ErrorChannel, KrausSet, SimConfig, StepSizeError, TrajectoryState
+from jumpqec import fidelity, kraus_set, prepare, run_ensemble, step, tensor_embed
+from jumpqec._kernels import BlockResult, jump_probabilities, run_steps
 from jumpqec.trajectory import _trajectory_uniforms
 
-from helpers import SIGMA_MINUS, relaxation_channels
+from helpers import (
+    SIGMA_MINUS,
+    family_channel_set,
+    rank3_channels,
+    relaxation_channels,
+)
 
 #: Single generator -Z on one qubit: the codespace is span{|1>}.
 EXCITED_OVERRIDE = (np.array([[0.0, 0.0, -1.0]]),)
@@ -42,8 +50,7 @@ def _run_block(setup, uniforms, sample_idx):
     dim = setup.initial.shape[0]
     rho_sum = np.zeros((sample_idx.shape[0], dim, dim), dtype=complex)
     result = run_steps(
-        setup.initial, setup.kraus.operators, setup.kraus.no_jump,
-        uniforms, sample_idx, rho_sum, setup.corrections,
+        setup.initial, setup.kraus, setup.corrections, uniforms, sample_idx, rho_sum
     )
     return result, rho_sum
 
@@ -66,28 +73,29 @@ def _reference(setup, uniforms):
 def _block_matches_reference(cfg, width):
     """Run ``width`` trajectories as one block and check them against ``step()``.
 
-    Jump events must agree exactly, fidelity and density sums within 1e-12.
+    Jump events must agree exactly; infidelity sums, their squared
+    deviations and density sums within 1e-12.
     """
     setup = prepare(cfg)
     uniforms = _uniform_block(cfg, range(width))
     sample_idx = np.array([0, 1, 17, 100, cfg.steps], dtype=np.int64)
     result, rho_sum = _run_block(setup, uniforms, sample_idx)
     assert result.status >= 0
-    fid_sum = np.zeros(cfg.steps + 1)
-    fid_sq_sum = np.zeros(cfg.steps + 1)
+    infids = []
     rho_ref = np.zeros_like(rho_sum)
     total = 0
     for b in range(width):
         events, fids, states = _reference(setup, uniforms[:, b])
         assert _column_log(result, b) == events
         total += len(events)
-        fid_sum += fids
-        fid_sq_sum += fids * fids
+        infids.append(1.0 - fids)
         snaps = states[sample_idx]
         rho_ref += np.einsum("sd,se->sde", snaps, snaps.conj())
+    infids = np.array(infids)
+    deviations = infids - infids.mean(axis=0)
     assert total > 0 and result.status == total == result.jump_counts[-1]
-    assert_allclose(result.fid_sum, fid_sum, atol=1e-12)
-    assert_allclose(result.fid_sq_sum, fid_sq_sum, atol=1e-12)
+    assert_allclose(result.infid_sum, infids.sum(axis=0), atol=1e-12)
+    assert_allclose(result.infid_m2, (deviations**2).sum(axis=0), atol=1e-12)
     assert_allclose(rho_sum, rho_ref, atol=1e-12)
     return result
 
@@ -112,12 +120,29 @@ class TestKernelMatchesReference:
         ref_events, ref_fid, ref_states = _reference(setup, uniforms)
         assert _column_log(result, 0) == ref_events
         assert result.status == len(ref_events) == result.jump_counts[-1]
-        assert_allclose(result.fid_sum, ref_fid, atol=1e-12)
+        assert_allclose(1.0 - result.infid_sum, ref_fid, atol=1e-12)
+        assert np.all(result.infid_m2 == 0.0)
         ref_rho = np.einsum("sd,se->sde", ref_states, ref_states.conj())
         assert_allclose(rho_sum, ref_rho, atol=1e-12)
 
     def test_block_of_six_matches_reference(self):
         _block_matches_reference(_bare_config(), 6)
+
+    def test_protected_six_qubits_match_reference(self):
+        cfg = SimConfig(
+            n=6, channels=relaxation_channels(6, gamma=0.5), dt=0.01,
+            duration=2.0, seed=5,
+        )
+        assert cfg.steps == 200
+        _block_matches_reference(cfg, 4)
+
+    def test_unprotected_rank3_matches_reference(self):
+        cfg = SimConfig(
+            n=4, channels=rank3_channels(4), dt=0.01, duration=2.0, seed=6,
+            feedback_enabled=False, driving_enabled=False,
+        )
+        assert cfg.steps == 200
+        _block_matches_reference(cfg, 4)
 
     def test_feedback_block_matches_reference(self):
         cfg = SimConfig(
@@ -148,8 +173,7 @@ class TestKernelMatchesReference:
         runs = []
         for width in (8, 4, 1):
             log = []
-            sums = [np.zeros(cfg.steps + 1), np.zeros(cfg.steps + 1),
-                    np.zeros(cfg.steps + 1, dtype=np.int64)]
+            sums = [np.zeros(cfg.steps + 1), np.zeros(cfg.steps + 1, dtype=np.int64)]
             rho_total = 0.0
             for start in range(0, 8, width):
                 result, rho_sum = _run_block(
@@ -161,18 +185,16 @@ class TestKernelMatchesReference:
                     for b in range(width)
                     for event in _column_log(result, b)
                 ]
-                sums[0] += result.fid_sum
-                sums[1] += result.fid_sq_sum
-                sums[2] += result.jump_counts
+                sums[0] += result.infid_sum
+                sums[1] += result.jump_counts
                 rho_total = rho_total + rho_sum
             runs.append((sorted(log), sums, rho_total))
         (log_a, sums_a, rho_a), *others = runs
         assert log_a
         for log_b, sums_b, rho_b in others:
             assert log_b == log_a
-            assert np.array_equal(sums_b[2], sums_a[2])
+            assert np.array_equal(sums_b[1], sums_a[1])
             assert_allclose(sums_b[0], sums_a[0], atol=1e-12)
-            assert_allclose(sums_b[1], sums_a[1], atol=1e-12)
             assert_allclose(rho_b, rho_a, atol=1e-12)
 
     def test_no_channels(self):
@@ -183,24 +205,27 @@ class TestKernelMatchesReference:
         rho_sum = np.zeros((2, dim, dim), dtype=complex)
         result = run_steps(
             psi0,
-            np.zeros((0, dim, dim), dtype=complex),
-            np.eye(dim, dtype=complex),
+            kraus_set([], None, 2, 0.01),
+            None,
             np.random.default_rng(1).random((50, 3)),
             sample_idx,
             rho_sum,
         )
         assert result.status == 0
-        assert np.all(result.fid_sum == 3.0)
+        assert np.all(result.infid_sum == 0.0)
         assert np.all(result.jump_counts == 0)
         assert result.jump_steps.size == 0
         assert_allclose(rho_sum[1], 3.0 * np.outer(psi0, psi0.conj()), atol=1e-15)
 
     def test_overflow_status_flags_first_step(self):
         psi0 = np.array([0.0, 1.0], dtype=complex)
-        ops = np.array([[[0.0, 2.0], [0.0, 0.0]]], dtype=complex)
+        kraus = KrausSet(
+            dt=1.0, no_jump=np.eye(2, dtype=complex),
+            factors=np.array([2.0 * SIGMA_MINUS]),
+            channels=(ErrorChannel(qubit=0, operator=2.0 * SIGMA_MINUS),), n=1,
+        )
         result = run_steps(
-            psi0, ops, np.eye(2, dtype=complex),
-            np.full((10, 2), 0.5), np.array([0], dtype=np.int64),
+            psi0, kraus, None, np.full((10, 2), 0.5), np.array([0], dtype=np.int64)
         )
         assert result.status == -1
         assert result.failed_column == 0
@@ -224,13 +249,56 @@ class TestKernelMatchesReference:
         assert_allclose(traces, 3.0, atol=1e-12)
 
 
+class TestLocalProbabilities:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), pair=st.booleans())
+    def test_equal_the_dense_branch_norms(self, seed, pair):
+        rng = np.random.default_rng(seed)
+        n, channels = family_channel_set(rng, pair)
+        ks = kraus_set(channels, None, n, 0.01)
+        psi = rng.normal(size=(2**n, 5)) + 1j * rng.normal(size=(2**n, 5))
+        psi /= np.linalg.norm(psi, axis=0)
+        local = jump_probabilities(ks.factors, [ch.qubit for ch in channels], n)(psi)
+        dense = np.array([
+            np.linalg.norm(op @ psi, axis=0) ** 2 for _, op in ks.jumps
+        ])
+        assert local.shape == dense.shape == (len(channels), 5)
+        assert np.max(np.abs(local - dense)) <= 1e-15
+
+    def test_dense_jumps_embed_the_factors(self):
+        channels = rank3_channels(2)
+        ks = kraus_set(channels, None, 2, 0.04)
+        for (ch, op), factor in zip(ks.jumps, ks.factors):
+            assert_allclose(factor, 0.2 * ch.operator, rtol=0, atol=1e-16)
+            assert np.array_equal(op, tensor_embed(factor, ch.qubit, 2))
+
+
 class TestKernelContract:
     def test_benchmark_reads_uniforms_and_status_in_place(self):
-        # The benchmark's kernel hook reads ``uniforms`` as the 4th
-        # positional argument and the jump total as the first result field.
-        params = list(inspect.signature(run_steps).parameters)
-        assert params[:4] == ["psi0", "ops", "no_jump", "uniforms"]
+        # The benchmark's kernel hook wraps ``jumpqec._kernels.run_steps``,
+        # reads ``uniforms`` as the positional argument at index 3 and the
+        # jump total as the first result field.
+        assert jumpqec._kernels.run_steps is run_steps
+        params = list(inspect.signature(run_steps).parameters.values())
+        assert params[3].name == "uniforms"
+        assert params[3].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
         assert BlockResult._fields[0] == "status"
+
+    def test_protected_prepare_calls_the_hooked_names(self, monkeypatch):
+        # The benchmark times ``controls.plan`` and ``channels.kraus_set``
+        # by wrapping these names in ``jumpqec.trajectory``.
+        calls = []
+        for name in ("build_control_plan", "kraus_set"):
+            original = getattr(trajectory, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(trajectory, name, spy)
+        cfg = SimConfig(n=2, channels=relaxation_channels(2), dt=0.01, duration=0.1)
+        assert prepare(cfg).corrections is not None
+        assert calls == ["build_control_plan", "kraus_set"]
 
 
 class TestBlockAbort:

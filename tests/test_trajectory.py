@@ -1,4 +1,6 @@
+import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -80,6 +82,11 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="finite"):
             SimConfig(n=1, channels=(), dt=dt, duration=duration)
 
+    def test_rejects_step_count_that_overflows(self):
+        # 1e300 / 1e-300 overflows to inf: no step count exists.
+        with pytest.raises(ValueError, match="not a finite step count"):
+            SimConfig(n=1, channels=(), dt=1e-300, duration=1e300)
+
     def test_rejects_subgrid_duration(self):
         with pytest.raises(ValueError):
             SimConfig(n=1, channels=(), dt=0.1, duration=0.05)
@@ -118,8 +125,8 @@ class TestOperatorBudget:
         "n, channels",
         [(n, relaxation_channels(n)) for n in range(4, 9)]
         # Rank-3 from n=6 on: at n=4 its twelve channels' small arrays weigh
-        # as much as the dense ones, and the peak (37.1 matrices) passes the
-        # estimate (36).
+        # as much as the dense ones, and the peak (13.1 matrices) passes the
+        # estimate (12).
         + [(n, rank3_channels(n)) for n in (6, 8)],
     )
     def test_estimate_covers_prepare_peak(self, monkeypatch, n, channels):
@@ -130,29 +137,46 @@ class TestOperatorBudget:
         with pytest.raises(ValueError, match="dense operators"):
             simulation_code(cfg)
 
-    @pytest.mark.parametrize(
-        "n, channels",
-        [(n, relaxation_channels(n)) for n in range(6, 9)]
-        + [(n, rank3_channels(n)) for n in (6, 8)],
-    )
-    def test_prepare_holds_two_copies_per_channel(self, n, channels):
-        # The Kraus jumps and the corrections.
-        cfg = SimConfig(n=n, channels=channels, dt=1e-3, duration=1e-3)
-        matrices = _prepare_peak(cfg) / (16 * 4**n)
-        assert matrices <= 2 * len(channels) + 7
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_prepare_peak_does_not_grow_with_channels(self, n):
+        # Jumps and corrections are one-qubit data: three times the channels
+        # (rank-3 against relaxation) add less than one dense matrix.
+        few = SimConfig(n=n, channels=relaxation_channels(n), dt=1e-3, duration=1e-3)
+        many = replace(few, channels=rank3_channels(n))
+        assert len(many.channels) == 3 * len(few.channels)
+        assert _prepare_peak(many) - _prepare_peak(few) < 16 * 4**n
 
     def test_refused_before_synthesis_at_twelve_qubits(self, monkeypatch):
-        def reached_synthesis(*args):
-            raise AssertionError("synthesis reached")
-
-        monkeypatch.setattr(trajectory, "build_code", reached_synthesis)
+        monkeypatch.setattr(trajectory, "build_code", _reached_synthesis)
         big = SimConfig(n=12, channels=relaxation_channels(12), dt=1e-3, duration=1e-3)
-        with pytest.raises(ValueError, match=r"9\.0 GiB.*fewer qubits"):
+        with pytest.raises(ValueError, match=r"3\.0 GiB.*fewer qubits"):
             simulation_code(big)
-        # n=10 with 10 channels (0.5 GiB) passes the check and reaches synthesis.
+        # n=10 with 10 channels (0.2 GiB) passes the check and reaches synthesis.
         cfg = SimConfig(n=10, channels=relaxation_channels(10), dt=1e-3, duration=1e-3)
         with pytest.raises(AssertionError, match="synthesis reached"):
             simulation_code(cfg)
+
+
+def _reached_synthesis(*args):
+    raise AssertionError("synthesis reached")
+
+
+class TestRunLength:
+    def test_long_run_refused_before_synthesis(self, monkeypatch):
+        monkeypatch.setattr(trajectory, "build_code", _reached_synthesis)
+        # 1e14 steps: their arrays would take about 28 PiB.
+        cfg = SimConfig(n=2, channels=relaxation_channels(2), dt=1e-12, duration=100.0)
+        started = time.monotonic()
+        with pytest.raises(ValueError, match=r"100000000000000 time steps.*larger dt"):
+            run_ensemble(cfg, collect_density=False)
+        assert time.monotonic() - started < 1.0
+
+    def test_five_million_steps_reach_synthesis(self, monkeypatch):
+        # 5e6 steps count 1.5 GiB, within the budget.
+        monkeypatch.setattr(trajectory, "build_code", _reached_synthesis)
+        cfg = SimConfig(n=2, channels=relaxation_channels(2), dt=2e-7, duration=1.0)
+        with pytest.raises(AssertionError, match="synthesis reached"):
+            prepare(cfg)
 
 
 class TestStep:
@@ -304,6 +328,26 @@ class TestRunEnsemble:
         assert np.array_equal(res.record.mean_fidelity, rec.mean_fidelity)
         assert np.array_equal(res.record.jump_counts, rec.jump_counts)
         assert np.all(res.record.std_fidelity == 0.0)
+
+    @pytest.mark.parametrize("protected", [True, False])
+    def test_std_matches_two_pass_spread(self, monkeypatch, protected):
+        # Blocks of three pool their spreads; protected infidelities sit at
+        # the rounding floor, where E[F^2] - E[F]^2 read 2e-8.
+        monkeypatch.setattr(trajectory, "_BLOCK_BYTES", 12_000)
+        cfg = SimConfig(
+            n=2, channels=relaxation_channels(2, gamma=0.5), dt=1e-3,
+            duration=0.5, seed=3, trajectories=10,
+            feedback_enabled=protected, driving_enabled=protected,
+        )
+        setup = prepare(cfg)
+        assert trajectory._block_width(cfg, setup) == 3
+        fids = np.array([
+            run_trajectory(cfg, i, setup)[0].mean_fidelity for i in range(10)
+        ])
+        record = run_ensemble(cfg, collect_density=False).record
+        assert_allclose(record.std_fidelity, fids.std(axis=0), rtol=0, atol=1e-12)
+        assert_allclose(record.mean_fidelity, fids.mean(axis=0), rtol=0, atol=1e-12)
+        assert (fids.std(axis=0).max() > 1e-3) is not protected
 
     def test_repeat_runs_bit_identical(self):
         cfg = SimConfig(
