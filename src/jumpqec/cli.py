@@ -19,8 +19,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
+import os
 import sys
 import time as _time
 from dataclasses import dataclass
@@ -39,7 +41,7 @@ from .control import (
     CorrectabilityError, build_control_plan, driving_hamiltonian,
     nojump_invariance_check,
 )
-from .linalg import ORTHO_ATOL, max_abs, on_qubit
+from .linalg import IDENTITY, ORTHO_ATOL, PAULIS, bloch_matrix, max_abs
 from .trajectory import (
     SimConfig,
     StepSizeError,
@@ -299,39 +301,32 @@ def config_digest(cfg: SimConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+#: Row P: the 2x2 map M -> tr(P M) / 2 on M flattened in (row, column) order.
+_PAULI_ROWS = np.array([p.T.reshape(4) for p in (IDENTITY, *PAULIS)]) / 2
+
+
 def pauli_coefficients(
     matrix: np.ndarray, tol: float = PAULI_PRUNE_TOL
 ) -> list[tuple[str, complex]]:
     """Nonzero coefficients of a matrix in the tensor-Pauli basis.
 
     Labels are strings over ``IXYZ`` with the leftmost letter acting on
-    qubit 0.  Recursion over the leading qubit with quadrant averages;
-    branches whose block is entirely below ``tol`` are pruned.
+    qubit 0, listed in lexicographic order; coefficients of modulus at
+    most ``tol`` are dropped.  Each qubit's (row, column) bit pair is one
+    axis of length 4, mapped to ``(I, X, Y, Z)`` by one 4x4 product, from
+    qubit 0 on.
     """
-    out: list[tuple[str, complex]] = []
-
-    def descend(block: np.ndarray, label: str):
-        if block.shape[0] == 1:
-            value = complex(block[0, 0])
-            if abs(value) > tol:
-                out.append((label, value))
-            return
-        half = block.shape[0] // 2
-        a = block[:half, :half]
-        b = block[:half, half:]
-        c = block[half:, :half]
-        d = block[half:, half:]
-        for sub, letter in (
-            ((a + d) / 2.0, "I"),
-            ((b + c) / 2.0, "X"),
-            (1j * (b - c) / 2.0, "Y"),
-            ((a - d) / 2.0, "Z"),
-        ):
-            if max_abs(sub) > tol:
-                descend(sub, label + letter)
-
-    descend(np.asarray(matrix, dtype=np.complex128), "")
-    return out
+    matrix = np.asarray(matrix, dtype=np.complex128)
+    n = matrix.shape[0].bit_length() - 1
+    pairs = np.arange(2 * n).reshape(2, n).T.ravel()  # r_0, c_0, r_1, c_1, ...
+    coeffs = matrix.reshape((2,) * 2 * n).transpose(pairs)
+    for _ in range(n):  # the leading qubit axis goes, its Pauli axis comes last
+        coeffs = coeffs.reshape(4, -1).T @ _PAULI_ROWS.T
+    letters = str.maketrans("0123", "IXYZ")
+    return [
+        (np.base_repr(i, 4).rjust(n, "0").translate(letters), complex(coeffs.flat[i]))
+        for i in np.flatnonzero(np.abs(coeffs) > tol)
+    ]
 
 
 def _format_coeff(value: complex) -> str:
@@ -341,26 +336,27 @@ def _format_coeff(value: complex) -> str:
 
 
 def _anticommutation_residual(code, channels) -> float:
-    """Max norm of {generator, backaction term} over channels and their terms."""
-    s_mats = code.generator_matrices()
+    """Max norm of {generator, backaction term} over channels and their terms.
+
+    ``{T_q, S} = {T, s_q} (x) (x)_{j != q} s_j``: the 2x2 max norm times the rest's.
+    """
     worst = 0.0
     for ch in channels:
         for term, index in anticommuting_terms(ch, code):
-            anti = on_qubit(term, ch.qubit, s_mats[index], right=True)
-            anti += on_qubit(term, ch.qubit, s_mats[index])
-            worst = max(worst, max_abs(anti))
+            factors = [bloch_matrix(axis) for axis in code.generators[index]]
+            local = factors.pop(ch.qubit)
+            anti = max_abs(term @ local + local @ term)
+            worst = max(worst, anti * math.prod(max_abs(f) for f in factors))
     return worst
 
 
-def _write_text(path: str, content: str, force: bool) -> str:
-    import os
-
+def _write_text(path: str, chunks, force: bool) -> str:
     if os.path.exists(path) and not force:
         raise ConfigError(
             f"output file {path!r} exists; pass --force to overwrite"
         )
     with open(path, "w") as handle:
-        handle.write(content)
+        handle.writelines(chunks)
     return path
 
 
@@ -394,7 +390,7 @@ def _cmd_synthesize(cfg: SimConfig, output: str, force: bool) -> tuple[int, list
         "config_digest": config_digest(cfg),
         "artifact_version": __version__,
     }
-    path = _write_text(output, json.dumps(report, indent=2, sort_keys=True) + "\n", force)
+    path = _write_text(output, [json.dumps(report, indent=2, sort_keys=True) + "\n"], force)
     return 0, [path]
 
 
@@ -457,19 +453,21 @@ def _cmd_verify(cfg: SimConfig, output: str, force: bool) -> tuple[int, list[str
         "config_digest": config_digest(cfg),
         "artifact_version": __version__,
     }
-    path = _write_text(output, json.dumps(report, indent=2, sort_keys=True) + "\n", force)
+    path = _write_text(output, [json.dumps(report, indent=2, sort_keys=True) + "\n"], force)
     return (0 if passed else 1), [path]
 
 
 def _cmd_simulate(cfg: SimConfig, output: str, force: bool) -> tuple[int, list[str]]:
     result = run_ensemble(cfg, collect_density=False)
     record = result.record
-    lines = ["time,mean_fidelity,std_fidelity,cumulative_jumps"]
-    for t, mean, std, jumps in zip(
-        record.times, record.mean_fidelity, record.std_fidelity, record.jump_counts
-    ):
-        lines.append(f"{t:.17g},{mean:.17g},{std:.17g},{int(jumps)}")
-    path = _write_text(output, "\n".join(lines) + "\n", force)
+    rows = (
+        f"{t:.17g},{mean:.17g},{std:.17g},{int(jumps)}\n"
+        for t, mean, std, jumps in zip(
+            record.times, record.mean_fidelity, record.std_fidelity, record.jump_counts
+        )
+    )
+    header = "time,mean_fidelity,std_fidelity,cumulative_jumps\n"
+    path = _write_text(output, itertools.chain([header], rows), force)
     print(
         f"{cfg.trajectories} trajectories, {cfg.steps} steps: "
         f"final mean fidelity {record.mean_fidelity[-1]:.6f}, "
@@ -495,9 +493,8 @@ def _cmd_oracle_compare(cfg: SimConfig, output: str, force: bool) -> tuple[int, 
         trace_distance(result.mean_density[i : i + 16], oracle[i : i + 16])
         for i in range(0, times.shape[0], 16)
     ])
-    lines = ["time,trace_distance"]
-    lines += [f"{t:.17g},{dist:.17g}" for t, dist in zip(times, distances)]
-    path = _write_text(output, "\n".join(lines) + "\n", force)
+    rows = (f"{t:.17g},{dist:.17g}\n" for t, dist in zip(times, distances))
+    path = _write_text(output, itertools.chain(["time,trace_distance\n"], rows), force)
     print(
         f"max trace distance {distances.max():.6f} over {len(distances)} sampled times"
     )

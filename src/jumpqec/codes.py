@@ -86,9 +86,6 @@ class StabilizerCode:
     codespace: np.ndarray
     logical_count: int
 
-    def generator_matrices(self) -> list[np.ndarray]:
-        return [generator_matrix(g) for g in self.generators]
-
 
 def generator_matrix(generator: np.ndarray) -> np.ndarray:
     """Tensor product ``(n_1 . sigma) x ... x (n_n . sigma)`` of a generator row set."""

@@ -70,10 +70,10 @@ DENSITY_BUDGET_BYTES = 2 * 2**30
 _BLOCK_BYTES = 8 * 2**20
 
 #: Bytes a run holds per time step: the grid times, the engine's and the
-#: ensemble's infidelity and jump sums and record columns, a block's
-#: uniforms, and a CSV line of up to about 70 characters, held as a string
-#: and again in the joined text.  Peak RSS grew by 208 and 258 B per step
-#: from 10k to 200k steps with 25- and 41-character lines.
+#: ensemble's infidelity and jump sums and record columns, and a block's
+#: uniforms.  CSV lines are written as formatted, no longer held twice: peak
+#: RSS grew by 82 B per step (208 B when held) from 10k to 200k steps of the
+#: README config with one trajectory.  320 is kept as it is.
 _STEP_BYTES = 320
 
 

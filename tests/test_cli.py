@@ -1,11 +1,23 @@
+import itertools
 import json
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from jumpqec import SimConfig, cli, trajectory
+from jumpqec import (
+    SimConfig,
+    build_code,
+    cli,
+    codes,
+    driving_hamiltonian,
+    generator_matrix,
+    trajectory,
+)
+from jumpqec.codes import anticommuting_terms
 from jumpqec.cli import (
     ConfigError,
     canonical_config,
@@ -14,9 +26,18 @@ from jumpqec.cli import (
     parse_config,
     pauli_coefficients,
 )
-from jumpqec.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z
+from jumpqec.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, max_abs, tensor_embed
 
-from helpers import rank3_channels, relaxation_channels
+from helpers import family_channel_set, manual_code, rank3_channels, relaxation_channels
+
+PAULI_BASIS = {"I": np.eye(2), "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
+
+
+def pauli_product(label):
+    product = np.array([[1.0]], dtype=complex)
+    for letter in label:
+        product = np.kron(product, PAULI_BASIS[letter])
+    return product
 
 SIGMA_MINUS_JSON = [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]
 
@@ -176,6 +197,71 @@ class TestPauliCoefficients:
                 product = np.kron(product, basis[letter])
             rebuilt += value * product
         assert np.max(np.abs(rebuilt - matrix)) <= 1e-10
+
+    def test_lexicographic_order_and_pruning(self):
+        # IZX precedes XII although its later letters are larger; YYY sits
+        # exactly at tol and is dropped.
+        parts = {"ZYI": 0.25j, "XII": -0.75, "YYY": 0.125, "IZX": 0.5, "IIZ": 0.25}
+        matrix = sum(value * pauli_product(label) for label, value in parts.items())
+        assert pauli_coefficients(matrix, tol=0.125) == [
+            ("IIZ", 0.25), ("IZX", 0.5), ("XII", -0.75), ("ZYI", 0.25j)
+        ]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_coefficient_is_the_trace(self, n):
+        rng = np.random.default_rng(40 + n)
+        raw = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
+        matrix = raw + raw.conj().T
+        terms = pauli_coefficients(matrix, tol=0.0)
+        labels = ["".join(p) for p in itertools.product("IXYZ", repeat=n)]
+        assert [label for label, _ in terms] == labels
+        for label, value in terms:
+            expected = np.trace(pauli_product(label) @ matrix) / 2**n
+            assert abs(value - expected) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "n, channels",
+        [(8, relaxation_channels(8, gamma=0.5)), (4, rank3_channels(4))],
+        ids=["relaxation-8", "rank3-4"],
+    )
+    def test_listing_rebuilds_the_driving_hamiltonian(self, n, channels):
+        ham = driving_hamiltonian(channels, build_code(channels, n))
+        terms = pauli_coefficients(ham)
+        assert terms
+        rebuilt = sum(value * pauli_product(label) for label, value in terms)
+        assert max_abs(rebuilt - ham) <= 1e-12
+
+
+def dense_anticommutation(code, channels):
+    """``max |{T_q, S_g}|`` from the dense generator and embedded term."""
+    worst = 0.0
+    for ch in channels:
+        for term, index in anticommuting_terms(ch, code):
+            s = generator_matrix(code.generators[index])
+            t = tensor_embed(term, ch.qubit, code.n)
+            worst = max(worst, max_abs(t @ s + s @ t))
+    return worst
+
+
+class TestAnticommutationResidual:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), pair=st.booleans())
+    def test_matches_the_dense_anticommutator(self, seed, pair):
+        n, channels = family_channel_set(np.random.default_rng(seed), pair)
+        code = build_code(channels, n)
+        assert len(code.generators) == (2 if pair else 1)
+        residual = cli._anticommutation_residual(code, channels)
+        assert abs(residual - dense_anticommutation(code, channels)) <= 1e-15
+
+    def test_tilted_override_matches_the_dense_residual(self):
+        # Relaxation's backaction is along z; axes off the xy plane do not
+        # anticommute with it.
+        channels = relaxation_channels(3)
+        code = manual_code([np.tile([0.6, 0.0, 0.8], (3, 1))], 3)
+        residual = cli._anticommutation_residual(code, channels)
+        dense = dense_anticommutation(code, channels)
+        assert residual > 0.1
+        assert abs(residual - dense) <= 1e-12 * dense
 
 
 def rank3_doc(n):
@@ -505,3 +591,30 @@ class TestExecute:
         )
         assert code == 1
         assert "CorrectabilityError" in capsys.readouterr().err
+
+
+class TestNoDenseGenerators:
+    @pytest.mark.parametrize(
+        "n, channels",
+        [(4, rank3_channels(4)), (3, relaxation_channels(3))],
+        ids=["generator-pair", "one-generator"],
+    )
+    def test_synthesis_and_checks_never_build_a_generator_matrix(
+        self, tmp_path, capsys, monkeypatch, n, channels
+    ):
+        def generator_matrix(*args):
+            raise AssertionError("dense generator matrix built")
+
+        monkeypatch.setattr(codes, "generator_matrix", generator_matrix)
+        cfg = SimConfig(n=n, channels=channels, dt=1e-3, duration=1e-3)
+        config = write_config(tmp_path, canonical_config(cfg))
+        out = str(tmp_path / "out.json")
+        # Without driving the no-jump operator is not invariant: verify exits 1.
+        for argv, expected in (
+            (["synthesize"], 0), (["verify"], 0), (["verify", "--no-driving"], 1)
+        ):
+            code, _ = execute([*argv, "--config", config, "--output", out, "--force"])
+            assert code == expected, argv
+        assert "nojump_invariance: FAIL" in capsys.readouterr().out
+        setup = trajectory.prepare(cfg)
+        assert setup.corrections is not None

@@ -246,7 +246,7 @@ class TestAnticommutingTerms:
         from jumpqec.linalg import tensor_embed
 
         code = build_code(channels, n)
-        gens = code.generator_matrices()
+        gens = [generator_matrix(g) for g in code.generators]
         for ch in channels:
             terms = anticommuting_terms(ch, code)
             assert all(term.shape == (2, 2) for term, _ in terms)

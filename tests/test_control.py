@@ -12,6 +12,7 @@ from jumpqec import (
     correction_unitary,
     driving_hamiltonian,
     effective_jump_operator,
+    generator_matrix,
     jump_backaction,
     kraus_set,
     nojump_invariance_check,
@@ -117,7 +118,7 @@ class TestDrivingHamiltonian:
         for n, channels in random_suite(seed=31, count=24):
             code = build_code(channels, n)
             branches.add(len(code.generators))
-            gens = code.generator_matrices()
+            gens = [generator_matrix(g) for g in code.generators]
             dense = np.zeros((2**n, 2**n), dtype=complex)
             for ch in channels:
                 for term, index in anticommuting_terms(ch, code):
