@@ -25,6 +25,7 @@ import math
 import os
 import sys
 import time as _time
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,7 @@ from .codes import (
     verify_correctability,
 )
 from .control import (
-    CorrectabilityError, build_control_plan, driving_hamiltonian,
-    nojump_invariance_check,
+    CorrectabilityError, _driving, build_control_plan, nojump_invariance_check,
 )
 from .linalg import IDENTITY, ORTHO_ATOL, PAULIS, bloch_matrix, max_abs
 from .trajectory import (
@@ -350,17 +350,7 @@ def _anticommutation_residual(code, channels) -> float:
     return worst
 
 
-def _write_text(path: str, chunks, force: bool) -> str:
-    if os.path.exists(path) and not force:
-        raise ConfigError(
-            f"output file {path!r} exists; pass --force to overwrite"
-        )
-    with open(path, "w") as handle:
-        handle.writelines(chunks)
-    return path
-
-
-def _cmd_synthesize(cfg: SimConfig, output: str, force: bool) -> tuple[int, list[str]]:
+def _cmd_synthesize(cfg: SimConfig) -> tuple[int, Iterable[str]]:
     code = simulation_code(cfg)
     plan = build_control_plan(cfg.channels, code)
     print(f"qubits: {cfg.n}")
@@ -390,11 +380,10 @@ def _cmd_synthesize(cfg: SimConfig, output: str, force: bool) -> tuple[int, list
         "config_digest": config_digest(cfg),
         "artifact_version": __version__,
     }
-    path = _write_text(output, [json.dumps(report, indent=2, sort_keys=True) + "\n"], force)
-    return 0, [path]
+    return 0, [json.dumps(report, indent=2, sort_keys=True) + "\n"]
 
 
-def _cmd_verify(cfg: SimConfig, output: str, force: bool) -> tuple[int, list[str]]:
+def _cmd_verify(cfg: SimConfig) -> tuple[int, Iterable[str]]:
     code = simulation_code(cfg)
     correct = verify_correctability(code, cfg.channels)
     checks = {
@@ -416,9 +405,8 @@ def _cmd_verify(cfg: SimConfig, output: str, force: bool) -> tuple[int, list[str
     }
     nojump = None
     if correct.passed:
-        hamiltonian = None
-        if cfg.driving_enabled:
-            hamiltonian = driving_hamiltonian(cfg.channels, code)
+        # The report above has passed: build the Hamiltonian without rechecking.
+        hamiltonian = _driving(cfg.channels, code) if cfg.driving_enabled else None
         ks = kraus_set(cfg.channels, hamiltonian, cfg.n, cfg.dt)
         nojump = nojump_invariance_check(ks, code)
         checks["nojump_invariance"] = {
@@ -453,11 +441,10 @@ def _cmd_verify(cfg: SimConfig, output: str, force: bool) -> tuple[int, list[str
         "config_digest": config_digest(cfg),
         "artifact_version": __version__,
     }
-    path = _write_text(output, [json.dumps(report, indent=2, sort_keys=True) + "\n"], force)
-    return (0 if passed else 1), [path]
+    return (0 if passed else 1), [json.dumps(report, indent=2, sort_keys=True) + "\n"]
 
 
-def _cmd_simulate(cfg: SimConfig, output: str, force: bool) -> tuple[int, list[str]]:
+def _cmd_simulate(cfg: SimConfig) -> tuple[int, Iterable[str]]:
     result = run_ensemble(cfg, collect_density=False)
     record = result.record
     rows = (
@@ -467,16 +454,15 @@ def _cmd_simulate(cfg: SimConfig, output: str, force: bool) -> tuple[int, list[s
         )
     )
     header = "time,mean_fidelity,std_fidelity,cumulative_jumps\n"
-    path = _write_text(output, itertools.chain([header], rows), force)
     print(
         f"{cfg.trajectories} trajectories, {cfg.steps} steps: "
         f"final mean fidelity {record.mean_fidelity[-1]:.6f}, "
         f"{int(record.jump_counts[-1])} jumps total"
     )
-    return 0, [path]
+    return 0, itertools.chain([header], rows)
 
 
-def _cmd_oracle_compare(cfg: SimConfig, output: str, force: bool) -> tuple[int, list[str]]:
+def _cmd_oracle_compare(cfg: SimConfig) -> tuple[int, Iterable[str]]:
     if cfg.feedback_enabled:
         raise ConfigError(
             "oracle-compare needs feedback off (--no-feedback or "
@@ -494,11 +480,10 @@ def _cmd_oracle_compare(cfg: SimConfig, output: str, force: bool) -> tuple[int, 
         for i in range(0, times.shape[0], 16)
     ])
     rows = (f"{t:.17g},{dist:.17g}\n" for t, dist in zip(times, distances))
-    path = _write_text(output, itertools.chain(["time,trace_distance\n"], rows), force)
     print(
         f"max trace distance {distances.max():.6f} over {len(distances)} sampled times"
     )
-    return 0, [path]
+    return 0, itertools.chain(["time,trace_distance\n"], rows)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -541,7 +526,10 @@ _COMMANDS = {
 
 
 def execute(argv: list[str]) -> tuple[int, RunManifest | None]:
-    """Run one CLI invocation; returns (exit code, manifest or None)."""
+    """Run one CLI invocation; returns (exit code, manifest or None).
+
+    The output file is refused before the command runs and written after it.
+    """
     started = _time.monotonic()
     parser = _build_parser()
     try:
@@ -576,8 +564,15 @@ def execute(argv: list[str]) -> tuple[int, RunManifest | None]:
         return 2, None
 
     output = args.output or _DEFAULT_OUTPUT[args.command]
+    if os.path.exists(output) and not args.force:
+        print(f"error: output file {output!r} exists; pass --force to overwrite",
+              file=sys.stderr)
+        return 2, None
+    if not os.path.isdir(os.path.dirname(output) or "."):
+        print(f"error: output directory of {output!r} does not exist", file=sys.stderr)
+        return 2, None
     try:
-        exit_code, outputs = _COMMANDS[args.command](cfg, output, args.force)
+        exit_code, chunks = _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, None
@@ -587,11 +582,17 @@ def execute(argv: list[str]) -> tuple[int, RunManifest | None]:
     except (CodeSynthesisError, StepSizeError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2, None
+    try:
+        with open(output, "w") as handle:
+            handle.writelines(chunks)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2, None
 
     manifest = RunManifest(
         config_digest=config_digest(cfg),
         artifact_version=__version__,
-        outputs=tuple(outputs),
+        outputs=(output,),
         wall_time=_time.monotonic() - started,
     )
     return exit_code, manifest

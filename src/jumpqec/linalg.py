@@ -93,16 +93,12 @@ def tensor_embed(op: np.ndarray, qubit: int, n: int) -> np.ndarray:
     return np.kron(left, np.kron(op, right))
 
 
-def on_qubit(op, qubit: int, m: np.ndarray, *, right=False) -> np.ndarray:
-    """``tensor_embed(op, qubit, n) @ m``, or ``m @ tensor_embed(...)`` if ``right``.
+def on_qubit(op, qubit: int, m: np.ndarray) -> np.ndarray:
+    """``tensor_embed(op, qubit, n) @ m``, with ``n`` read off ``m``'s rows.
 
-    ``n`` is read off ``m``, a vector or matrix; the embedding is never formed.
+    ``m`` is a vector or matrix; the embedding is never formed.
     """
-    if right:  # (m E)[x, a, c, r] = sum_b m[x, a, b, r] op[b, c]
-        op, shape = np.transpose(op), (-1, 2, m.shape[-1] >> (qubit + 1))
-    else:
-        shape = (2**qubit, 2, -1)
-    return np.matmul(op, m.reshape(shape)).reshape(m.shape)
+    return np.matmul(op, m.reshape(2**qubit, 2, -1)).reshape(m.shape)
 
 
 def traceless_decompose(m: np.ndarray) -> tuple[np.ndarray, float]:

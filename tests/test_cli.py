@@ -13,6 +13,7 @@ from jumpqec import (
     build_code,
     cli,
     codes,
+    control,
     driving_hamiltonian,
     generator_matrix,
     trajectory,
@@ -322,6 +323,23 @@ class TestExecute:
         assert code == 0
         assert "nojump_invariance: PASS" in capsys.readouterr().out
 
+    def test_driven_verify_checks_correctability_once(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return codes.verify_correctability(*args)
+
+        monkeypatch.setattr(cli, "verify_correctability", counted)
+        monkeypatch.setattr(control, "verify_correctability", counted)
+        config = write_config(tmp_path, rank3_doc(4))
+        out = str(tmp_path / "verify.json")
+        assert execute(["verify", "--config", config, "--output", out])[0] == 0
+        assert "nojump_invariance: PASS" in capsys.readouterr().out
+        assert len(calls) == 1
+
     def test_verify_wrong_code_fails(self, tmp_path, capsys):
         doc = canonical_config(
             SimConfig(
@@ -591,6 +609,59 @@ class TestExecute:
         )
         assert code == 1
         assert "CorrectabilityError" in capsys.readouterr().err
+
+
+COMMANDS = ["synthesize", "verify", "simulate", "oracle-compare"]
+
+
+class TestOutputFile:
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def reached(*args, **kwargs):
+            raise AssertionError("work reached")
+
+        for name in ("simulation_code", "run_ensemble", "master_equation_oracle"):
+            monkeypatch.setattr(cli, name, reached)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_existing_output_is_refused_before_any_work(
+        self, tmp_path, capsys, no_work, command
+    ):
+        config = write_config(tmp_path, minimal_doc(feedback=False))
+        out = tmp_path / "taken.out"
+        out.write_bytes(b"keep\n")
+        code, manifest = execute([command, "--config", config, "--output", str(out)])
+        assert code == 2 and manifest is None
+        assert "--force" in capsys.readouterr().err
+        assert out.read_bytes() == b"keep\n"
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_missing_directory_is_refused_before_any_work(
+        self, tmp_path, capsys, no_work, command
+    ):
+        config = write_config(tmp_path, minimal_doc(feedback=False))
+        out = tmp_path / "missing" / "out"
+        code, manifest = execute([command, "--config", config, "--output", str(out)])
+        assert code == 2 and manifest is None
+        err = capsys.readouterr().err
+        assert "does not exist" in err and "Traceback" not in err
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_write_error_exits_2(self, tmp_path, capsys, command):
+        # The write follows the work, so this one runs a small config through.
+        doc = minimal_doc(duration=0.02, trajectories=2, feedback=False)
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "a_directory"
+        out.mkdir()
+        with pytest.raises(OSError) as raised:
+            open(out, "w")
+        code, manifest = execute(
+            [command, "--config", config, "--output", str(out), "--force"]
+        )
+        assert code == 2 and manifest is None
+        err = capsys.readouterr().err
+        assert str(raised.value) in err and "Traceback" not in err
 
 
 class TestNoDenseGenerators:

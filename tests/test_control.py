@@ -351,8 +351,9 @@ class TestJumpExactness:
                 if corr.null_channel:
                     continue
                 jump = tensor_embed(effective_jump_operator(ch), ch.qubit, n)
+                matrix = corr.matrix  # a dense apply on the identity: build it once
                 for v in code.codespace:
                     image = jump @ v
                     norm = np.linalg.norm(image)
-                    overlap = abs(np.vdot(v, corr.matrix @ image) / norm) ** 2
+                    overlap = abs(np.vdot(v, matrix @ image) / norm) ** 2
                     assert overlap == pytest.approx(1.0, abs=1e-9)
