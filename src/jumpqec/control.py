@@ -31,7 +31,7 @@ from .codes import (
     sector_assignment,
     verify_correctability,
 )
-from .linalg import HERMITIAN_ATOL, IDENTITY, bloch_matrix, is_hermitian, on_qubit
+from .linalg import IDENTITY, bloch_matrix, on_qubit
 
 __all__ = [
     "CorrectabilityError",
@@ -131,8 +131,11 @@ def _driving(
     h = np.zeros((2**code.n,) * 2, dtype=np.complex128)
     for ch in channels:
         q, mu, e = ch.qubit, ch.offset, ch.operator
+        # (i/4)[T, s_q] is Hermitian whatever T and s_q; where they
+        # anticommute, as correctability requires, it is (i/2) T s_q.
         terms = [
-            (gens[g], 0.5j * t @ gens[g][q]) for t, g in anticommuting_terms(ch, code)
+            (gens[g], 0.25j * (t @ gens[g][q] - gens[g][q] @ t))
+            for t, g in anticommuting_terms(ch, code)
         ]
         terms.append(([IDENTITY] * code.n, 0.5j * (np.conj(mu) * e - mu * e.conj().T)))
         for factors, local in terms:
@@ -140,11 +143,6 @@ def _driving(
             # trailing axis: 2.5x faster than from the first at n=8.
             slots = reversed([*factors[:q], local, *factors[q + 1 :]])
             h += functools.reduce(lambda acc, f: np.kron(f, acc), slots)
-    if not is_hermitian(h, tol=HERMITIAN_ATOL):
-        raise ValueError(
-            "driving Hamiltonian is not Hermitian; the code's generators do "
-            "not anticommute with every channel backaction"
-        )
     return h
 
 
@@ -171,10 +169,12 @@ def driving_hamiltonian(
 ) -> np.ndarray:
     """Hermitian Hamiltonian cancelling the no-jump backaction on the codespace.
 
-    Each channel contributes the product of its embedded traceless
-    backaction with the generator that anticommutes with it (axis by axis
-    on the two-generator branch), plus an unraveling-offset term
-    ``(i/2)(mu* E - mu E^dag)`` local to its qubit.
+    Each channel contributes ``(i/4)[T_q, S]`` for its embedded traceless
+    backaction ``T_q`` and the generator ``S`` that anticommutes with it
+    (axis by axis on the two-generator branch), plus an unraveling-offset
+    term ``(i/2)(mu* E - mu E^dag)`` local to its qubit.  The commutator
+    makes every term Hermitian by construction; on a correctable code,
+    where ``T_q`` and ``S`` anticommute, it equals ``(i/2) T_q S``.
 
     Raises :class:`CorrectabilityError` when the code does not protect
     against the channels (the construction has no meaning then).

@@ -16,9 +16,8 @@ trajectories are grouped into blocks, and a run repeats bit for bit.
 The engine reduces each block as it steps (infidelity sums and spreads,
 jump totals, density sums); no per-trajectory series is stored.  Jumps
 and corrections stay one-qubit data; the no-jump operator is the one
-dense matrix per step.  A density series, a set of dense operators, or a
-run's per-step series larger than ``DENSITY_BUDGET_BYTES`` is refused
-before any setup.
+dense matrix per step.  A density series or a run's per-step series
+larger than ``DENSITY_BUDGET_BYTES`` is refused before any setup.
 
 The oracle evolves the unconditioned master equation (independent of the
 unraveling offset) on the ensemble's density grid, by exact per-qubit
@@ -61,8 +60,8 @@ __all__ = [
 #: Density matrices are sampled on at most this many grid points.
 MAX_DENSITY_SAMPLES = 1000
 
-#: Largest density series (ensemble mean or oracle), or set of dense
-#: operators held by ``prepare()``, allocated, in bytes.
+#: Largest density series (ensemble mean or oracle) or per-step series
+#: allocated, in bytes.
 DENSITY_BUDGET_BYTES = 2 * 2**30
 
 #: Bytes each of a block's gathered amplitudes and ``(steps, B)`` uniforms
@@ -217,18 +216,8 @@ def density_sample_indices(steps: int) -> np.ndarray:
 def simulation_code(cfg: SimConfig) -> StabilizerCode:
     """The code a run protects with: synthesized, or taken from the override.
 
-    Every run starts here, so dense operators over ``DENSITY_BUDGET_BYTES``
-    raise ``ValueError`` before any synthesis.  Twelve matrices cover the
-    tracemalloc peak of ``prepare()``, which keeps no dense matrix per
-    channel: 4.8 to 6.8 matrices at n = 5-9 and 11.1 at n = 4 with one
-    channel per qubit.  Only where small arrays weigh as much as the dense
-    ones does the peak pass the count: 13.1 matrices (4.4 KiB more) at
-    n = 4 with twelve rank-3 channels.  This bounds memory, not time.
     Overrides must be a code family that :func:`codespace_basis` builds.
     """
-    need = 12 * 16 * 4**cfg.n
-    claim = f"the dense operators would take {need / 2**30:.1f} GiB"
-    _require_budget(need, claim, "use fewer qubits or channels")
     if cfg.code_override is None:
         return build_code(cfg.channels, cfg.n)
     basis = codespace_basis(cfg.code_override, cfg.n)

@@ -16,6 +16,7 @@ from jumpqec import (
     control,
     driving_hamiltonian,
     generator_matrix,
+    jump_backaction,
     trajectory,
 )
 from jumpqec.codes import anticommuting_terms
@@ -270,6 +271,28 @@ def rank3_doc(n):
         n=n, channels=rank3_channels(n), dt=1e-3, duration=1e-3
     )
     return canonical_config(cfg)
+
+
+README_DOC = minimal_doc(
+    n=2,
+    dt=1e-3,
+    duration=0.1,
+    trajectories=4,
+    seed=7,
+    channels=[{"qubit": q, "E": SIGMA_MINUS_JSON, "gamma": 0.5} for q in range(2)],
+)
+
+
+def tilted_readme_doc(eps):
+    """README-shaped config overriding its synthesized code, with qubit 0's
+    axis tilted by ``eps`` radians toward that qubit's backaction axis."""
+    channels = parse_config(json.dumps(README_DOC)).channels
+    (axes,) = build_code(channels, 2).generators
+    axes = np.array(axes)
+    backaction = jump_backaction(channels[0]).bloch
+    backaction = backaction / np.linalg.norm(backaction)
+    axes[0] = np.cos(eps) * axes[0] + np.sin(eps) * backaction
+    return dict(README_DOC, code_override=[axes.tolist()])
 
 
 class TestExecute:
@@ -531,6 +554,8 @@ class TestExecute:
 
     @pytest.mark.parametrize("command", ["simulate", "synthesize", "verify"])
     def test_dense_operators_over_budget_exit_2(self, tmp_path, capsys, command):
+        # n=12's dense operators (about 3 GiB) are kept out by the register
+        # cap itself: a config error, before any synthesis.
         doc = minimal_doc(
             n=12,
             dt=1e-3,
@@ -543,7 +568,37 @@ class TestExecute:
         assert time.monotonic() - started < 1.0
         assert code == 2 and manifest is None
         assert not out.exists()
-        assert "dense operators would take 3.0 GiB" in capsys.readouterr().err
+        assert "n must be an integer in [1, 11]" in capsys.readouterr().err
+
+    def test_nearly_correctable_override_runs(self, tmp_path, capsys):
+        config = write_config(tmp_path, tilted_readme_doc(5e-11))
+        out = tmp_path / "verify.json"
+        code, _ = execute(["verify", "--config", config, "--output", str(out)])
+        assert code == 0
+        checks = json.loads(out.read_text())["checks"]
+        assert all(check["passed"] for check in checks.values())
+        for command in ("synthesize", "simulate"):
+            out = str(tmp_path / f"{command}.out")
+            code, _ = execute([command, "--config", config, "--output", out])
+            assert code == 0, capsys.readouterr().err
+
+    def test_tilted_override_exits_on_correctability(self, tmp_path, capsys):
+        # synthesize and simulate refuse exactly the overrides that verify's
+        # correctability check fails; no tilt makes any command exit 2.
+        refused = []
+        for eps in (1e-13, 5e-12, 5e-11, 1.2e-10, 2e-10):
+            config = write_config(tmp_path, tilted_readme_doc(eps), f"{eps}.json")
+            out = tmp_path / f"verify{eps}.json"
+            code, _ = execute(["verify", "--config", config, "--output", str(out)])
+            assert code in (0, 1)
+            report = json.loads(out.read_text())
+            failed = not report["checks"]["correctability"]["passed"]
+            for command in ("synthesize", "simulate"):
+                out = str(tmp_path / f"{command}{eps}.out")
+                code, _ = execute([command, "--config", config, "--output", out])
+                assert code == int(failed), (eps, command, capsys.readouterr().err)
+            refused.append(failed)
+        assert refused[0] is False and refused[-1] is True
 
     @pytest.mark.parametrize(
         "dt, duration, message",

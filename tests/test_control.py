@@ -113,6 +113,24 @@ class TestDrivingHamiltonian:
             ham = driving_hamiltonian(channels, code)
             assert is_hermitian(ham, tol=1e-12)
 
+    @settings(max_examples=24, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        pair=st.booleans(),
+        tilt=st.sampled_from([0.0, 1e-11, 1e-3, 0.5]),
+    )
+    def test_hermitian_by_construction(self, seed, pair, tilt):
+        # A tilted single-generator code need not anticommute with the
+        # backaction; the commutator form keeps every term Hermitian anyway.
+        rng = np.random.default_rng(seed)
+        n, channels = family_channel_set(rng, pair)
+        code = build_code(channels, n)
+        if tilt and not pair:
+            axes = code.generators[0] + tilt * rng.normal(size=(n, 3))
+            code = manual_code([axes / np.linalg.norm(axes, axis=1)[:, None]], n)
+        ham = _driving(channels, code)
+        assert max_abs(ham - ham.conj().T) <= 1e-15 * max(1.0, max_abs(ham))
+
     def test_local_products_match_the_dense_sum(self):
         branches = set()
         for n, channels in random_suite(seed=31, count=24):

@@ -129,13 +129,10 @@ class TestOperatorBudget:
         # estimate (12).
         + [(n, rank3_channels(n)) for n in (6, 8)],
     )
-    def test_estimate_covers_prepare_peak(self, monkeypatch, n, channels):
+    def test_estimate_covers_prepare_peak(self, n, channels):
+        # Twelve dense matrices bound the peak: 0.75 GiB at MAX_QUBITS = 11.
         cfg = SimConfig(n=n, channels=channels, dt=1e-3, duration=1e-3)
-        peak = _prepare_peak(cfg)
-        # The estimate is at least the peak iff a budget of peak - 1 refuses it.
-        monkeypatch.setattr(trajectory, "DENSITY_BUDGET_BYTES", peak - 1)
-        with pytest.raises(ValueError, match="dense operators"):
-            simulation_code(cfg)
+        assert _prepare_peak(cfg) <= 12 * 16 * 4**n
 
     @pytest.mark.parametrize("n", [6, 8])
     def test_prepare_peak_does_not_grow_with_channels(self, n):
@@ -148,10 +145,9 @@ class TestOperatorBudget:
 
     def test_refused_before_synthesis_at_twelve_qubits(self, monkeypatch):
         monkeypatch.setattr(trajectory, "build_code", _reached_synthesis)
-        big = SimConfig(n=12, channels=relaxation_channels(12), dt=1e-3, duration=1e-3)
-        with pytest.raises(ValueError, match=r"3\.0 GiB.*fewer qubits"):
-            simulation_code(big)
-        # n=10 with 10 channels (0.2 GiB) passes the check and reaches synthesis.
+        with pytest.raises(ValueError, match=r"\[1, 11\]"):
+            SimConfig(n=12, channels=relaxation_channels(12), dt=1e-3, duration=1e-3)
+        # n=10 with 10 channels passes the register cap and reaches synthesis.
         cfg = SimConfig(n=10, channels=relaxation_channels(10), dt=1e-3, duration=1e-3)
         with pytest.raises(AssertionError, match="synthesis reached"):
             simulation_code(cfg)
