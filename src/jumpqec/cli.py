@@ -4,8 +4,8 @@ Subcommands:
 
 * ``synthesize`` - build the code and driving Hamiltonian, print them,
   and write a JSON report.
-* ``verify``     - check correctability, generator anticommutation, and
-  no-jump codespace invariance; nonzero exit on any breach.
+* ``verify``     - check correctability and no-jump codespace invariance;
+  nonzero exit on any breach.
 * ``simulate``   - run the trajectory ensemble and write the fidelity CSV.
 * ``oracle-compare`` - trace distance between the ensemble mean and the
   master-equation integration, as CSV.  The oracle has no feedback, so
@@ -32,16 +32,11 @@ import numpy as np
 
 from . import __version__
 from .channels import ErrorChannel, kraus_set
-from .codes import (
-    CORRECTABILITY_ATOL,
-    CodeSynthesisError,
-    anticommuting_terms,
-    verify_correctability,
-)
+from .codes import CodeSynthesisError, verify_correctability
 from .control import (
     CorrectabilityError, _driving, build_control_plan, nojump_invariance_check,
 )
-from .linalg import IDENTITY, ORTHO_ATOL, PAULIS, bloch_matrix, max_abs
+from .linalg import IDENTITY, PAULIS
 from .trajectory import (
     SimConfig,
     StepSizeError,
@@ -335,21 +330,6 @@ def _format_coeff(value: complex) -> str:
     return f"({value.real:+.6g}{value.imag:+.6g}j)"
 
 
-def _anticommutation_residual(code, channels) -> float:
-    """Max norm of {generator, backaction term} over channels and their terms.
-
-    ``{T_q, S} = {T, s_q} (x) (x)_{j != q} s_j``: the 2x2 max norm times the rest's.
-    """
-    worst = 0.0
-    for ch in channels:
-        for term, index in anticommuting_terms(ch, code):
-            factors = [bloch_matrix(axis) for axis in code.generators[index]]
-            local = factors.pop(ch.qubit)
-            anti = max_abs(term @ local + local @ term)
-            worst = max(worst, anti * math.prod(max_abs(f) for f in factors))
-    return worst
-
-
 def _cmd_synthesize(cfg: SimConfig) -> tuple[int, Iterable[str]]:
     code = simulation_code(cfg)
     plan = build_control_plan(cfg.channels, code)
@@ -389,19 +369,13 @@ def _cmd_verify(cfg: SimConfig) -> tuple[int, Iterable[str]]:
     checks = {
         "correctability": {
             "max_residual": correct.max_residual,
-            "threshold": CORRECTABILITY_ATOL,
+            "threshold": correct.threshold,
             "per_channel": [
                 {"label": label, "residual": residual}
                 for label, residual in zip(correct.labels, correct.residuals)
             ],
             "passed": correct.passed,
         }
-    }
-    anti = _anticommutation_residual(code, cfg.channels)
-    checks["anticommutation"] = {
-        "max_residual": anti,
-        "threshold": ORTHO_ATOL,
-        "passed": anti <= ORTHO_ATOL,
     }
     nojump = None
     if correct.passed:

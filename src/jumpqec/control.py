@@ -47,11 +47,6 @@ __all__ = [
 #: Effective rate below which a channel never fires and has no correction.
 NULL_CHANNEL_ATOL = 1e-12
 
-_BACKACTION_MESSAGE = (
-    "code does not satisfy the codespace backaction condition "
-    "(max residual {residual:.3e})"
-)
-
 
 class CorrectabilityError(Exception):
     """The code does not satisfy the codespace backaction condition."""
@@ -149,18 +144,19 @@ def _driving(
 def _require_correctable(
     code: StabilizerCode,
     channels: tuple[ErrorChannel, ...] | list[ErrorChannel],
-    message: str,
-    **fields,
 ) -> None:
     """Raise :class:`CorrectabilityError` unless ``code`` protects every channel.
 
-    ``message`` is formatted with ``residual`` (the report's maximum) and
-    ``fields``; the report is attached to the error.
+    The message names the channel with the largest residual in
+    :func:`verify_correctability`'s report, which is attached to the error.
     """
     report = verify_correctability(code, channels)
     if not report.passed:
+        worst = report.residuals.index(report.max_residual)
         raise CorrectabilityError(
-            message.format(residual=report.max_residual, **fields), report
+            f"channel {report.labels[worst]!r} is not correctable on this code "
+            f"(residual {report.max_residual:.3e})",
+            report,
         )
 
 
@@ -179,7 +175,7 @@ def driving_hamiltonian(
     Raises :class:`CorrectabilityError` when the code does not protect
     against the channels (the construction has no meaning then).
     """
-    _require_correctable(code, channels, _BACKACTION_MESSAGE)
+    _require_correctable(code, channels)
     return _driving(channels, code)
 
 
@@ -214,13 +210,7 @@ def correction_unitary(ch: ErrorChannel, code: StabilizerCode) -> Correction:
     Channels with ``c' = 0`` never fire; the result is the identity with
     ``null_channel`` set.
     """
-    _require_correctable(
-        code,
-        [ch],
-        "channel {label!r} is not correctable on this code "
-        "(residual {residual:.3e})",
-        label=ch.label,
-    )
+    _require_correctable(code, [ch])
     return _correction(ch, code)
 
 
@@ -231,7 +221,7 @@ def build_control_plan(
 
     Correctability is verified once for the whole channel set.
     """
-    _require_correctable(code, channels, _BACKACTION_MESSAGE)
+    _require_correctable(code, channels)
     driving = _driving(channels, code)
     driving.flags.writeable = False
     corrections = {ch: _correction(ch, code) for ch in channels}

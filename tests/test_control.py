@@ -198,8 +198,23 @@ class TestCorrectionUnitary:
 
     def test_rejects_uncorrectable_channel(self):
         wrong = manual_code([np.tile([0.0, 0, 1.0], (2, 1))], 2)
-        with pytest.raises(CorrectabilityError):
+        with pytest.raises(CorrectabilityError, match="channel 'relax0' is not "):
             correction_unitary(relaxation_channels(2)[0], wrong)
+
+
+@pytest.mark.parametrize("build", [build_control_plan, driving_hamiltonian])
+def test_correctability_error_names_the_worst_channel(build):
+    # Relaxation on a z-axis code; qubit 1 decays four times faster.
+    channels = (relaxation_channels(2)[0], relaxation_channels(2, kappa=4.0)[1])
+    wrong = manual_code([np.tile([0.0, 0, 1.0], (2, 1))], 2)
+    with pytest.raises(CorrectabilityError) as raised:
+        build(channels, wrong)
+    report = raised.value.report
+    assert report.labels[int(np.argmax(report.residuals))] == "relax1"
+    assert str(raised.value) == (
+        "channel 'relax1' is not correctable on this code "
+        f"(residual {report.max_residual:.3e})"
+    )
 
 
 def _closed_form_cases():
