@@ -1,25 +1,29 @@
 """The trajectory-block step engine of the stochastic jump simulation.
 
 One engine evolves a block of ``B`` trajectories together as the columns
-of a ``(dim, B)`` state matrix.  Per step, a column's jump probabilities
-come from its reduced 2x2 density on each qubit that carries a channel
-(:func:`jump_probabilities`); no jump operator is applied to find them.
-Each column's own uniform selects a jump by cumulative comparison,
-falling through to the dense no-jump operator (one product for the whole
-block).  Only a column that jumped gets a branch, its channel's 2x2
+of a ``(dim, B)`` state matrix.  Per step, one pass over the block
+(:func:`jump_probabilities`) reads each column's cumulative jump weights
+off its reduced 2x2 density on each qubit that carries a channel, and
+its squared norm, which renormalizes the column; no jump operator is
+applied to find them.  A column clicks when its own uniform, scaled by
+that norm, falls below its total weight; the dense no-jump operator
+moves the whole block in one product.  Only a clicked column picks its
+channel by cumulative comparison and gets a branch, the channel's 2x2
 factor applied on one qubit, followed by the channel's correction, if
-any; every column is renormalized.  A total jump probability above
-``1 + PROBABILITY_SLACK``, or a collapsed norm, aborts the block with a
-negative status (the step size is too large).
+any.  A total jump probability above ``1 + PROBABILITY_SLACK`` (every
+such column clicks, as uniforms are below 1), or a collapsed norm, aborts
+the block with a negative status (the step size is too large).
 
 Column ``b`` reads only column ``b`` of the pre-drawn uniforms, so jump
 selections do not depend on the block size or on which trajectories
 share a block.  A block is bit-reproducible run to run; across block
 sizes the matrix products may round differently in the last bits.  The
-engine reduces as it steps (infidelity sums and spreads, cumulative jump
-totals, the jump log and, on request, density sums) and keeps no
-per-trajectory series.  ``trajectory.step``, on dense jump and correction
-matrices, is the per-trajectory reference for these semantics.
+engine keeps each step's overlaps ``|<psi0|psi>|`` in a ``(steps + 1, B)``
+array, as large as the uniforms, and reduces them once per block to
+infidelity sums and spreads; it also returns cumulative jump totals, the
+jump log and, on request, density sums, which it adds up as it steps.
+``trajectory.step``, on dense jump and correction matrices, is the
+per-trajectory reference for these semantics.
 """
 
 from __future__ import annotations
@@ -58,42 +62,46 @@ class BlockResult(NamedTuple):
 
 
 def jump_probabilities(factors, qubits, n):
-    """The map from a ``(2**n, B)`` block to its ``(m, B)`` jump probabilities.
+    """The map from a ``(2**n, B)`` block to its cumulative jump weights and norms.
 
-    Channel ``k`` fires from column ``b`` with probability
-    ``|F_k psi_b|^2 = tr(G_k rho_b)``, with ``G_k = F_k^dag F_k`` for
-    ``F_k = factors[k]`` on ``qubits[k]`` and ``rho_b`` the column's reduced
-    2x2 density there.  The amplitudes of every charged qubit, and their
-    squared moduli, are gathered in pairs once per call, so channels on one
-    qubit share its reduced density.
+    Channel ``k`` fires from column ``b`` with weight ``|F_k psi_b|^2 =
+    tr(G_k rho_b)``, with ``G_k = F_k^dag F_k`` for ``F_k = factors[k]`` on
+    ``qubits[k]`` and ``rho_b`` the column's reduced 2x2 density there.  The
+    map returns the ``(m, B)`` cumulative weights ``sum_{j<=k} tr(G_j rho_b)``
+    and the ``(B,)`` squared column norms ``tr rho_b``; the block need not be
+    normalized, and both scale with ``|psi_b|^2``.  Since ``tr(G rho) =
+    G_00 tr rho + (G_11 - G_00) rho_11 + 2 Re(G_01 rho_10)``, one real
+    product of the squared moduli with a table (a row of ones, then one row
+    of bits per charged qubit) gives the norms and every ``rho_11``, and one
+    gather of the bit-1 rows with their bit-0 partners gives every
+    ``rho_10``; channels on one qubit share them.
     """
     dim = 2**n
     charged = sorted(set(qubits))
-    # index[c, i, r]: the basis index with bit i on qubit charged[c] and the
-    # other bits r.
-    index = np.array(
-        [np.arange(dim).reshape(2**q, 2, -1).swapaxes(0, 1).reshape(2, -1)
-         for q in charged],
-        dtype=np.intp,
-    ).reshape(-1, 2, dim // 2)
-    ones = np.ones(dim // 2)
+    shifts = n - 1 - np.array(charged, dtype=np.intp)  # qubit 0 is the top bit
+    basis = np.arange(dim)
+    bits = (basis >> shifts[:, None]) & 1
+    table = np.vstack([np.ones(dim), bits])
+    # partners[:, c, r]: the r-th index with bit 1 on qubit charged[c], then
+    # the index that differs from it in that bit only.
+    upper = bits.nonzero()[1].reshape(-1, dim // 2)
+    partners = np.stack([upper, upper - (1 << shifts)[:, None]])
+    half = np.ones(dim // 2)
     grams = factors.conj().swapaxes(1, 2) @ factors
-    # tr(G rho) = G_00 rho_00 + G_11 rho_11 + 2 Re(G_01 rho_10).
-    w_diag = np.zeros((len(qubits), len(charged), 2))
-    w_off = np.zeros((len(qubits), len(charged)), dtype=np.complex128)
-    for k, q in enumerate(qubits):
-        w_diag[k, charged.index(q)] = grams[k].diagonal().real
-        w_off[k, charged.index(q)] = 2.0 * grams[k, 0, 1]
-    w_diag = w_diag.reshape(len(qubits), 2 * len(charged))
+    on = np.equal.outer(qubits, charged)  # on[k, c]: channel k acts on charged[c]
+    w_diag = np.hstack(
+        [grams[:, 0, :1].real, on * (grams[:, 1, 1] - grams[:, 0, 0]).real[:, None]]
+    ).cumsum(axis=0)
+    w_off = (on * 2.0 * grams[:, 0, 1, None]).cumsum(axis=0)
 
-    def probabilities(psi):
+    def weights(psi):
+        diag = table @ (psi.real**2 + psi.imag**2)
+        pairs = psi.take(partners, axis=0)
         # Sums over the other bits, as products with ones (fastest here).
-        diag = ones @ (psi.real**2 + psi.imag**2).take(index, axis=0)
-        pairs = psi.take(index, axis=0)
-        coherence = ones @ (pairs[:, 0].conj() * pairs[:, 1])
-        return w_diag @ diag.reshape(-1, psi.shape[1]) + (w_off @ coherence).real
+        coherence = half @ (pairs[0] * pairs[1].conj())
+        return w_diag @ diag + (w_off @ coherence).real, diag[0]
 
-    return probabilities
+    return weights
 
 
 def run_steps(psi0, kraus, corrections, uniforms, sample_idx, rho_sum=None):
@@ -110,31 +118,28 @@ def run_steps(psi0, kraus, corrections, uniforms, sample_idx, rho_sum=None):
     steps, width = uniforms.shape
     factors = kraus.factors
     qubits = [ch.qubit for ch in kraus.channels]
-    m = len(qubits)
-    probabilities = jump_probabilities(factors, qubits, kraus.n)
+    weights = jump_probabilities(factors, qubits, kraus.n)
     ref = psi0.conj()
     psi = np.repeat(psi0[:, None], width, axis=1)
     slots = {} if rho_sum is None else {int(s): i for i, s in enumerate(sample_idx)}
-    infid_sum = np.zeros(steps + 1)
-    infid_m2 = np.zeros(steps + 1)
-    counts = np.zeros(steps + 1, dtype=np.int64)
+    overlaps = np.ones((steps + 1, width))
     jump_steps, jump_columns, jump_channels = [], [], []
-    jumps = 0
     failed = -1
     if 0 in slots:
         rho_sum[slots[0]] += psi @ psi.conj().T
+    acc, norm2 = weights(psi)
     for s in range(steps):
-        acc = probabilities(psi)
-        for k in range(1, m):  # cumsum over this short axis was slower
-            acc[k] += acc[k - 1]
-        if m and (over := 1.0 - acc[-1] < -PROBABILITY_SLACK).any():
-            failed = int(over.argmax())
-            break
-        chosen = (acc <= uniforms[s]).sum(axis=0)
+        # A column clicks when its uniform falls below its total weight; a
+        # column over the probability bound clicks too, since u < 1.
+        threshold = uniforms[s] * norm2
+        clicked = (acc[-1:] > threshold).nonzero()[1]  # empty without channels
         nxt = kraus.no_jump @ psi
-        clicked = (chosen < m).nonzero()[0]
         if clicked.size:
-            picked = chosen[clicked]
+            total = acc[-1, clicked] / norm2[clicked]
+            if (over := 1.0 - total < -PROBABILITY_SLACK).any():
+                failed = int(clicked[over.argmax()])
+                break
+            picked = (acc[:, clicked] <= threshold[clicked]).sum(axis=0)
             for k in set(picked.tolist()):
                 cols = clicked[picked == k]
                 branch = on_qubit(factors[k], qubits[k], psi[:, cols])
@@ -144,21 +149,25 @@ def run_steps(psi0, kraus, corrections, uniforms, sample_idx, rho_sum=None):
             jump_steps.append(np.full(clicked.size, s))
             jump_columns.append(clicked)
             jump_channels.append(picked)
-            jumps += clicked.size
-        nrm = np.sqrt(np.einsum("db,db->b", nxt.conj(), nxt).real)
-        if (collapsed := nrm <= 0.0).any():
-            failed = int(collapsed.argmax())
+        acc, norm2 = weights(nxt)
+        if not norm2.all():  # a collapsed column (norms are never negative)
+            failed = int((norm2 == 0.0).argmax())
             break
-        psi = nxt / nrm
-        infid = 1.0 - np.minimum(np.abs(ref @ psi) ** 2, 1.0)
-        infid_sum[s + 1] = total = infid.sum()
-        infid_m2[s + 1] = np.square(infid - total / width).sum()
-        counts[s + 1] = jumps
+        psi = nxt
+        psi *= 1.0 / np.sqrt(norm2)
+        np.abs(ref @ psi, out=overlaps[s + 1])
         if s + 1 in slots:
             rho_sum[slots[s + 1]] += psi @ psi.conj().T
-    status = jumps if failed < 0 else -(s + 1)
-    jump_log = (
+    jump_steps, jump_columns, jump_channels = (
         np.concatenate(log) if log else np.zeros(0, dtype=np.int64)
         for log in (jump_steps, jump_columns, jump_channels)
     )
-    return BlockResult(status, failed, infid_sum, infid_m2, counts, *jump_log)
+    status = jump_steps.size if failed < 0 else -(s + 1)
+    counts = np.bincount(jump_steps + 1, minlength=steps + 1).cumsum()
+    infid = 1.0 - np.minimum(np.square(overlaps, out=overlaps), 1.0)
+    infid_sum = infid.sum(axis=1)
+    infid_m2 = np.square(infid - infid_sum[:, None] / width).sum(axis=1)
+    return BlockResult(
+        status, failed, infid_sum, infid_m2, counts,
+        jump_steps, jump_columns, jump_channels,
+    )

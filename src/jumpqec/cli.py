@@ -377,7 +377,6 @@ def _cmd_verify(cfg: SimConfig) -> tuple[int, Iterable[str]]:
             "passed": correct.passed,
         }
     }
-    nojump = None
     if correct.passed:
         # The report above has passed: build the Hamiltonian without rechecking.
         hamiltonian = _driving(cfg.channels, code) if cfg.driving_enabled else None

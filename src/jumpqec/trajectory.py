@@ -13,10 +13,11 @@ reference.  Randomness: every trajectory owns a counter-based generator
 keyed by ``(seed, trajectory_index)`` and pre-draws one uniform per step,
 so jump selections do not depend on execution order or on how
 trajectories are grouped into blocks, and a run repeats bit for bit.
-The engine reduces each block as it steps (infidelity sums and spreads,
-jump totals, density sums); no per-trajectory series is stored.  Jumps
-and corrections stay one-qubit data; the no-jump operator is the one
-dense matrix per step.  A density series or a run's per-step series
+The engine keeps one overlap per step and trajectory, a ``(steps + 1, B)``
+array as large as the block's uniforms, and reduces it once per block to
+infidelity sums and spreads; jump totals and density sums are reduced as
+it steps.  Jumps and corrections stay one-qubit data; the no-jump
+operator is the one dense matrix per step.  A density series or a run's per-step series
 larger than ``DENSITY_BUDGET_BYTES`` is refused before any setup.
 
 The oracle evolves the unconditioned master equation (independent of the
@@ -64,15 +65,16 @@ MAX_DENSITY_SAMPLES = 1000
 #: allocated, in bytes.
 DENSITY_BUDGET_BYTES = 2 * 2**30
 
-#: Bytes each of a block's gathered amplitudes and ``(steps, B)`` uniforms
-#: may take; this sets the block width ``B``.
+#: Bytes each of a block's gathered amplitudes, its ``(steps, B)`` uniforms
+#: and its ``(steps + 1, B)`` overlaps may take; this sets the block width
+#: ``B``.
 _BLOCK_BYTES = 8 * 2**20
 
 #: Bytes a run holds per time step: the grid times, the engine's and the
 #: ensemble's infidelity and jump sums and record columns, and a block's
-#: uniforms.  CSV lines are written as formatted, no longer held twice: peak
-#: RSS grew by 82 B per step (208 B when held) from 10k to 200k steps of the
-#: README config with one trajectory.  320 is kept as it is.
+#: uniforms and overlaps.  CSV lines are written as formatted, no longer held
+#: twice: peak RSS grew by 90 B per step (208 B when held) from 10k to 200k
+#: steps of the README config with one trajectory.  320 is kept as it is.
 _STEP_BYTES = 320
 
 
@@ -342,11 +344,11 @@ def _trajectory_uniforms(cfg: SimConfig, trajectory_index: int) -> np.ndarray:
 
 
 def _block_width(cfg: SimConfig, setup: SimulationSetup) -> int:
-    """Trajectories per block: the amplitude pairs and uniforms stay bounded.
+    """Trajectories per block: amplitude pairs, uniforms and overlaps stay bounded.
 
     Per trajectory and step the engine gathers ``dim`` amplitudes and their
-    squared moduli for each qubit that carries a channel; it holds one
-    uniform per step.
+    pair products for each qubit that carries a channel; it holds one
+    uniform and one overlap per step.
     """
     charged = len({ch.qubit for ch in setup.kraus.channels})
     column_bytes = max(24 * charged * setup.initial.shape[0], 8 * cfg.steps)

@@ -251,19 +251,27 @@ class TestKernelMatchesReference:
 
 class TestLocalProbabilities:
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), pair=st.booleans())
-    def test_equal_the_dense_branch_norms(self, seed, pair):
+    @given(
+        seed=st.integers(0, 2**32 - 1), pair=st.booleans(), normalized=st.booleans()
+    )
+    def test_equal_the_dense_branch_norms(self, seed, pair, normalized):
+        # Unnormalized columns scale the weights and norms by |psi|^2.
         rng = np.random.default_rng(seed)
         n, channels = family_channel_set(rng, pair)
         ks = kraus_set(channels, None, n, 0.01)
         psi = rng.normal(size=(2**n, 5)) + 1j * rng.normal(size=(2**n, 5))
-        psi /= np.linalg.norm(psi, axis=0)
-        local = jump_probabilities(ks.factors, [ch.qubit for ch in channels], n)(psi)
-        dense = np.array([
-            np.linalg.norm(op @ psi, axis=0) ** 2 for _, op in ks.jumps
-        ])
-        assert local.shape == dense.shape == (len(channels), 5)
-        assert np.max(np.abs(local - dense)) <= 1e-15
+        if normalized:
+            psi /= np.linalg.norm(psi, axis=0)
+        weights = jump_probabilities(ks.factors, [ch.qubit for ch in channels], n)
+        acc, norm2 = weights(psi)
+        dense = np.cumsum(
+            [np.linalg.norm(op @ psi, axis=0) ** 2 for _, op in ks.jumps], axis=0
+        )
+        norms = np.linalg.norm(psi, axis=0) ** 2
+        assert acc.shape == dense.shape == (len(channels), 5)
+        assert norm2.shape == (5,)
+        assert np.max(np.abs(acc - dense) / norms) <= 1e-15
+        assert np.max(np.abs(norm2 - norms) / norms) <= 1e-15
 
     def test_dense_jumps_embed_the_factors(self):
         channels = rank3_channels(2)
@@ -330,3 +338,20 @@ class TestBlockAbort:
         monkeypatch.setattr(trajectory, "_trajectory_uniforms", uniforms)
         with pytest.raises(StepSizeError, match=r"at step 5 \(t=0\.1\) in trajectory 3;"):
             run_ensemble(cfg, collect_density=False)
+
+    def test_overflow_reports_lowest_failing_column(self):
+        # From |0> only "up" fires, with probability 0.25; from |1> "down"
+        # would fire with probability 4.  Columns 1 and 3 jump up at step 2,
+        # so both overflow at step 3; columns 0 and 2 never click.
+        psi0 = np.array([1.0, 0.0], dtype=complex)
+        factors = np.array([2.0 * SIGMA_MINUS, 0.5 * SIGMA_MINUS.T])
+        kraus = KrausSet(
+            dt=1.0, no_jump=np.eye(2, dtype=complex), factors=factors,
+            channels=tuple(ErrorChannel(qubit=0, operator=f) for f in factors), n=1,
+        )
+        uniforms = np.full((10, 4), 0.9)
+        uniforms[2, [1, 3]] = 0.1
+        result = run_steps(psi0, kraus, None, uniforms, np.array([0], dtype=np.int64))
+        assert result.status == -(3 + 1)
+        assert result.failed_column == 1
+        assert result.jump_columns.tolist() == [1, 3]
