@@ -17,18 +17,19 @@ builds their codespaces, and only theirs, in closed form:
 Correctability of a code against a channel is the vanishing, on the
 codespace, of every matrix element of the channel's traceless backaction
 (a Knill-Laflamme-type condition for errors whose time and location are
-known).
+known).  In closed form the largest element is ``|d . n_q|`` on one
+generator and 0 on the pair (see :func:`verify_correctability`).
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channels import ErrorChannel, jump_backaction
-from .linalg import IDENTITY, PAULIS, bloch_matrix, max_abs, on_qubit
+from .linalg import IDENTITY, PAULIS, bloch_matrix, max_abs
 
 __all__ = [
     "RankThreeError",
@@ -67,24 +68,36 @@ class EvenQubitCountRequired(CodeSynthesisError):
 
 @dataclass(frozen=True, eq=False)
 class StabilizerCode:
-    """A stabilizer codespace over ``n`` qubits.
+    """A stabilizer codespace over ``n`` qubits, derived from its generators.
 
     Attributes:
         n: physical qubit count.
         generators: tuple of generators; each is an ``(n, 3)`` array of
             unit Bloch vectors, one per qubit, and the generator matrix is
             the tensor product of the corresponding ``n_hat . sigma``
-            involutions.
+            involutions.  They must be a family :func:`codespace_basis`
+            builds (``ValueError`` otherwise), and are stored read-only.
         codespace: ``(2**logical_count, 2**n)`` array whose rows form an
             orthonormal basis of the joint +1 eigenspace, in the order of
-            :func:`codespace_basis`.
-        logical_count: number of encoded qubits, ``n - len(generators)``.
+            :func:`codespace_basis`; read-only.
     """
 
     n: int
     generators: tuple[np.ndarray, ...]
-    codespace: np.ndarray
-    logical_count: int
+    codespace: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        generators = tuple(np.array(g, dtype=float) for g in self.generators)
+        basis = codespace_basis(generators, self.n)
+        for frozen in (*generators, basis):
+            frozen.flags.writeable = False
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "codespace", basis)
+
+    @property
+    def logical_count(self) -> int:
+        """Number of encoded qubits, ``n - len(generators)``."""
+        return self.n - len(self.generators)
 
 
 def generator_matrix(generator: np.ndarray) -> np.ndarray:
@@ -235,12 +248,7 @@ def build_code(
             ) from None
         generators = _erasure_pair(n)
 
-    basis = codespace_basis(generators, n)
-    for frozen in (*generators, basis):
-        frozen.flags.writeable = False
-    return StabilizerCode(
-        n=n, generators=generators, codespace=basis, logical_count=n - len(generators)
-    )
+    return StabilizerCode(n, generators)
 
 
 def sector_assignment(
@@ -303,22 +311,20 @@ def verify_correctability(
     code: StabilizerCode,
     channels: list[ErrorChannel] | tuple[ErrorChannel, ...],
 ) -> CorrectabilityReport:
-    """Check ``<psi_i| D |psi_k> = 0`` on the codespace for every channel.
+    """Largest ``|<psi_i| D |psi_k>|`` on the codespace, for every channel.
 
-    ``D`` is the channel's traceless backaction, applied at its qubit; all
-    basis pairs including ``i = k`` are checked.  For the two-generator
-    erasure code each Pauli-axis term ``d_l sigma_l`` is additionally
-    checked on its own, since the construction cancels the axes
-    one generator at a time.
+    ``D = d . sigma`` is the backaction at the channel's qubit ``q``.  On one
+    generator it is ``|d . n_q|``: ``d``'s part across ``n_q`` anticommutes
+    with the generator, and ``s_q = n_q . sigma`` is +-1 on each codespace
+    basis state.  On ``(X^n, Z^n)`` every single-qubit Pauli maps the
+    codespace to its orthogonal complement, so it is 0.
     """
-    bra, ket = code.codespace.conj(), np.ascontiguousarray(code.codespace.T)
+    single = len(code.generators) == 1
     residuals = []
     for ch in channels:
         if not 0 <= ch.qubit < code.n:
             raise ValueError(f"channel qubit {ch.qubit} out of range for n={code.n}")
-        terms = [jump_backaction(ch).matrix]
-        if len(code.generators) == 2:
-            terms += [term for term, _ in anticommuting_terms(ch, code)]
-        residuals.append(max(max_abs(bra @ on_qubit(t, ch.qubit, ket)) for t in terms))
+        axis = code.generators[0][ch.qubit]
+        residuals.append(abs(float(jump_backaction(ch).bloch @ axis)) if single else 0.0)
     labels = tuple(ch.label for ch in channels)
     return CorrectabilityReport(residuals=tuple(residuals), labels=labels)

@@ -51,7 +51,7 @@ NULL_CHANNEL_ATOL = 1e-12
 class CorrectabilityError(Exception):
     """The code does not satisfy the codespace backaction condition."""
 
-    def __init__(self, message: str, report: CorrectabilityReport | None = None):
+    def __init__(self, message: str, report: CorrectabilityReport):
         super().__init__(message)
         self.report = report
 

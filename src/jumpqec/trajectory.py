@@ -36,7 +36,7 @@ import numpy as np
 
 from . import _kernels
 from .channels import ErrorChannel, KrausSet, kraus_set, lindblad_generator
-from .codes import StabilizerCode, build_code, codespace_basis
+from .codes import StabilizerCode, build_code
 from .control import Correction, build_control_plan, driving_hamiltonian
 from .linalg import MAX_QUBITS, expm1, max_abs
 
@@ -222,14 +222,7 @@ def simulation_code(cfg: SimConfig) -> StabilizerCode:
     """
     if cfg.code_override is None:
         return build_code(cfg.channels, cfg.n)
-    basis = codespace_basis(cfg.code_override, cfg.n)
-    basis.flags.writeable = False
-    return StabilizerCode(
-        n=cfg.n,
-        generators=cfg.code_override,
-        codespace=basis,
-        logical_count=cfg.n - len(cfg.code_override),
-    )
+    return StabilizerCode(cfg.n, cfg.code_override)
 
 
 def _initial_vector(cfg: SimConfig, code: StabilizerCode) -> np.ndarray:

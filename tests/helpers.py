@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from jumpqec import ErrorChannel, StabilizerCode, codespace_basis
+from jumpqec import ErrorChannel, jump_backaction
+from jumpqec.linalg import PAULIS, max_abs, on_qubit
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -105,12 +106,19 @@ def random_suite(seed, count):
     ]
 
 
-def manual_code(generators, n):
-    """StabilizerCode from explicit generator Bloch rows (bypasses synthesis)."""
-    gens = tuple(np.asarray(g, dtype=float) for g in generators)
-    return StabilizerCode(
-        n=n,
-        generators=gens,
-        codespace=codespace_basis(gens, n),
-        logical_count=n - len(gens),
-    )
+def dense_correctability_residuals(code, channels):
+    """Largest ``|<psi_i| T |psi_k>|`` per channel, from the codespace rows.
+
+    The reference for :func:`jumpqec.verify_correctability`: ``T`` is the
+    channel's traceless backaction at its qubit and, on the ``(X^n, Z^n)``
+    pair, also each of its Pauli-axis terms on its own.
+    """
+    bra, ket = code.codespace.conj(), np.ascontiguousarray(code.codespace.T)
+    residuals = []
+    for ch in channels:
+        ba = jump_backaction(ch)
+        terms = [ba.matrix]
+        if len(code.generators) == 2:
+            terms += [d * pauli for d, pauli in zip(ba.bloch, PAULIS)]
+        residuals.append(max(max_abs(bra @ on_qubit(t, ch.qubit, ket)) for t in terms))
+    return residuals

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from jumpqec import (
     ErrorChannel,
     EvenQubitCountRequired,
     RankThreeError,
+    StabilizerCode,
     build_code,
     codespace_basis,
     generator_matrix,
@@ -17,7 +20,8 @@ from jumpqec.linalg import SIGMA_X, SIGMA_Z
 
 from helpers import (
     SIGMA_MINUS,
-    manual_code,
+    dense_correctability_residuals,
+    family_channel_set,
     random_suite,
     rank3_channels,
     relaxation_channels,
@@ -233,6 +237,16 @@ class TestClosedFormCodespace:
     def test_refuses_other_generator_sets(self, generators, n):
         with pytest.raises(ValueError, match=r"\(X\^n, Z\^n\)"):
             codespace_basis(generators, n)
+        with pytest.raises(ValueError, match=r"\(X\^n, Z\^n\)"):
+            StabilizerCode(n, generators)
+
+    def test_code_derives_a_frozen_codespace(self):
+        axes = _random_axes(np.random.default_rng(9), 3)
+        code = StabilizerCode(3, [axes])
+        assert code.logical_count == 2
+        np.testing.assert_array_equal(code.codespace, codespace_basis([axes], 3))
+        assert not any(a.flags.writeable for a in (*code.generators, code.codespace))
+        assert axes.flags.writeable
 
 
 class TestAnticommutingTerms:
@@ -286,11 +300,25 @@ class TestVerifyCorrectability:
 
     def test_wrong_code_residual_is_half(self):
         channels = relaxation_channels(3)
-        wrong = manual_code([np.tile([0.0, 0, 1.0], (3, 1))], 3)
+        wrong = StabilizerCode(3, [np.tile([0.0, 0, 1.0], (3, 1))])
         report = verify_correctability(wrong, channels)
         assert not report.passed
         for residual in report.residuals:
             assert residual == pytest.approx(0.5, abs=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), pair=st.booleans())
+    def test_matches_the_dense_matrix_elements(self, seed, pair):
+        # Random unit axes give a single-generator code that need not
+        # protect the channels, so uncorrectable residuals are compared too.
+        rng = np.random.default_rng(seed)
+        n, channels = family_channel_set(rng, pair)
+        synthesized = build_code(channels, n)
+        assert len(synthesized.generators) == (2 if pair else 1)
+        for code in (synthesized, StabilizerCode(n, [_random_axes(rng, n)])):
+            report = verify_correctability(code, channels)
+            dense = dense_correctability_residuals(code, channels)
+            assert_allclose(report.residuals, dense, rtol=0, atol=1e-14)
 
     def test_zero_channels_pass_vacuously(self):
         code = build_code(relaxation_channels(2), 2)

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from jumpqec import (
     CorrectabilityError,
     ErrorChannel,
+    StabilizerCode,
     build_code,
     build_control_plan,
     correction_unitary,
@@ -34,7 +35,6 @@ from jumpqec.linalg import (
 from helpers import (
     SIGMA_MINUS,
     family_channel_set,
-    manual_code,
     random_suite,
     rank3_channels,
     relaxation_channels,
@@ -94,7 +94,7 @@ class TestDrivingHamiltonian:
         ch = ErrorChannel(qubit=0, operator=operator, gamma=0.0, phi=0.0, label=0)
         ba = jump_backaction(ch)
         assert_allclose(ba.bloch, [1.0, 0, 0], atol=1e-14)
-        code = manual_code(ERASURE_PAIR, 4)
+        code = StabilizerCode(4, ERASURE_PAIR)
         ham = driving_hamiltonian([ch], code)
         expected = 0.5 * np.kron(
             SIGMA_Y, np.kron(SIGMA_Z, np.kron(SIGMA_Z, SIGMA_Z))
@@ -103,7 +103,7 @@ class TestDrivingHamiltonian:
 
     def test_rejects_uncorrectable_pairing(self):
         channels = relaxation_channels(2)
-        wrong = manual_code([np.tile([0.0, 0, 1.0], (2, 1))], 2)
+        wrong = StabilizerCode(2, [np.tile([0.0, 0, 1.0], (2, 1))])
         with pytest.raises(CorrectabilityError):
             driving_hamiltonian(channels, wrong)
 
@@ -127,7 +127,7 @@ class TestDrivingHamiltonian:
         code = build_code(channels, n)
         if tilt and not pair:
             axes = code.generators[0] + tilt * rng.normal(size=(n, 3))
-            code = manual_code([axes / np.linalg.norm(axes, axis=1)[:, None]], n)
+            code = StabilizerCode(n, [axes / np.linalg.norm(axes, axis=1)[:, None]])
         ham = _driving(channels, code)
         assert max_abs(ham - ham.conj().T) <= 1e-15 * max(1.0, max_abs(ham))
 
@@ -197,7 +197,7 @@ class TestCorrectionUnitary:
         assert_allclose(corr.matrix, np.eye(4))
 
     def test_rejects_uncorrectable_channel(self):
-        wrong = manual_code([np.tile([0.0, 0, 1.0], (2, 1))], 2)
+        wrong = StabilizerCode(2, [np.tile([0.0, 0, 1.0], (2, 1))])
         with pytest.raises(CorrectabilityError, match="channel 'relax0' is not "):
             correction_unitary(relaxation_channels(2)[0], wrong)
 
@@ -206,7 +206,7 @@ class TestCorrectionUnitary:
 def test_correctability_error_names_the_worst_channel(build):
     # Relaxation on a z-axis code; qubit 1 decays four times faster.
     channels = (relaxation_channels(2)[0], relaxation_channels(2, kappa=4.0)[1])
-    wrong = manual_code([np.tile([0.0, 0, 1.0], (2, 1))], 2)
+    wrong = StabilizerCode(2, [np.tile([0.0, 0, 1.0], (2, 1))])
     with pytest.raises(CorrectabilityError) as raised:
         build(channels, wrong)
     report = raised.value.report
@@ -225,7 +225,7 @@ def _closed_form_cases():
     ]
     angles = np.random.default_rng(73).uniform(0.0, 2.0 * np.pi, 4)
     axes = np.column_stack([np.cos(angles), np.sin(angles), np.zeros(4)])
-    cases.append((4, relaxation_channels(4), manual_code([axes], 4)))
+    cases.append((4, relaxation_channels(4), StabilizerCode(4, [axes])))
     return cases
 
 
