@@ -24,6 +24,12 @@ infidelity sums and spreads; it also returns cumulative jump totals, the
 jump log and, on request, density sums, which it adds up as it steps.
 ``trajectory.step``, on dense jump and correction matrices, is the
 per-trajectory reference for these semantics.
+
+One path serves both dtypes: the block takes the result type of the
+arrays the engine reads (:func:`engine_arrays`), so the dense no-jump
+product and the block are float64 exactly when every one of them is
+real, as ``trajectory.prepare`` makes them when none has an imaginary
+part.
 """
 
 from __future__ import annotations
@@ -74,7 +80,8 @@ def jump_probabilities(factors, qubits, n):
     product of the squared moduli with a table (a row of ones, then one row
     of bits per charged qubit) gives the norms and every ``rho_11``, and one
     gather of the bit-1 rows with their bit-0 partners gives every
-    ``rho_10``; channels on one qubit share them.
+    ``rho_10``; channels on one qubit share them.  The map takes blocks of
+    the factors' dtype, which picks the squared moduli's expression once.
     """
     dim = 2**n
     charged = sorted(set(qubits))
@@ -93,15 +100,32 @@ def jump_probabilities(factors, qubits, n):
         [grams[:, 0, :1].real, on * (grams[:, 1, 1] - grams[:, 0, 0]).real[:, None]]
     ).cumsum(axis=0)
     w_off = (on * 2.0 * grams[:, 0, 1, None]).cumsum(axis=0)
+    if np.iscomplexobj(factors):
+        def moduli(psi):
+            return psi.real**2 + psi.imag**2
+    else:
+        moduli = np.square
 
     def weights(psi):
-        diag = table @ (psi.real**2 + psi.imag**2)
+        diag = table @ moduli(psi)
         pairs = psi.take(partners, axis=0)
         # Sums over the other bits, as products with ones (fastest here).
         coherence = half @ (pairs[0] * pairs[1].conj())
         return w_diag @ diag + (w_off @ coherence).real, diag[0]
 
     return weights
+
+
+def engine_arrays(psi0, kraus, corrections):
+    """Every array :func:`run_steps` reads, as one list.
+
+    The initial vector, the Kraus set's ``no_jump`` and ``factors``, and each
+    correction's ``u_dag``, ``axis`` and ``codespace``.
+    """
+    arrays = [psi0, kraus.no_jump, kraus.factors]
+    for c in corrections or ():
+        arrays += [c.u_dag, c.axis, c.codespace]
+    return arrays
 
 
 def run_steps(psi0, kraus, corrections, uniforms, sample_idx, rho_sum=None):
@@ -113,14 +137,16 @@ def run_steps(psi0, kraus, corrections, uniforms, sample_idx, rho_sum=None):
     ``rho_sum[i]`` gains the block's summed outer products
     ``psi psi^dagger`` at grid index ``sample_idx[i]``.  A jump of channel
     ``k`` is followed by ``corrections[k].apply`` unless ``corrections`` is
-    ``None``.
+    ``None``.  The block takes the result type of :func:`engine_arrays`.
     """
     steps, width = uniforms.shape
+    dtype = np.result_type(*engine_arrays(psi0, kraus, corrections))
     factors = kraus.factors
     qubits = [ch.qubit for ch in kraus.channels]
-    weights = jump_probabilities(factors, qubits, kraus.n)
+    # The weights map takes blocks of its factors' dtype.
+    weights = jump_probabilities(factors.astype(dtype, copy=False), qubits, kraus.n)
     ref = psi0.conj()
-    psi = np.repeat(psi0[:, None], width, axis=1)
+    psi = np.repeat(psi0[:, None], width, axis=1).astype(dtype, copy=False)
     slots = {} if rho_sum is None else {int(s): i for i, s in enumerate(sample_idx)}
     overlaps = np.ones((steps + 1, width))
     jump_steps, jump_columns, jump_channels = [], [], []

@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 #: Largest supported register, the widest measured to run: with eleven
-#: relaxation channels, 4 trajectories of 1000 steps peak at 351 MiB RSS.
+#: relaxation channels, 4 trajectories of 1000 steps peak at 346 MiB RSS.
 MAX_QUBITS = 11
 
 #: Max-norm tolerance for input predicates (Hermiticity, trace checks).

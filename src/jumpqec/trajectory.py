@@ -17,7 +17,10 @@ The engine keeps one overlap per step and trajectory, a ``(steps + 1, B)``
 array as large as the block's uniforms, and reduces it once per block to
 infidelity sums and spreads; jump totals and density sums are reduced as
 it steps.  Jumps and corrections stay one-qubit data; the no-jump
-operator is the one dense matrix per step.  A density series or a run's per-step series
+operator is the one dense matrix per step.  It and the block are real
+(float64) exactly when every array the engine reads has no imaginary
+part, as for relaxation channels on the synthesized code; otherwise all of
+them stay complex.  A density series or a run's per-step series
 larger than ``DENSITY_BUDGET_BYTES`` is refused before any setup.
 
 The oracle evolves the unconditioned master equation (independent of the
@@ -189,7 +192,13 @@ class EnsembleResult(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class SimulationSetup:
-    """Synthesis products shared by all trajectories of one config."""
+    """Synthesis products shared by all trajectories of one config.
+
+    The arrays the engine reads (``kraus.no_jump`` and ``kraus.factors``,
+    ``initial``, and each correction's ``u_dag``, ``axis`` and ``codespace``)
+    are float64 exactly when none of them has an imaginary part, and all
+    complex128 otherwise; the corrections share one ``codespace`` array.
+    """
 
     kraus: KrausSet
     #: One correction per channel of ``kraus``; ``None`` exactly when feedback is off.
@@ -246,7 +255,7 @@ def _initial_vector(cfg: SimConfig, code: StabilizerCode) -> np.ndarray:
         if nrm < 1e-12:
             raise ValueError("initial_state coefficients have zero norm")
         psi = psi / nrm
-    return np.ascontiguousarray(psi, dtype=np.complex128)
+    return psi
 
 
 def _require_step_budget(cfg: SimConfig) -> None:
@@ -257,6 +266,39 @@ def _require_step_budget(cfg: SimConfig) -> None:
     _require_budget(need, claim, "use a larger dt or a shorter duration")
 
 
+def _narrowed(
+    kraus: KrausSet,
+    corrections: tuple[Correction, ...] | None,
+    initial: np.ndarray,
+) -> tuple[KrausSet, tuple[Correction, ...] | None, np.ndarray]:
+    """The engine's arrays in float64 when none has an imaginary part.
+
+    All or none: a real block times one complex operator is upcast on every
+    step, so a single complex array keeps them all complex.  Each distinct
+    array is copied once, with its original's read-only flag, so the
+    corrections keep sharing one codespace.
+    """
+    arrays = {id(a): a for a in _kernels.engine_arrays(initial, kraus, corrections)}
+    if any(a.imag.any() for a in arrays.values()):
+        return kraus, corrections, initial
+    narrowed = {key: np.array(a.real) for key, a in arrays.items()}
+    for key, a in arrays.items():
+        narrowed[key].flags.writeable = a.flags.writeable
+
+    def real(a: np.ndarray) -> np.ndarray:
+        return narrowed[id(a)]
+
+    kraus = replace(kraus, no_jump=real(kraus.no_jump), factors=real(kraus.factors))
+    if corrections is not None:
+        corrections = tuple(
+            replace(
+                c, u_dag=real(c.u_dag), axis=real(c.axis), codespace=real(c.codespace)
+            )
+            for c in corrections
+        )
+    return kraus, corrections, real(initial)
+
+
 def prepare(cfg: SimConfig) -> SimulationSetup:
     """Synthesize everything trajectories need: code, controls, Kraus set.
 
@@ -264,7 +306,9 @@ def prepare(cfg: SimConfig) -> SimulationSetup:
     The control plan is only built when feedback or driving is enabled, so
     fully unprotected runs do not require correctability.  Jumps and
     corrections stay one-qubit data; the no-jump operator is the only dense
-    matrix the engine reads.
+    matrix the engine reads.  The engine's arrays are narrowed to float64
+    together when every one of them is exactly real (see
+    :class:`SimulationSetup`).
     """
     _require_step_budget(cfg)
     code = simulation_code(cfg)
@@ -276,11 +320,12 @@ def prepare(cfg: SimConfig) -> SimulationSetup:
     corrections = None
     if cfg.feedback_enabled:
         corrections = tuple(plan.corrections[ch] for ch in ks.channels)
+    ks, corrections, initial = _narrowed(ks, corrections, _initial_vector(cfg, code))
     steps = cfg.steps
     return SimulationSetup(
         kraus=ks,
         corrections=corrections,
-        initial=_initial_vector(cfg, code),
+        initial=initial,
         times=np.arange(steps + 1) * cfg.dt,
         sample_indices=density_sample_indices(steps),
     )

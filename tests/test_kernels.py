@@ -1,4 +1,5 @@
 import inspect
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -247,6 +248,84 @@ class TestKernelMatchesReference:
         )
         traces = np.trace(rho_sum, axis1=1, axis2=2)
         assert_allclose(traces, 3.0, atol=1e-12)
+
+
+def _readme_config(**extra):
+    return SimConfig(
+        n=2, channels=relaxation_channels(2, gamma=0.5), dt=1e-3, duration=3.0,
+        trajectories=200, **extra,
+    )
+
+
+def _engine_arrays(setup):
+    arrays = [setup.initial, setup.kraus.no_jump, setup.kraus.factors]
+    for c in setup.corrections or ():
+        arrays += [c.u_dag, c.axis, c.codespace]
+    return arrays
+
+
+def _as_complex(setup):
+    """``setup`` with every array the engine reads cast to complex128."""
+
+    def cast(a):
+        return a.astype(np.complex128)
+
+    kraus = replace(
+        setup.kraus, no_jump=cast(setup.kraus.no_jump), factors=cast(setup.kraus.factors)
+    )
+    corrections = tuple(
+        replace(c, u_dag=cast(c.u_dag), axis=cast(c.axis), codespace=cast(c.codespace))
+        for c in setup.corrections
+    )
+    return replace(
+        setup, kraus=kraus, corrections=corrections, initial=cast(setup.initial)
+    )
+
+
+class TestRealArithmetic:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            _readme_config(),
+            SimConfig(
+                n=5, channels=relaxation_channels(5, gamma=0.5), dt=1e-3,
+                duration=1.0, seed=3, trajectories=16,
+            ),
+        ],
+        ids=["readme", "n5-protected"],
+    )
+    def test_real_and_complex_blocks_agree(self, cfg):
+        setup = prepare(cfg)
+        assert setup.kraus.no_jump.dtype == np.float64
+        uniforms = _uniform_block(cfg, range(cfg.trajectories))
+        real, rho_real = _run_block(setup, uniforms, setup.sample_indices)
+        full, rho_full = _run_block(_as_complex(setup), uniforms, setup.sample_indices)
+        assert real.status == full.status > 0
+        for name in ("jump_steps", "jump_columns", "jump_channels", "jump_counts"):
+            assert np.array_equal(getattr(real, name), getattr(full, name))
+        # Real and complex products may round differently in the last bits,
+        # and they add the columns of the sums in different orders.
+        width = cfg.trajectories
+        assert_allclose(real.infid_sum, full.infid_sum, rtol=0, atol=1e-14 * width)
+        assert_allclose(rho_real, rho_full, rtol=0, atol=2e-15 * width)
+
+    def test_engine_dtype_follows_its_inputs(self):
+        # Relaxation channels on the synthesized code are exactly real.
+        setup = prepare(_readme_config())
+        assert {a.dtype for a in _engine_arrays(setup)} == {np.dtype(np.float64)}
+        assert not setup.kraus.no_jump.flags.writeable
+        assert not setup.kraus.factors.flags.writeable
+        # One complex input keeps every array complex: a complex initial
+        # vector, or the rank-3 set's Y-axis channel.
+        phased = _readme_config(initial_state=(2**-0.5, 1j * 2**-0.5))
+        rank3 = SimConfig(n=4, channels=rank3_channels(4), dt=1e-3, duration=0.01)
+        for cfg in (phased, rank3):
+            arrays = _engine_arrays(prepare(cfg))
+            assert {a.dtype for a in arrays} == {np.dtype(np.complex128)}
+        for cfg in (_readme_config(), rank3):
+            corrections = prepare(cfg).corrections
+            assert len({id(c.codespace) for c in corrections}) == 1
+            assert not corrections[0].codespace.flags.writeable
 
 
 class TestLocalProbabilities:
