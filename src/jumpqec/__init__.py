@@ -15,11 +15,9 @@ from .channels import (
     Backaction,
     ErrorChannel,
     KrausSet,
-    cptp_defect,
     effective_jump_operator,
     jump_backaction,
     kraus_set,
-    lindblad_rhs,
 )
 from .codes import (
     CorrectabilityReport,
@@ -28,7 +26,6 @@ from .codes import (
     StabilizerCode,
     build_code,
     codespace_basis,
-    generator_matrix,
     null_space_involution,
     sector_assignment,
     verify_correctability,
@@ -39,7 +36,6 @@ from .control import (
     CorrectabilityError,
     NoJumpInvariance,
     build_control_plan,
-    correction_unitary,
     driving_hamiltonian,
     nojump_invariance_check,
 )
@@ -54,14 +50,10 @@ from .trajectory import (
     FidelityRecord,
     SimConfig,
     StepSizeError,
-    TrajectoryState,
-    fidelity,
     master_equation_oracle,
     prepare,
     run_ensemble,
-    run_trajectory,
     simulation_code,
-    step,
     trace_distance,
 )
 
@@ -70,18 +62,15 @@ __all__ = [
     "Backaction",
     "ErrorChannel",
     "KrausSet",
-    "cptp_defect",
     "effective_jump_operator",
     "jump_backaction",
     "kraus_set",
-    "lindblad_rhs",
     "CorrectabilityReport",
     "EvenQubitCountRequired",
     "RankThreeError",
     "StabilizerCode",
     "build_code",
     "codespace_basis",
-    "generator_matrix",
     "null_space_involution",
     "verify_correctability",
     "ControlPlan",
@@ -89,7 +78,6 @@ __all__ = [
     "CorrectabilityError",
     "NoJumpInvariance",
     "build_control_plan",
-    "correction_unitary",
     "driving_hamiltonian",
     "nojump_invariance_check",
     "sector_assignment",
@@ -101,13 +89,9 @@ __all__ = [
     "FidelityRecord",
     "SimConfig",
     "StepSizeError",
-    "TrajectoryState",
-    "fidelity",
     "master_equation_oracle",
     "prepare",
     "run_ensemble",
-    "run_trajectory",
     "simulation_code",
-    "step",
     "trace_distance",
 ]

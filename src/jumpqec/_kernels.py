@@ -22,8 +22,8 @@ engine keeps each step's overlaps ``|<psi0|psi>|`` in a ``(steps + 1, B)``
 array, as large as the uniforms, and reduces them once per block to
 infidelity sums and spreads; it also returns cumulative jump totals, the
 jump log and, on request, density sums, which it adds up as it steps.
-``trajectory.step``, on dense jump and correction matrices, is the
-per-trajectory reference for these semantics.
+The tests hold a per-trajectory reference for these semantics, on dense
+jump and correction matrices.
 
 One path serves both dtypes: the block takes the result type of the
 arrays the engine reads (:func:`engine_arrays`), so the dense no-jump

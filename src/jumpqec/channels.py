@@ -27,7 +27,6 @@ from .linalg import (
     IDENTITY,
     bloch_decompose,
     is_hermitian,
-    max_abs,
     tensor_embed,
     traceless_decompose,
 )
@@ -39,9 +38,7 @@ __all__ = [
     "effective_jump_operator",
     "jump_backaction",
     "kraus_set",
-    "cptp_defect",
     "lindblad_generator",
-    "lindblad_rhs",
 ]
 
 #: Largest total per-step jump probability before a KrausSet is flagged.
@@ -130,14 +127,6 @@ class KrausSet:
     n: int
     warnings: tuple[str, ...] = field(default=())
 
-    @property
-    def jumps(self) -> tuple[tuple[ErrorChannel, np.ndarray], ...]:
-        """``(channel, dense jump operator)`` pairs, embedded on each access."""
-        return tuple(
-            (ch, tensor_embed(f, ch.qubit, self.n))
-            for ch, f in zip(self.channels, self.factors)
-        )
-
 
 def effective_jump_operator(channel: ErrorChannel) -> np.ndarray:
     """Single-qubit factor ``E + mu * 1`` of the channel's jump operator."""
@@ -213,28 +202,17 @@ def kraus_set(
     )
 
 
-def cptp_defect(ks: KrausSet) -> float:
-    """Max-norm deviation of ``sum_k Omega_k^dag Omega_k`` from the identity.
-
-    For the construction in :func:`kraus_set` the first-order terms cancel
-    exactly, so the defect is quadratic in ``dt``.
-    """
-    dim = ks.no_jump.shape[0]
-    total = ks.no_jump.conj().T @ ks.no_jump
-    for _, op in ks.jumps:
-        total = total + op.conj().T @ op
-    return max_abs(total - np.eye(dim))
-
-
 def lindblad_generator(
     channels: list[ErrorChannel] | tuple[ErrorChannel, ...],
     hamiltonian: np.ndarray | None,
     n: int,
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """The map ``rho -> drho/dt`` of :func:`lindblad_rhs`, without its checks.
+    """The map ``rho -> drho/dt`` of the register's Lindblad master equation.
 
     ``K rho + rho K^dag + sum_k E_k rho E_k^dag`` with the embedded channel
-    operators ``E_k`` and ``K = -i H - sum_k E_k^dag E_k / 2``.
+    operators ``E_k`` and ``K = -i H - sum_k E_k^dag E_k / 2``.  The
+    detection offsets do not appear: the averaged evolution is unraveling
+    independent.
     """
     dim = 2**n
     ops = np.array(
@@ -254,27 +232,3 @@ def lindblad_generator(
         return k @ rho + rho @ k_dag + wide @ (rho @ ops_dag).reshape(-1, dim)
 
     return generator
-
-
-def lindblad_rhs(
-    rho: np.ndarray,
-    channels: list[ErrorChannel] | tuple[ErrorChannel, ...],
-    hamiltonian: np.ndarray | None,
-    n: int,
-) -> np.ndarray:
-    """Right-hand side of the register's Lindblad master equation.
-
-    ``drho/dt = sum_ch E rho E^dag - {E^dag E, rho} / 2 - i [H, rho]`` with
-    each channel operator embedded at its qubit.  The detection offsets do
-    not appear: the averaged evolution is unraveling independent.
-    """
-    dim = 2**n
-    rho = np.asarray(rho, dtype=np.complex128)
-    if rho.shape != (dim, dim):
-        raise ValueError(f"density matrix shape {rho.shape} does not match n={n}")
-    if max_abs(rho - rho.conj().T) > 1e-10 or abs(np.trace(rho) - 1.0) > 1e-10:
-        raise ValueError("input is not a valid density matrix (Hermitian, trace 1)")
-    for ch in channels:
-        if ch.qubit >= n:
-            raise ValueError(f"channel qubit {ch.qubit} out of range for n={n}")
-    return lindblad_generator(channels, hamiltonian, n)(rho)

@@ -36,7 +36,6 @@ __all__ = [
     "EvenQubitCountRequired",
     "StabilizerCode",
     "CorrectabilityReport",
-    "generator_matrix",
     "null_space_involution",
     "codespace_basis",
     "build_code",
@@ -98,15 +97,6 @@ class StabilizerCode:
     def logical_count(self) -> int:
         """Number of encoded qubits, ``n - len(generators)``."""
         return self.n - len(self.generators)
-
-
-def generator_matrix(generator: np.ndarray) -> np.ndarray:
-    """Tensor product ``(n_1 . sigma) x ... x (n_n . sigma)`` of a generator row set."""
-    generator = np.asarray(generator, dtype=float)
-    out = np.array([[1.0 + 0j]])
-    for row in generator:
-        out = np.kron(out, bloch_matrix(row))
-    return out
 
 
 def null_space_involution(constraints: list[np.ndarray]) -> np.ndarray:
@@ -173,7 +163,7 @@ def codespace_basis(
     half = 2 ** (n - 1)
     # odd[k]: whether k < half has odd parity, from the diagonal of Z^(n-1).
     odd = functools.reduce(np.kron, [(1, -1)] * (n - 1), np.ones(1)) < 0
-    if _is_erasure_pair(generators) and n % 2 == 0:
+    if _is_erasure_pair(generators) and len(generators[0]) == n and n % 2 == 0:
         low = np.flatnonzero(~odd)
         basis = np.zeros((low.size, 2 * half), dtype=np.complex128)
         rows = np.arange(low.size)

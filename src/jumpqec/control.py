@@ -6,7 +6,7 @@ coherent term so the two cancel on the codespace, leaving pure amplitude
 decay (``nojump_invariance_check`` measures the residual, which is
 machine-precision rather than O(dt^2)).  Detected jumps are undone by a
 per-channel correction unitary that maps the jumped codespace isometrically
-back onto itself, built in closed form (see :func:`correction_unitary`).
+back onto itself, built in closed form (see :func:`_correction`).
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "ControlPlan",
     "NoJumpInvariance",
     "driving_hamiltonian",
-    "correction_unitary",
     "build_control_plan",
     "nojump_invariance_check",
 ]
@@ -63,7 +62,7 @@ class Correction:
     ``R = (1 + (cos theta - 1)(P + DPD) - sin theta (DP - PD)) U^dag`` with
     ``U^dag`` and the unit backaction axis ``D`` acting on ``qubit``, and
     ``P`` the projector onto the rows of ``codespace`` (see
-    :func:`correction_unitary`).  ``null_channel`` marks channels with
+    :func:`_correction`).  ``null_channel`` marks channels with
     vanishing effective rate: no jump can ever fire, and ``R`` is the
     identity.
     """
@@ -89,11 +88,6 @@ class Correction:
         w += c.T @ (cos * a + sin * b)
         w += on_qubit(d, q, c.T @ (cos * b - sin * a))
         return w
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense ``R``: :meth:`apply` on the identity."""
-        return self.apply(np.eye(self.codespace.shape[1], dtype=np.complex128))
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,19 +174,6 @@ def driving_hamiltonian(
 
 
 def _correction(ch: ErrorChannel, code: StabilizerCode) -> Correction:
-    ba = jump_backaction(ch)
-    if ba.rate <= NULL_CHANNEL_ATOL:
-        zero = np.zeros((2, 2), dtype=np.complex128)
-        return Correction(IDENTITY, zero, 0.0, ch.qubit, code.codespace, True)
-    w, s, vh = np.linalg.svd(effective_jump_operator(ch))
-    # With d = 0 the axis is zero, so is theta, and R is U^dag.
-    axis = ba.matrix / (float(np.linalg.norm(ba.bloch)) or 1.0)
-    modulus = (vh.conj().T * s) @ vh
-    theta = math.atan2(np.trace(axis @ modulus).real, np.trace(modulus).real)
-    return Correction((w @ vh).conj().T, axis, theta, ch.qubit, code.codespace)
-
-
-def correction_unitary(ch: ErrorChannel, code: StabilizerCode) -> Correction:
     """Unitary undoing a detected jump of ``ch`` on the codespace.
 
     With ``A`` the embedded effective jump operator and ``c'`` the
@@ -208,10 +189,19 @@ def correction_unitary(ch: ErrorChannel, code: StabilizerCode) -> Correction:
     the 2x2 SVD depends on the LAPACK build.  ``d = 0`` gives ``U^dag``.
 
     Channels with ``c' = 0`` never fire; the result is the identity with
-    ``null_channel`` set.
+    ``null_channel`` set.  The code must protect ``ch``, as
+    :func:`build_control_plan` checks.
     """
-    _require_correctable(code, [ch])
-    return _correction(ch, code)
+    ba = jump_backaction(ch)
+    if ba.rate <= NULL_CHANNEL_ATOL:
+        zero = np.zeros((2, 2), dtype=np.complex128)
+        return Correction(IDENTITY, zero, 0.0, ch.qubit, code.codespace, True)
+    w, s, vh = np.linalg.svd(effective_jump_operator(ch))
+    # With d = 0 the axis is zero, so is theta, and R is U^dag.
+    axis = ba.matrix / (float(np.linalg.norm(ba.bloch)) or 1.0)
+    modulus = (vh.conj().T * s) @ vh
+    theta = math.atan2(np.trace(axis @ modulus).real, np.trace(modulus).real)
+    return Correction((w @ vh).conj().T, axis, theta, ch.qubit, code.codespace)
 
 
 def build_control_plan(

@@ -18,12 +18,9 @@ __all__ = [
     "SIGMA_X",
     "SIGMA_Y",
     "SIGMA_Z",
-    "SIGMA_MINUS",
-    "SIGMA_PLUS",
     "PAULIS",
     "max_abs",
     "is_hermitian",
-    "is_unitary",
     "tensor_embed",
     "on_qubit",
     "traceless_decompose",
@@ -39,21 +36,15 @@ MAX_QUBITS = 11
 #: Max-norm tolerance for input predicates (Hermiticity, trace checks).
 HERMITIAN_ATOL = 1e-12
 
-#: Max-norm tolerance for constructed outputs (orthonormality, unitarity).
-ORTHO_ATOL = 1e-10
-
 IDENTITY = np.eye(2, dtype=np.complex128)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-#: Lowering operator |0><1| (maps the excited state to the ground state).
-SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=np.complex128)
-SIGMA_PLUS = np.array([[0, 0], [1, 0]], dtype=np.complex128)
 
 #: Pauli triple in (x, y, z) order, indexed by Bloch-vector component.
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
-for _m in (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z, SIGMA_MINUS, SIGMA_PLUS):
+for _m in (IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z):
     _m.flags.writeable = False
 del _m
 
@@ -67,11 +58,6 @@ def max_abs(m: np.ndarray) -> float:
 def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_ATOL) -> bool:
     m = np.asarray(m, dtype=np.complex128)
     return max_abs(m - m.conj().T) <= tol
-
-
-def is_unitary(m: np.ndarray, tol: float = ORTHO_ATOL) -> bool:
-    m = np.asarray(m, dtype=np.complex128)
-    return max_abs(m.conj().T @ m - np.eye(m.shape[0])) <= tol
 
 
 def tensor_embed(op: np.ndarray, qubit: int, n: int) -> np.ndarray:

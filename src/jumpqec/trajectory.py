@@ -8,11 +8,11 @@ channel's correction unitary, or applies the no-jump operator.  The
 driving Hamiltonian enters through the no-jump operator of the Kraus set.
 
 Trajectories run together in blocks on the one step engine of
-:mod:`jumpqec._kernels`, which follows :func:`step`, the per-trajectory
-reference.  Randomness: every trajectory owns a counter-based generator
-keyed by ``(seed, trajectory_index)`` and pre-draws one uniform per step,
-so jump selections do not depend on execution order or on how
-trajectories are grouped into blocks, and a run repeats bit for bit.
+:mod:`jumpqec._kernels`.  Randomness: every trajectory owns a
+counter-based generator keyed by ``(seed, trajectory_index)`` and
+pre-draws one uniform per step, so jump selections do not depend on
+execution order or on how trajectories are grouped into blocks, and a
+run repeats bit for bit.
 The engine keeps one overlap per step and trajectory, a ``(steps + 1, B)``
 array as large as the block's uniforms, and reduces it once per block to
 infidelity sums and spreads; jump totals and density sums are reduced as
@@ -32,7 +32,7 @@ to cross-validate ensemble means.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -45,18 +45,14 @@ from .linalg import MAX_QUBITS, expm1, max_abs
 
 __all__ = [
     "StepSizeError",
-    "TrajectoryState",
     "SimConfig",
     "FidelityRecord",
     "EnsembleResult",
     "SimulationSetup",
     "simulation_code",
     "prepare",
-    "step",
-    "run_trajectory",
     "run_ensemble",
     "master_equation_oracle",
-    "fidelity",
     "trace_distance",
     "density_sample_indices",
 ]
@@ -83,15 +79,6 @@ _STEP_BYTES = 320
 
 class StepSizeError(Exception):
     """The time step is too large for the requested evolution."""
-
-
-@dataclass
-class TrajectoryState:
-    """Mutable per-trajectory state: vector, clock, and jump history."""
-
-    state: np.ndarray
-    time: float = 0.0
-    jump_log: list[tuple[float, ErrorChannel]] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -331,51 +318,6 @@ def prepare(cfg: SimConfig) -> SimulationSetup:
     )
 
 
-def step(
-    ts: TrajectoryState,
-    ks: KrausSet,
-    corrections: tuple[Correction, ...] | None,
-    rng,
-) -> tuple[TrajectoryState, ErrorChannel | None]:
-    """Advance one time step in place; reference implementation.
-
-    Draws a single uniform from ``rng``; a jump of channel ``k`` fires
-    when the uniform falls below the cumulative probability through ``k``,
-    followed by ``corrections[k]`` unless ``corrections`` is ``None``.
-    Returns the fired channel, or ``None`` for the no-jump branch.  Jumps
-    and corrections act as dense matrices here.
-    """
-    branches = [omega @ ts.state for _, omega in ks.jumps]
-    probs = [float(np.vdot(phi, phi).real) for phi in branches]
-    total = sum(probs)
-    if 1.0 - total < -_kernels.PROBABILITY_SLACK:
-        raise StepSizeError(
-            f"total jump probability {total:.3e} exceeds 1 at t={ts.time:.6g}; "
-            f"decrease dt"
-        )
-    u = float(rng.random())
-    event = None
-    acc = 0.0
-    for k, p in enumerate(probs):
-        acc += p
-        if u < acc:
-            event = ks.channels[k]
-            psi = branches[k]
-            if corrections is not None:
-                psi = corrections[k].matrix @ psi
-            break
-    if event is None:
-        psi = ks.no_jump @ ts.state
-    nrm = float(np.sqrt(np.vdot(psi, psi).real))
-    if nrm <= 0.0:
-        raise StepSizeError(f"state norm collapsed at t={ts.time:.6g}")
-    ts.state = psi / nrm
-    ts.time += ks.dt
-    if event is not None:
-        ts.jump_log.append((ts.time, event))
-    return ts, event
-
-
 def _trajectory_uniforms(cfg: SimConfig, trajectory_index: int) -> np.ndarray:
     bits = np.random.Philox(key=[cfg.seed, trajectory_index])
     return np.random.Generator(bits).random(cfg.steps)
@@ -428,33 +370,6 @@ def _require_density_budget(cfg: SimConfig, samples: int) -> None:
     _require_budget(need, claim, remedy)
 
 
-def run_trajectory(
-    cfg: SimConfig,
-    trajectory_index: int,
-    setup: SimulationSetup | None = None,
-) -> tuple[FidelityRecord, list[tuple[float, ErrorChannel]]]:
-    """Simulate one trajectory, deterministic in ``(seed, trajectory_index)``.
-
-    Fidelity is the squared overlap with the initial state at every grid
-    time.  Pass a shared ``setup`` to amortize synthesis across
-    trajectories of the same config.
-    """
-    if setup is None:
-        setup = prepare(cfg)
-    result = _run_block(cfg, setup, range(trajectory_index, trajectory_index + 1))
-    log = [
-        (float((s + 1) * cfg.dt), setup.kraus.channels[k])
-        for s, k in zip(result.jump_steps, result.jump_channels)
-    ]
-    record = FidelityRecord(
-        times=setup.times,
-        mean_fidelity=1.0 - result.infid_sum,
-        std_fidelity=np.zeros_like(result.infid_sum),
-        jump_counts=result.jump_counts,
-    )
-    return record, log
-
-
 def run_ensemble(cfg: SimConfig, collect_density: bool = True) -> EnsembleResult:
     """Average ``cfg.trajectories`` independent trajectories.
 
@@ -503,14 +418,6 @@ def run_ensemble(cfg: SimConfig, collect_density: bool = True) -> EnsembleResult
         setup.times[setup.sample_indices],
         rho_sum,
     )
-
-
-def fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    """Squared overlap of two unit vectors, insensitive to global phase."""
-    for v in (a, b):
-        if abs(np.linalg.norm(v) - 1.0) > 1e-8:
-            raise ValueError("fidelity arguments must be unit vectors")
-    return min(1.0, float(abs(np.vdot(a, b)) ** 2))
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:

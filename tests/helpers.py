@@ -1,9 +1,28 @@
-"""Channel-set builders shared across the test modules."""
+"""Channel-set builders and the dense references the engine is tested against.
+
+A dense reference lives here, not in ``jumpqec``, when nothing in the
+package, its CLI, the README's library example or the benchmark calls
+it: the per-trajectory :func:`step` and :func:`run_trajectory`, the
+embedded jump operators, the Kraus completeness defect, generator
+matrices and the codespace matrix-element scan.  Each builds what the package keeps as
+one-qubit data into full register matrices, so the tests can check the
+engine against plain products.
+"""
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from jumpqec import ErrorChannel, jump_backaction
-from jumpqec.linalg import PAULIS, max_abs, on_qubit
+from jumpqec import (
+    ErrorChannel,
+    FidelityRecord,
+    StepSizeError,
+    jump_backaction,
+    prepare,
+)
+from jumpqec._kernels import PROBABILITY_SLACK
+from jumpqec.linalg import PAULIS, bloch_matrix, max_abs, on_qubit, tensor_embed
+from jumpqec.trajectory import _run_block
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -122,3 +141,104 @@ def dense_correctability_residuals(code, channels):
             terms += [d * pauli for d, pauli in zip(ba.bloch, PAULIS)]
         residuals.append(max(max_abs(bra @ on_qubit(t, ch.qubit, ket)) for t in terms))
     return residuals
+
+
+def generator_matrix(generator):
+    """Tensor product ``(n_1 . sigma) x ... x (n_n . sigma)`` of a generator row set."""
+    generator = np.asarray(generator, dtype=float)
+    out = np.array([[1.0 + 0j]])
+    for row in generator:
+        out = np.kron(out, bloch_matrix(row))
+    return out
+
+
+def dense_jumps(ks):
+    """``(channel, dense jump operator)`` pairs of a Kraus set, in its order."""
+    return tuple(
+        (ch, tensor_embed(f, ch.qubit, ks.n)) for ch, f in zip(ks.channels, ks.factors)
+    )
+
+
+def cptp_defect(ks):
+    """Max-norm deviation of ``sum_k Omega_k^dag Omega_k`` from the identity.
+
+    For the construction in :func:`jumpqec.kraus_set` the first-order terms
+    cancel exactly, so the defect is quadratic in ``dt``.
+    """
+    dim = ks.no_jump.shape[0]
+    total = ks.no_jump.conj().T @ ks.no_jump
+    for _, op in dense_jumps(ks):
+        total = total + op.conj().T @ op
+    return max_abs(total - np.eye(dim))
+
+
+@dataclass
+class TrajectoryState:
+    """Mutable per-trajectory state: vector, clock, and jump history."""
+
+    state: np.ndarray
+    time: float = 0.0
+    jump_log: list = field(default_factory=list)
+
+
+def step(ts, ks, corrections, rng):
+    """Advance one time step in place: the engine's per-trajectory reference.
+
+    Draws a single uniform from ``rng``; a jump of channel ``k`` fires
+    when the uniform falls below the cumulative probability through ``k``,
+    followed by ``corrections[k]`` unless ``corrections`` is ``None``.
+    Returns ``(ts, fired channel)``, with ``None`` for the no-jump branch.
+    Jumps and corrections act as dense matrices here.
+    """
+    branches = [omega @ ts.state for _, omega in dense_jumps(ks)]
+    probs = [float(np.vdot(phi, phi).real) for phi in branches]
+    total = sum(probs)
+    if 1.0 - total < -PROBABILITY_SLACK:
+        raise StepSizeError(
+            f"total jump probability {total:.3e} exceeds 1 at t={ts.time:.6g}; "
+            f"decrease dt"
+        )
+    u = float(rng.random())
+    event = None
+    acc = 0.0
+    for k, p in enumerate(probs):
+        acc += p
+        if u < acc:
+            event = ks.channels[k]
+            psi = branches[k]
+            if corrections is not None:
+                dim = ts.state.shape[0]
+                psi = corrections[k].apply(np.eye(dim, dtype=complex)) @ psi
+            break
+    if event is None:
+        psi = ks.no_jump @ ts.state
+    nrm = float(np.sqrt(np.vdot(psi, psi).real))
+    if nrm <= 0.0:
+        raise StepSizeError(f"state norm collapsed at t={ts.time:.6g}")
+    ts.state = psi / nrm
+    ts.time += ks.dt
+    if event is not None:
+        ts.jump_log.append((ts.time, event))
+    return ts, event
+
+
+def run_trajectory(cfg, trajectory_index, setup=None):
+    """One trajectory as a block of one: ``(FidelityRecord, jump log)``.
+
+    Fidelity is the squared overlap with the initial state at every grid
+    time; the log lists ``(time, channel)`` for each jump.
+    """
+    if setup is None:
+        setup = prepare(cfg)
+    result = _run_block(cfg, setup, range(trajectory_index, trajectory_index + 1))
+    log = [
+        (float((s + 1) * cfg.dt), setup.kraus.channels[k])
+        for s, k in zip(result.jump_steps, result.jump_channels)
+    ]
+    record = FidelityRecord(
+        times=setup.times,
+        mean_fidelity=1.0 - result.infid_sum,
+        std_fidelity=np.zeros_like(result.infid_sum),
+        jump_counts=result.jump_counts,
+    )
+    return record, log

@@ -11,7 +11,6 @@ from jumpqec import (
     StabilizerCode,
     build_code,
     codespace_basis,
-    generator_matrix,
     null_space_involution,
     verify_correctability,
 )
@@ -22,6 +21,7 @@ from helpers import (
     SIGMA_MINUS,
     dense_correctability_residuals,
     family_channel_set,
+    generator_matrix,
     random_suite,
     rank3_channels,
     relaxation_channels,
@@ -230,9 +230,14 @@ class TestClosedFormCodespace:
             (_pair(4) + (np.tile([0.0, 1.0, 0], (4, 1)),), 4),
             ((np.array([[1.0, 0, 0], [0.0, 0, 1.0 + 1e-9]]),), 2),
             (_pair(3), 3),
+            (_pair(2), 4),
+            (_pair(4), 2),
             ((), 2),
         ],
-        ids=["reversed-pair", "three-generators", "non-unit-row", "odd-pair", "none"],
+        ids=[
+            "reversed-pair", "three-generators", "non-unit-row", "odd-pair",
+            "narrow-pair", "wide-pair", "none",
+        ],
     )
     def test_refuses_other_generator_sets(self, generators, n):
         with pytest.raises(ValueError, match=r"\(X\^n, Z\^n\)"):

@@ -10,10 +10,8 @@ from jumpqec import (
     StabilizerCode,
     build_code,
     build_control_plan,
-    correction_unitary,
     driving_hamiltonian,
     effective_jump_operator,
-    generator_matrix,
     jump_backaction,
     kraus_set,
     nojump_invariance_check,
@@ -27,7 +25,6 @@ from jumpqec.linalg import (
     SIGMA_Z,
     bloch_matrix,
     is_hermitian,
-    is_unitary,
     max_abs,
     tensor_embed,
 )
@@ -35,6 +32,7 @@ from jumpqec.linalg import (
 from helpers import (
     SIGMA_MINUS,
     family_channel_set,
+    generator_matrix,
     random_suite,
     rank3_channels,
     relaxation_channels,
@@ -154,9 +152,9 @@ class TestCorrectionUnitary:
             qubit=0, operator=np.eye(2, dtype=complex), gamma=0.0, phi=0.0, label=0
         )
         code = build_code(relaxation_channels(2), 2)
-        corr = correction_unitary(ch, code)
+        corr = build_control_plan([ch], code).corrections[ch]
         assert not corr.null_channel
-        assert_allclose(corr.matrix, np.eye(4), atol=1e-12)
+        assert_allclose(corr.apply(np.eye(4, dtype=complex)), np.eye(4), atol=1e-12)
 
     def test_unitary_error_channel(self):
         kappa = 0.7
@@ -168,23 +166,25 @@ class TestCorrectionUnitary:
             label="flip",
         )
         code = build_code(relaxation_channels(2), 2)
-        corr = correction_unitary(ch, code)
+        matrix = build_control_plan([ch], code).corrections[ch].apply(
+            np.eye(4, dtype=complex)
+        )
         jump = tensor_embed(np.sqrt(kappa) * SIGMA_X, 1, 2)
         for v in code.codespace:
-            out = corr.matrix @ jump @ v
+            out = matrix @ jump @ v
             assert np.max(np.abs(out - np.sqrt(kappa) * v)) <= 1e-12
         # No backaction (d = 0): R is the inverse polar factor, here X itself.
-        assert_allclose(corr.matrix, tensor_embed(SIGMA_X, 1, 2), atol=1e-15)
+        assert_allclose(matrix, tensor_embed(SIGMA_X, 1, 2), atol=1e-15)
 
     def test_lowering_channel_restores_codespace(self):
         channels = relaxation_channels(2)
         code = build_code(channels, 2)
         ch = channels[0]
-        corr = correction_unitary(ch, code)
+        corr = build_control_plan([ch], code).corrections[ch]
         rate = jump_backaction(ch).rate
         jump = tensor_embed(SIGMA_MINUS, 0, 2)
         for v in code.codespace:
-            out = corr.matrix @ jump @ v
+            out = corr.apply(np.eye(4, dtype=complex)) @ jump @ v
             assert np.max(np.abs(out - np.sqrt(rate) * v)) <= 1e-9
 
     def test_null_channel_flagged(self):
@@ -192,14 +192,14 @@ class TestCorrectionUnitary:
             qubit=0, operator=np.zeros((2, 2)), gamma=0.0, phi=0.0, label="null"
         )
         code = build_code(relaxation_channels(2), 2)
-        corr = correction_unitary(ch, code)
+        corr = build_control_plan([ch], code).corrections[ch]
         assert corr.null_channel
-        assert_allclose(corr.matrix, np.eye(4))
+        assert_allclose(corr.apply(np.eye(4, dtype=complex)), np.eye(4))
 
     def test_rejects_uncorrectable_channel(self):
         wrong = StabilizerCode(2, [np.tile([0.0, 0, 1.0], (2, 1))])
         with pytest.raises(CorrectabilityError, match="channel 'relax0' is not "):
-            correction_unitary(relaxation_channels(2)[0], wrong)
+            build_control_plan([relaxation_channels(2)[0]], wrong)
 
 
 @pytest.mark.parametrize("build", [build_control_plan, driving_hamiltonian])
@@ -244,10 +244,11 @@ class TestClosedFormCorrection:
                 corr = plan.corrections[ch]
                 if corr.null_channel:
                     continue
-                assert is_unitary(corr.matrix, tol=1e-12)
+                matrix = corr.apply(np.eye(2**n, dtype=complex))
+                assert max_abs(matrix.conj().T @ matrix - np.eye(2**n)) <= 1e-12
                 jump = tensor_embed(effective_jump_operator(ch), ch.qubit, n)
                 rate = jump_backaction(ch).rate
-                restored = corr.matrix @ jump @ basis
+                restored = matrix @ jump @ basis
                 assert max_abs(restored - np.sqrt(rate) * basis) <= 1e-12
 
     def test_identity_off_the_rotation_plane(self):
@@ -263,17 +264,22 @@ class TestClosedFormCorrection:
                 ba = jump_backaction(ch)
                 axis = tensor_embed(ba.matrix / np.linalg.norm(ba.bloch), ch.qubit, n)
                 complement = identity - projector - axis @ projector @ axis
-                undone = corr.matrix @ _polar_unitary(ch, n)
+                undone = corr.apply(np.eye(2**n, dtype=complex)) @ _polar_unitary(ch, n)
                 assert max_abs((undone - identity) @ complement) <= 1e-12
 
     def test_repeat_call_is_bytewise_identical(self):
         channels = rank3_channels(4)
         code = build_code(channels, 4)
         plan = build_control_plan(channels, code)
+        identity = np.eye(16, dtype=complex)
+
+        def dense(corr):
+            return corr.apply(identity).tobytes()
+
         for ch in channels[:3]:
-            first = correction_unitary(ch, code).matrix.tobytes()
-            assert correction_unitary(ch, code).matrix.tobytes() == first
-            assert plan.corrections[ch].matrix.tobytes() == first
+            first = dense(build_control_plan([ch], code).corrections[ch])
+            assert dense(build_control_plan([ch], code).corrections[ch]) == first
+            assert dense(plan.corrections[ch]) == first
 
 
 class TestCorrectionApply:
@@ -299,7 +305,7 @@ class TestCorrectionApply:
             dense = bracket @ tensor_embed(corr.u_dag, ch.qubit, n)
             assert max_abs(corr.apply(v) - dense @ v) <= 1e-12
             assert max_abs(corr.apply(v[:, 1]) - dense @ v[:, 1]) <= 1e-12
-            assert max_abs(corr.matrix - dense) <= 1e-12
+            assert max_abs(corr.apply(np.eye(2**n, dtype=complex)) - dense) <= 1e-12
 
     def test_holds_no_dense_matrix(self):
         channels = relaxation_channels(4)
@@ -326,7 +332,8 @@ class TestControlPlan:
             plan = build_control_plan(channels, build_code(channels, n))
             dim = 2**n
             for corr in plan.corrections.values():
-                gram = corr.matrix.conj().T @ corr.matrix
+                matrix = corr.apply(np.eye(dim, dtype=complex))
+                gram = matrix.conj().T @ matrix
                 assert np.max(np.abs(gram - np.eye(dim))) <= 1e-10
 
 
@@ -384,7 +391,7 @@ class TestJumpExactness:
                 if corr.null_channel:
                     continue
                 jump = tensor_embed(effective_jump_operator(ch), ch.qubit, n)
-                matrix = corr.matrix  # a dense apply on the identity: build it once
+                matrix = corr.apply(np.eye(2**n, dtype=complex))  # build it once
                 for v in code.codespace:
                     image = jump @ v
                     norm = np.linalg.norm(image)

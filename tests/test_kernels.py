@@ -9,16 +9,19 @@ from numpy.testing import assert_allclose
 
 import jumpqec
 import jumpqec.trajectory as trajectory
-from jumpqec import ErrorChannel, KrausSet, SimConfig, StepSizeError, TrajectoryState
-from jumpqec import fidelity, kraus_set, prepare, run_ensemble, step, tensor_embed
+from jumpqec import ErrorChannel, KrausSet, SimConfig, StepSizeError
+from jumpqec import kraus_set, prepare, run_ensemble, tensor_embed
 from jumpqec._kernels import BlockResult, jump_probabilities, run_steps
 from jumpqec.trajectory import _trajectory_uniforms
 
 from helpers import (
     SIGMA_MINUS,
+    TrajectoryState,
+    dense_jumps,
     family_channel_set,
     rank3_channels,
     relaxation_channels,
+    step,
 )
 
 #: Single generator -Z on one qubit: the codespace is span{|1>}.
@@ -66,7 +69,7 @@ def _reference(setup, uniforms):
         ts, event = step(ts, setup.kraus, setup.corrections, rng)
         if event is not None:
             events.append((s, order.index(event)))
-        fids.append(fidelity(setup.initial, ts.state))
+        fids.append(min(1.0, abs(np.vdot(setup.initial, ts.state)) ** 2))
         states.append(ts.state)
     return events, np.array(fids), np.array(states)
 
@@ -344,7 +347,8 @@ class TestLocalProbabilities:
         weights = jump_probabilities(ks.factors, [ch.qubit for ch in channels], n)
         acc, norm2 = weights(psi)
         dense = np.cumsum(
-            [np.linalg.norm(op @ psi, axis=0) ** 2 for _, op in ks.jumps], axis=0
+            [np.linalg.norm(op @ psi, axis=0) ** 2 for _, op in dense_jumps(ks)],
+            axis=0,
         )
         norms = np.linalg.norm(psi, axis=0) ** 2
         assert acc.shape == dense.shape == (len(channels), 5)
@@ -355,7 +359,7 @@ class TestLocalProbabilities:
     def test_dense_jumps_embed_the_factors(self):
         channels = rank3_channels(2)
         ks = kraus_set(channels, None, 2, 0.04)
-        for (ch, op), factor in zip(ks.jumps, ks.factors):
+        for (ch, op), factor in zip(dense_jumps(ks), ks.factors):
             assert_allclose(factor, 0.2 * ch.operator, rtol=0, atol=1e-16)
             assert np.array_equal(op, tensor_embed(factor, ch.qubit, 2))
 

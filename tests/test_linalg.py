@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 from jumpqec import ErrorChannel
 from jumpqec.channels import lindblad_generator
 from jumpqec.linalg import (
-    SIGMA_MINUS,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -21,7 +20,7 @@ from jumpqec.linalg import (
 )
 from jumpqec.trajectory import _propagator_increments
 
-from helpers import random_channel_set
+from helpers import SIGMA_MINUS, random_channel_set
 
 
 class TestTensorEmbed:

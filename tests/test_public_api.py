@@ -1,0 +1,99 @@
+"""The package exports what its callers read, and nothing else.
+
+A public name stays when the package itself, its CLI, the README's library
+example or the benchmark harness reads it; the dense references that only
+the tests use live in ``tests/helpers.py``.
+"""
+
+import importlib
+
+import pytest
+
+import jumpqec
+from jumpqec import channels, codes, control, linalg, trajectory
+
+KEPT = {
+    "__version__",
+    "Backaction",
+    "ErrorChannel",
+    "KrausSet",
+    "effective_jump_operator",
+    "jump_backaction",
+    "kraus_set",
+    "CorrectabilityReport",
+    "EvenQubitCountRequired",
+    "RankThreeError",
+    "StabilizerCode",
+    "build_code",
+    "codespace_basis",
+    "null_space_involution",
+    "verify_correctability",
+    "ControlPlan",
+    "Correction",
+    "CorrectabilityError",
+    "NoJumpInvariance",
+    "build_control_plan",
+    "driving_hamiltonian",
+    "nojump_invariance_check",
+    "sector_assignment",
+    "bloch_decompose",
+    "bloch_matrix",
+    "tensor_embed",
+    "traceless_decompose",
+    "EnsembleResult",
+    "FidelityRecord",
+    "SimConfig",
+    "StepSizeError",
+    "master_equation_oracle",
+    "prepare",
+    "run_ensemble",
+    "simulation_code",
+    "trace_distance",
+}
+
+REMOVED = [
+    (trajectory, "step"),
+    (trajectory, "TrajectoryState"),
+    (trajectory, "run_trajectory"),
+    (trajectory, "fidelity"),
+    (channels, "cptp_defect"),
+    (channels, "lindblad_rhs"),
+    (channels.KrausSet, "jumps"),
+    (codes, "generator_matrix"),
+    (control, "correction_unitary"),
+    (control.Correction, "matrix"),
+    (linalg, "is_unitary"),
+    (linalg, "ORTHO_ATOL"),
+    (linalg, "SIGMA_MINUS"),
+    (linalg, "SIGMA_PLUS"),
+]
+
+
+def test_top_level_exports_are_the_kept_set():
+    assert len(jumpqec.__all__) == len(set(jumpqec.__all__))
+    assert set(jumpqec.__all__) == KEPT
+
+
+@pytest.mark.parametrize(
+    "module",
+    [
+        "jumpqec",
+        "jumpqec.channels",
+        "jumpqec.codes",
+        "jumpqec.control",
+        "jumpqec.linalg",
+        "jumpqec.trajectory",
+        "jumpqec.cli",
+    ],
+)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+@pytest.mark.parametrize(
+    "owner, name", REMOVED, ids=[f"{o.__name__}.{n}" for o, n in REMOVED]
+)
+def test_names_no_caller_reads_are_gone(owner, name):
+    assert not hasattr(owner, name)
+    assert not hasattr(jumpqec, name)
