@@ -25,11 +25,14 @@ jump log and, on request, density sums, which it adds up as it steps.
 The tests hold a per-trajectory reference for these semantics, on dense
 jump and correction matrices.
 
-One path serves both dtypes: the block takes the result type of the
-arrays the engine reads (:func:`engine_arrays`), so the dense no-jump
-product and the block are float64 exactly when every one of them is
-real, as ``trajectory.prepare`` makes them when none has an imaginary
-part.
+The engine is basis-blind: it runs in whatever frame its inputs share.
+``trajectory.prepare`` gives it the code's eigenframe, where the
+corrections project through the code without any codespace rows.  One
+path serves both dtypes: the block takes the result type of the arrays
+the engine reads (:func:`engine_arrays`), and ``prepare`` builds the
+no-jump operator in that type, so the dense product never upcasts; it is
+float64 exactly when every 2x2 datum and the initial coefficients are
+real.
 """
 
 from __future__ import annotations
@@ -120,11 +123,11 @@ def engine_arrays(psi0, kraus, corrections):
     """Every array :func:`run_steps` reads, as one list.
 
     The initial vector, the Kraus set's ``no_jump`` and ``factors``, and each
-    correction's ``u_dag``, ``axis`` and ``codespace``.
+    correction's ``u_dag`` and ``axis``.
     """
     arrays = [psi0, kraus.no_jump, kraus.factors]
     for c in corrections or ():
-        arrays += [c.u_dag, c.axis, c.codespace]
+        arrays += [c.u_dag, c.axis]
     return arrays
 
 
@@ -132,12 +135,13 @@ def run_steps(psi0, kraus, corrections, uniforms, sample_idx, rho_sum=None):
     """Evolve ``uniforms.shape[1]`` trajectories from ``psi0`` as one block.
 
     ``kraus`` supplies the one-qubit jump ``factors`` of its ``channels``
-    and the dense ``no_jump`` operator, and ``uniforms`` one uniform per
-    step and trajectory ``(steps, B)``.  When ``rho_sum`` is given,
-    ``rho_sum[i]`` gains the block's summed outer products
-    ``psi psi^dagger`` at grid index ``sample_idx[i]``.  A jump of channel
-    ``k`` is followed by ``corrections[k].apply`` unless ``corrections`` is
-    ``None``.  The block takes the result type of :func:`engine_arrays`.
+    and the dense ``no_jump`` operator, in the frame of ``psi0``, and
+    ``uniforms`` one uniform per step and trajectory ``(steps, B)``.  When
+    ``rho_sum`` is given, ``rho_sum[i]`` gains the block's summed outer
+    products ``psi psi^dagger`` at grid index ``sample_idx[i]``, in that
+    frame.  A jump of channel ``k`` is followed by ``corrections[k].apply``
+    unless ``corrections`` is ``None``.  The block takes the result type of
+    :func:`engine_arrays`.
     """
     steps, width = uniforms.shape
     dtype = np.result_type(*engine_arrays(psi0, kraus, corrections))
@@ -145,8 +149,9 @@ def run_steps(psi0, kraus, corrections, uniforms, sample_idx, rho_sum=None):
     qubits = [ch.qubit for ch in kraus.channels]
     # The weights map takes blocks of its factors' dtype.
     weights = jump_probabilities(factors.astype(dtype, copy=False), qubits, kraus.n)
+    psi0 = psi0.astype(dtype, copy=False)
     ref = psi0.conj()
-    psi = np.repeat(psi0[:, None], width, axis=1).astype(dtype, copy=False)
+    psi = np.repeat(psi0[:, None], width, axis=1)
     slots = {} if rho_sum is None else {int(s): i for i, s in enumerate(sample_idx)}
     overlaps = np.ones((steps + 1, width))
     jump_steps, jump_columns, jump_channels = [], [], []

@@ -26,7 +26,7 @@ import numpy as np
 from .linalg import (
     IDENTITY,
     bloch_decompose,
-    is_hermitian,
+    bloch_matrix,
     tensor_embed,
     traceless_decompose,
 )
@@ -72,15 +72,23 @@ class ErrorChannel:
     label: str | int | None = None
 
     def __post_init__(self) -> None:
-        if self.qubit < 0:
-            raise ValueError(f"qubit index must be non-negative, got {self.qubit}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be non-negative, got {self.gamma}")
-        object.__setattr__(
-            self, "operator", _frozen_array(self.operator, shape=(2, 2))
-        )
-        object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "phi", float(self.phi) % (2.0 * math.pi))
+        qubit = self.qubit
+        if isinstance(qubit, bool) or not isinstance(qubit, (int, np.integer)):
+            raise ValueError(f"qubit index must be an integer, got {qubit!r}")
+        if qubit < 0:
+            raise ValueError(f"qubit index must be non-negative, got {qubit}")
+        gamma, phi = float(self.gamma), float(self.phi)
+        if not (math.isfinite(gamma) and math.isfinite(phi)):
+            raise ValueError(f"gamma and phi must be finite, got {gamma} and {phi}")
+        if gamma < 0:
+            raise ValueError(f"gamma must be non-negative, got {gamma}")
+        operator = _frozen_array(self.operator, shape=(2, 2))
+        if not np.isfinite(operator).all():
+            raise ValueError("operator entries must be finite")
+        object.__setattr__(self, "qubit", int(qubit))
+        object.__setattr__(self, "operator", operator)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "phi", phi % (2.0 * math.pi))
 
     @property
     def offset(self) -> complex:
@@ -113,11 +121,13 @@ class Backaction:
 class KrausSet:
     """First-order Kraus decomposition of one time step of length ``dt``.
 
-    ``factors`` stacks the ``(m, 2, 2)`` one-qubit jump factors
-    ``sqrt(dt) (E + mu)`` of ``channels`` in input order, each acting on
-    its channel's qubit; ``no_jump`` is the between-detections operator on
-    the full register.  ``warnings`` is non-empty when the requested step
-    violates the weak-coupling budget (the set is still usable).
+    Both operators are in the eigenframe of the code they were built for
+    (:class:`.codes.StabilizerCode`).  ``factors`` stacks the ``(m, 2, 2)``
+    one-qubit jump factors ``sqrt(dt) (E + mu)`` of ``channels`` in input
+    order, each acting on its channel's qubit; ``no_jump`` is the dense
+    between-detections operator on the full register.  ``warnings`` is
+    non-empty when the requested step violates the weak-coupling budget
+    (the set is still usable).
     """
 
     dt: float
@@ -140,51 +150,58 @@ def jump_backaction(channel: ErrorChannel) -> Backaction:
     return Backaction(matrix=matrix, bloch=bloch_decompose(matrix), rate=rate)
 
 
-def kraus_set(
-    channels: list[ErrorChannel] | tuple[ErrorChannel, ...],
-    hamiltonian: np.ndarray | None,
-    n: int,
-    dt: float,
-) -> KrausSet:
+def kraus_set(channels, code, dt: float, driving=(), dtype=np.float64) -> KrausSet:
     """Build the jump and no-jump operators for one step of length ``dt``.
 
-    ``hamiltonian`` (``None`` means zero) must be Hermitian within 1e-12.
-    A step whose worst-case total jump probability exceeds
+    Everything is built in ``code``'s eigenframe, from 2x2 data that
+    :meth:`.codes.StabilizerCode.to_frame` rotates: the factors, and the
+    no-jump operator ``1 - dt [sum_q M_q + sum_g (sum_q i L_q^g) S_g]``.
+    ``M_q`` sums qubit ``q``'s channel terms ``E^dag E / 2 + mu* E +
+    |mu|^2 / 2`` and ``i`` times the local offset terms of ``driving``;
+    each generator term of ``driving`` gives ``i L_q^g S_g``, where ``L_q^g``
+    is its slot factor times the generator's factor ``s_q`` (so that
+    ``L_q^g S_g`` is the term) and ``S_g`` the generator in the frame.
+    ``driving`` holds the driving Hamiltonian's terms
+    (:class:`.control.DrivingTerm`); empty means undriven.
+
+    ``no_jump`` is one dense array, built once in the result type of
+    ``dtype`` and every rotated datum: float64 exactly when all of them
+    are real.  A step whose worst-case total jump probability exceeds
     ``WEAK_COUPLING_BUDGET`` is flagged in ``warnings`` rather than
     rejected, since stressing the first-order scheme can be deliberate.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    dim = 2**n
-    if hamiltonian is None:
-        hamiltonian = np.zeros((dim, dim), dtype=np.complex128)
-    hamiltonian = np.asarray(hamiltonian, dtype=np.complex128)
-    if hamiltonian.shape != (dim, dim):
-        raise ValueError(
-            f"hamiltonian shape {hamiltonian.shape} does not match dimension {dim}"
-        )
-    if not is_hermitian(hamiltonian):
-        raise ValueError("hamiltonian is not Hermitian within tolerance")
-
+    n = code.n
     sqrt_dt = math.sqrt(dt)
-    factors = np.empty((len(channels), 2, 2), dtype=np.complex128)
-    backaction_sum = np.zeros((dim, dim), dtype=np.complex128)
+    factors, terms = [], []  # terms: (qubit, 2x2 frame datum, generator or None)
     probability_budget = 0.0
-    for k, ch in enumerate(channels):
-        if ch.qubit >= n:
+    for ch in channels:
+        if not 0 <= ch.qubit < n:
             raise ValueError(f"channel qubit {ch.qubit} out of range for n={n}")
-        factors[k] = effective_jump_operator(ch) * sqrt_dt
-        mu = ch.offset
-        e = ch.operator
+        factors.append(code.to_frame(effective_jump_operator(ch) * sqrt_dt, ch.qubit))
+        mu, e = ch.offset, ch.operator
         local = 0.5 * (e.conj().T @ e) + np.conj(mu) * e + 0.5 * abs(mu) ** 2 * IDENTITY
-        backaction_sum += tensor_embed(local, ch.qubit, n)
+        terms.append((ch.qubit, code.to_frame(local, ch.qubit), None))
         ba = jump_backaction(ch)
         probability_budget += (ba.rate + float(np.abs(ba.bloch).sum())) * dt
-
-    no_jump = np.eye(dim, dtype=np.complex128) - dt * (
-        1j * hamiltonian + backaction_sum
-    )
+    for term in driving:
+        local = term.local
+        if term.generator is not None:
+            local = local @ bloch_matrix(code.generators[term.generator][term.qubit])
+        datum = code.to_frame(1j * local, term.qubit)
+        terms.append((term.qubit, datum, term.generator))
+    factors = np.array(factors).reshape(-1, 2, 2)
     factors.flags.writeable = False
+
+    dim = 2**n
+    dtype = np.result_type(dtype, factors, *(datum for _, datum, _ in terms))
+    no_jump = np.zeros((dim, dim), dtype)
+    for qubit, datum, generator in terms:
+        code.add_local(no_jump, datum, qubit, generator)
+    no_jump *= -dt
+    no_jump.reshape(-1)[:: dim + 1] += 1.0
+    no_jump.flags.writeable = False
     warnings = ()
     if probability_budget > WEAK_COUPLING_BUDGET:
         warnings = (
@@ -194,7 +211,7 @@ def kraus_set(
         )
     return KrausSet(
         dt=float(dt),
-        no_jump=_frozen_array(no_jump),
+        no_jump=no_jump,
         factors=factors,
         channels=tuple(channels),
         n=n,

@@ -34,7 +34,7 @@ from . import __version__
 from .channels import ErrorChannel, kraus_set
 from .codes import CodeSynthesisError, verify_correctability
 from .control import (
-    CorrectabilityError, _driving, build_control_plan, nojump_invariance_check,
+    CorrectabilityError, _driving_terms, build_control_plan, nojump_invariance_check,
 )
 from .linalg import IDENTITY, PAULIS
 from .trajectory import (
@@ -378,9 +378,9 @@ def _cmd_verify(cfg: SimConfig) -> tuple[int, Iterable[str]]:
         }
     }
     if correct.passed:
-        # The report above has passed: build the Hamiltonian without rechecking.
-        hamiltonian = _driving(cfg.channels, code) if cfg.driving_enabled else None
-        ks = kraus_set(cfg.channels, hamiltonian, cfg.n, cfg.dt)
+        # The report above has passed: take the driving terms without rechecking.
+        driving = _driving_terms(cfg.channels, code) if cfg.driving_enabled else ()
+        ks = kraus_set(cfg.channels, code, cfg.dt, driving)
         nojump = nojump_invariance_check(ks, code)
         checks["nojump_invariance"] = {
             "a": nojump.a,

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import ErrorChannel, jump_backaction
-from .linalg import IDENTITY, PAULIS, bloch_matrix, max_abs
+from .linalg import IDENTITY, PAULIS, bloch_matrix, max_abs, on_qubit
 
 __all__ = [
     "RankThreeError",
@@ -67,7 +67,17 @@ class EvenQubitCountRequired(CodeSynthesisError):
 
 @dataclass(frozen=True, eq=False)
 class StabilizerCode:
-    """A stabilizer codespace over ``n`` qubits, derived from its generators.
+    """A stabilizer codespace over ``n`` qubits, and the frame a run lives in.
+
+    The frame is ``V = (x)_q V_q``, where the columns of ``V_q`` are the +1
+    and -1 eigenvectors of the generator's axis on qubit ``q``; for the pair
+    ``(X^n, Z^n)`` it is the identity.  In the frame the single generator is
+    ``Z^n``, the parity signs, and its codespace is spanned by the basis
+    states of even parity; of the pair, ``Z^n`` is the parity signs and
+    ``X^n`` reverses the index, so ``P psi`` is the even-parity part of
+    ``(psi + psi[::-1]) / 2``.  The code is the one place that moves data
+    between frames: :meth:`to_frame` rotates 2x2 data, :meth:`from_frame`
+    and :meth:`operator_from_frame` rotate vectors and operators back.
 
     Attributes:
         n: physical qubit count.
@@ -76,27 +86,123 @@ class StabilizerCode:
             the tensor product of the corresponding ``n_hat . sigma``
             involutions.  They must be a family :func:`codespace_basis`
             builds (``ValueError`` otherwise), and are stored read-only.
-        codespace: ``(2**logical_count, 2**n)`` array whose rows form an
-            orthonormal basis of the joint +1 eigenspace, in the order of
-            :func:`codespace_basis`; read-only.
+        frames: ``(n, 2, 2)`` read-only stack of the ``V_q``, or ``None``
+            for the pair, whose frame is the computational basis.
     """
 
     n: int
     generators: tuple[np.ndarray, ...]
-    codespace: np.ndarray = field(init=False, repr=False)
+    frames: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         generators = tuple(np.array(g, dtype=float) for g in self.generators)
-        basis = codespace_basis(generators, self.n)
-        for frozen in (*generators, basis):
+        frames = _frames(generators, self.n)
+        for frozen in (*generators, *([] if frames is None else [frames])):
             frozen.flags.writeable = False
         object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "codespace", basis)
+        object.__setattr__(self, "frames", frames)
 
     @property
     def logical_count(self) -> int:
         """Number of encoded qubits, ``n - len(generators)``."""
         return self.n - len(self.generators)
+
+    @functools.cached_property
+    def codespace(self) -> np.ndarray:
+        """``(2**logical_count, 2**n)`` orthonormal rows spanning the joint +1
+        eigenspace in the computational basis: the frame basis of
+        :meth:`encode`, rotated back.  Read-only, built on first access.
+        """
+        frame_basis = self.encode(np.eye(2**self.logical_count))
+        basis = np.ascontiguousarray(self.from_frame(frame_basis).T, np.complex128)
+        basis.flags.writeable = False
+        return basis
+
+    @functools.cached_property
+    def signs(self) -> np.ndarray:
+        """``(2**n,)`` parity signs ``(-1)^popcount(j)``, ``Z^n`` in any frame."""
+        signs = functools.reduce(np.kron, [(1.0, -1.0)] * self.n, np.ones(1))
+        signs.flags.writeable = False
+        return signs
+
+    def to_frame(self, op: np.ndarray, qubit: int) -> np.ndarray:
+        """``V_q^dag op V_q`` for 2x2 data (or a stack of it) on ``qubit``.
+
+        The result is float64 when it is exactly real, else complex128.
+        """
+        op = np.asarray(op, dtype=np.complex128)
+        if self.frames is not None:
+            frame = self.frames[qubit]
+            op = frame.conj().T @ op @ frame
+        return op.real.copy() if not op.imag.any() else op
+
+    def from_frame(self, m: np.ndarray) -> np.ndarray:
+        """``V m`` for a frame vector ``(2**n,)`` or columns ``(2**n, k)``."""
+        if self.frames is None:
+            return m
+        for q, frame in enumerate(self.frames):
+            m = on_qubit(frame, q, m)
+        return m
+
+    def operator_from_frame(self, m: np.ndarray) -> np.ndarray:
+        """``V m V^dag`` for frame operators ``(..., 2**n, 2**n)``.
+
+        Costs ``2n`` one-qubit products per operator, and nothing for the pair.
+        """
+        if self.frames is None:
+            return m
+        shape = m.shape
+        for q, frame in enumerate(self.frames):
+            low = 2 ** (self.n - 1 - q)
+            m = np.matmul(frame, m.reshape(-1, 2, low * shape[-1]))  # rows
+            m = np.matmul(frame.conj(), m.reshape(-1, 2, low))  # columns
+        return m.reshape(shape)
+
+    def encode(self, coeffs: np.ndarray) -> np.ndarray:
+        """Frame vector(s) with codespace coefficients ``(L,)`` or ``(L, k)``.
+
+        A scatter: row ``k`` of :attr:`codespace` is, in the frame, the
+        ``k``-th even-parity basis state, or for the pair
+        ``(e_j + e_jbar) / sqrt(2)`` with ``j`` the ``k``-th even-parity
+        index below ``2**(n-1)``.  Real coefficients give a float64 vector.
+        """
+        coeffs = np.asarray(coeffs)
+        dim = 2**self.n
+        even = np.flatnonzero(self.signs > 0)[: 2**self.logical_count]
+        psi = np.zeros((dim, *coeffs.shape[1:]), dtype=np.result_type(coeffs, float))
+        if self.frames is None:
+            psi[even] = psi[dim - 1 - even] = coeffs * (1.0 / np.sqrt(2.0))
+        else:
+            psi[even] = coeffs
+        return psi
+
+    def project(self, m: np.ndarray) -> np.ndarray:
+        """``P m`` in the frame, for a vector or the columns of a matrix."""
+        if self.frames is None:
+            m = (m + m[::-1]) / 2.0
+        return m * (self.signs > 0).reshape(-1, *[1] * (m.ndim - 1))
+
+    def add_local(self, out, datum, qubit, generator=None) -> None:
+        """``out += embed(datum, qubit) S_g`` on a dense frame operator ``out``.
+
+        ``datum`` is 2x2 frame data on ``qubit``; ``S_g`` is generator
+        ``generator`` in the frame (the identity for ``None``).  The embedded
+        ``datum`` holds two entries per row, so this costs ``O(2**n)``.
+        """
+        dim = 2**self.n
+        rows = np.arange(dim)
+        shift = self.n - 1 - qubit
+        bit = (rows >> shift) & 1
+        cols = np.stack([rows, rows ^ (1 << shift)])
+        vals = np.stack([datum[bit, bit], datum[bit, 1 - bit]])
+        if generator is not None:
+            # S_g e_j is sign_j e_{pi(j)} with pi an involution: entry (i, c)
+            # of embed(datum) moves to column pi(c) with that column's sign.
+            if self.frames is None and generator == 0:  # X^n reverses the index
+                cols = dim - 1 - cols
+            else:
+                vals = vals * self.signs[cols]
+        out[rows, cols] += vals
 
 
 def null_space_involution(constraints: list[np.ndarray]) -> np.ndarray:
@@ -158,17 +264,23 @@ def codespace_basis(
     each the normalized larger column of ``(1 +- n_q . sigma) / 2`` (the
     first on a tie).  For ``(X^n, Z^n)``, ``n`` even, it is
     ``(e_j + e_jbar) / sqrt(2)`` with ``j < 2**(n-1)`` and ``jbar`` the
-    bitwise complement.  Other generator sets raise ``ValueError``.
+    bitwise complement.  Other generator sets raise ``ValueError``.  These
+    are the code's frame basis vectors rotated back
+    (:attr:`StabilizerCode.codespace`).
     """
-    half = 2 ** (n - 1)
-    # odd[k]: whether k < half has odd parity, from the diagonal of Z^(n-1).
-    odd = functools.reduce(np.kron, [(1, -1)] * (n - 1), np.ones(1)) < 0
+    return np.array(StabilizerCode(n, generators).codespace)
+
+
+def _frames(
+    generators: tuple[np.ndarray, ...] | list[np.ndarray], n: int
+) -> np.ndarray | None:
+    """The ``(n, 2, 2)`` eigenframes of one generator, or ``None`` for the pair.
+
+    Raises ``ValueError`` for any generator set :func:`codespace_basis`
+    does not build.
+    """
     if _is_erasure_pair(generators) and len(generators[0]) == n and n % 2 == 0:
-        low = np.flatnonzero(~odd)
-        basis = np.zeros((low.size, 2 * half), dtype=np.complex128)
-        rows = np.arange(low.size)
-        basis[rows, low] = basis[rows, 2 * half - 1 - low] = 1.0 / np.sqrt(2.0)
-        return basis
+        return None
     if len(generators) != 1 or np.shape(generators[0]) != (n, 3) or not np.allclose(
         np.linalg.norm(generators[0], axis=1), 1.0, rtol=0.0, atol=1e-12
     ):
@@ -176,10 +288,7 @@ def codespace_basis(
             "a codespace is built for one generator of unit [x, y, z] axes, one "
             "per qubit, or for the (X^n, Z^n) pair in that order with n even"
         )
-    frames = [_eigenframe(axis) for axis in generators[0]]
-    head = functools.reduce(np.kron, frames[:-1], np.ones((1, 1)))
-    tail = frames[-1].T[odd.astype(np.intp)]
-    return (head.T[:, :, None] * tail[:, None, :]).reshape(half, 2 * half)
+    return np.array([_eigenframe(axis) for axis in generators[0]])
 
 
 def _eigenframe(axis: np.ndarray) -> np.ndarray:

@@ -7,6 +7,11 @@ decay (``nojump_invariance_check`` measures the residual, which is
 machine-precision rather than O(dt^2)).  Detected jumps are undone by a
 per-channel correction unitary that maps the jumped codespace isometrically
 back onto itself, built in closed form (see :func:`_correction`).
+
+The controls are one-qubit data.  The driving Hamiltonian is kept as its
+terms (:class:`DrivingTerm`), in the computational basis; it is densified
+only on request.  Each :class:`Correction` holds its 2x2 data in the
+code's eigenframe, the frame the trajectory engine runs in.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ __all__ = [
     "CorrectabilityError",
     "Correction",
     "ControlPlan",
+    "DrivingTerm",
     "NoJumpInvariance",
     "driving_hamiltonian",
     "build_control_plan",
@@ -61,8 +67,9 @@ class Correction:
 
     ``R = (1 + (cos theta - 1)(P + DPD) - sin theta (DP - PD)) U^dag`` with
     ``U^dag`` and the unit backaction axis ``D`` acting on ``qubit``, and
-    ``P`` the projector onto the rows of ``codespace`` (see
-    :func:`_correction`).  ``null_channel`` marks channels with
+    ``P`` the codespace projector (see :func:`_correction`).  ``u_dag`` and
+    ``axis`` are in the eigenframe of ``code``, and so is :meth:`apply`,
+    which projects through ``code``.  ``null_channel`` marks channels with
     vanishing effective rate: no jump can ever fire, and ``R`` is the
     identity.
     """
@@ -71,23 +78,34 @@ class Correction:
     axis: np.ndarray
     theta: float
     qubit: int
-    codespace: np.ndarray
+    code: StabilizerCode
     null_channel: bool = False
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """``R v`` for a vector or the columns of a ``(dim, k)`` matrix."""
+        """``R v`` for a frame vector or the columns of a ``(dim, k)`` matrix."""
         w = on_qubit(self.u_dag, self.qubit, v)
         if not self.theta:
             return w
-        c, d, q = self.codespace, self.axis, self.qubit
-        # Codespace coefficients a = C* w and b = C* D w, so that P w = C^T a,
-        # P D w = C^T b, D P w = D C^T a and D P D w = D C^T b.
-        a = (c @ w.conj()).conj()
-        b = (c @ on_qubit(d, q, w).conj()).conj()
+        d, q = self.axis, self.qubit
+        a = self.code.project(w)
+        b = self.code.project(on_qubit(d, q, w))  # P w and P D w
         cos, sin = math.cos(self.theta) - 1.0, math.sin(self.theta)
-        w += c.T @ (cos * a + sin * b)
-        w += on_qubit(d, q, c.T @ (cos * b - sin * a))
+        w += cos * a + sin * b
+        w += on_qubit(d, q, cos * b - sin * a)
         return w
+
+
+class DrivingTerm(NamedTuple):
+    """One Kronecker product of the driving Hamiltonian.
+
+    ``local`` sits in slot ``qubit``; every other slot holds generator
+    ``generator``'s factor ``s_j``, or the identity when ``generator`` is
+    ``None`` (an offset term, local to ``qubit``).
+    """
+
+    generator: int | None
+    qubit: int
+    local: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,16 +113,25 @@ class ControlPlan:
     """Synthesized feedback controls for a channel set on a code.
 
     Attributes:
-        driving: Hermitian driving Hamiltonian (units of rate).
+        code: the code the controls are built for.
+        driving_terms: the driving Hamiltonian as its terms.
         corrections: map from each channel object to its :class:`Correction`.
         sector_map: axis letter -> generator index used to cancel that
             Pauli axis; the assignment is the same for every channel.
             ``None`` on the single-generator branch.
     """
 
-    driving: np.ndarray
+    code: StabilizerCode
+    driving_terms: tuple[DrivingTerm, ...]
     corrections: dict[ErrorChannel, Correction]
     sector_map: dict[str, int] | None
+
+    @functools.cached_property
+    def driving(self) -> np.ndarray:
+        """The dense Hermitian driving Hamiltonian (units of rate), read-only."""
+        driving = _dense_driving(self.driving_terms, self.code)
+        driving.flags.writeable = False
+        return driving
 
 
 class NoJumpInvariance(NamedTuple):
@@ -112,26 +139,34 @@ class NoJumpInvariance(NamedTuple):
     residual: float
 
 
-def _driving(
+def _driving_terms(
     channels: tuple[ErrorChannel, ...] | list[ErrorChannel], code: StabilizerCode
-) -> np.ndarray:
-    """Sum of Kronecker products of 2x2 factors, one product per term."""
+) -> tuple[DrivingTerm, ...]:
+    """The driving Hamiltonian's terms, channel by channel."""
     gens = [[bloch_matrix(axis) for axis in g] for g in code.generators]
-    h = np.zeros((2**code.n,) * 2, dtype=np.complex128)
+    terms = []
     for ch in channels:
         q, mu, e = ch.qubit, ch.offset, ch.operator
         # (i/4)[T, s_q] is Hermitian whatever T and s_q; where they
         # anticommute, as correctability requires, it is (i/2) T s_q.
-        terms = [
-            (gens[g], 0.25j * (t @ gens[g][q] - gens[g][q] @ t))
+        terms += [
+            DrivingTerm(g, q, 0.25j * (t @ gens[g][q] - gens[g][q] @ t))
             for t, g in anticommuting_terms(ch, code)
         ]
-        terms.append(([IDENTITY] * code.n, 0.5j * (np.conj(mu) * e - mu * e.conj().T)))
-        for factors, local in terms:
-            # Folded from the last factor, each kron broadcasts over the long
-            # trailing axis: 2.5x faster than from the first at n=8.
-            slots = reversed([*factors[:q], local, *factors[q + 1 :]])
-            h += functools.reduce(lambda acc, f: np.kron(f, acc), slots)
+        terms.append(DrivingTerm(None, q, 0.5j * (np.conj(mu) * e - mu * e.conj().T)))
+    return tuple(terms)
+
+
+def _dense_driving(terms: tuple[DrivingTerm, ...], code: StabilizerCode) -> np.ndarray:
+    """Sum of the terms' Kronecker products of 2x2 factors."""
+    gens = [[bloch_matrix(axis) for axis in g] for g in code.generators]
+    h = np.zeros((2**code.n,) * 2, dtype=np.complex128)
+    for g, q, local in terms:
+        factors = [IDENTITY] * code.n if g is None else gens[g]
+        # Folded from the last factor, each kron broadcasts over the long
+        # trailing axis: 2.5x faster than from the first at n=8.
+        slots = reversed([*factors[:q], local, *factors[q + 1 :]])
+        h += functools.reduce(lambda acc, f: np.kron(f, acc), slots)
     return h
 
 
@@ -170,7 +205,7 @@ def driving_hamiltonian(
     against the channels (the construction has no meaning then).
     """
     _require_correctable(code, channels)
-    return _driving(channels, code)
+    return _dense_driving(_driving_terms(channels, code), code)
 
 
 def _correction(ch: ErrorChannel, code: StabilizerCode) -> Correction:
@@ -194,14 +229,15 @@ def _correction(ch: ErrorChannel, code: StabilizerCode) -> Correction:
     """
     ba = jump_backaction(ch)
     if ba.rate <= NULL_CHANNEL_ATOL:
-        zero = np.zeros((2, 2), dtype=np.complex128)
-        return Correction(IDENTITY, zero, 0.0, ch.qubit, code.codespace, True)
+        return Correction(np.eye(2), np.zeros((2, 2)), 0.0, ch.qubit, code, True)
     w, s, vh = np.linalg.svd(effective_jump_operator(ch))
     # With d = 0 the axis is zero, so is theta, and R is U^dag.
     axis = ba.matrix / (float(np.linalg.norm(ba.bloch)) or 1.0)
     modulus = (vh.conj().T * s) @ vh
     theta = math.atan2(np.trace(axis @ modulus).real, np.trace(modulus).real)
-    return Correction((w @ vh).conj().T, axis, theta, ch.qubit, code.codespace)
+    # One rotation, so U^dag and D share a dtype.
+    u_dag, axis = code.to_frame(np.stack([(w @ vh).conj().T, axis]), ch.qubit)
+    return Correction(u_dag, axis, theta, ch.qubit, code)
 
 
 def build_control_plan(
@@ -212,30 +248,30 @@ def build_control_plan(
     Correctability is verified once for the whole channel set.
     """
     _require_correctable(code, channels)
-    driving = _driving(channels, code)
-    driving.flags.writeable = False
     corrections = {ch: _correction(ch, code) for ch in channels}
     if len(code.generators) == 2:
         sector_map = {ax: sector_assignment(ax, code.generators) for ax in "xyz"}
     else:
         sector_map = None
-    return ControlPlan(driving=driving, corrections=corrections, sector_map=sector_map)
+    return ControlPlan(code, _driving_terms(channels, code), corrections, sector_map)
 
 
 def nojump_invariance_check(ks: KrausSet, code: StabilizerCode) -> NoJumpInvariance:
     """Measure how far no-jump evolution is from a scalar on the codespace.
 
     Returns ``a = 1 - (sum of channel rates) * dt / 2`` and the maximum
-    over codespace basis vectors ``v`` of ``||Omega_0 v - a v||_2``.  When
-    the Kraus set was built with the matching driving Hamiltonian the
-    no-jump operator equals ``a`` plus terms annihilating the codespace,
-    so the residual sits at machine precision.
+    over codespace basis vectors ``v`` of ``||Omega_0 v - a v||_2``, taken
+    in the code's eigenframe, where ``ks`` lives and the basis vectors are
+    a scatter (:meth:`.codes.StabilizerCode.encode`).  When the Kraus set
+    was built with the matching driving terms the no-jump operator equals
+    ``a`` plus terms annihilating the codespace, so the residual sits at
+    machine precision.
     """
     total_rate = sum(jump_backaction(ch).rate for ch in ks.channels)
     a = 1.0 - total_rate * ks.dt / 2.0
-    basis = code.codespace
-    if basis.shape[1] != ks.no_jump.shape[0]:
+    if code.n != ks.n:
         raise ValueError("code and Kraus set act on different register sizes")
-    deviation = basis @ ks.no_jump.T - a * basis
-    residual = float(np.max(np.linalg.norm(deviation, axis=1))) if basis.size else 0.0
+    basis = code.encode(np.eye(2**code.logical_count))
+    deviation = ks.no_jump @ basis - a * basis
+    residual = float(np.max(np.linalg.norm(deviation, axis=0))) if basis.size else 0.0
     return NoJumpInvariance(a=a, residual=residual)

@@ -30,7 +30,8 @@ __all__ = [
 ]
 
 #: Largest supported register, the widest measured to run: with eleven
-#: relaxation channels, 4 trajectories of 1000 steps peak at 346 MiB RSS.
+#: relaxation channels, ``simulate`` of 4 trajectories x 1000 steps took
+#: 2.9 s and 3.3 s (two single runs, 2 vCPUs) at 78 MiB peak RSS.
 MAX_QUBITS = 11
 
 #: Max-norm tolerance for input predicates (Hermiticity, trace checks).

@@ -16,17 +16,20 @@ run repeats bit for bit.
 The engine keeps one overlap per step and trajectory, a ``(steps + 1, B)``
 array as large as the block's uniforms, and reduces it once per block to
 infidelity sums and spreads; jump totals and density sums are reduced as
-it steps.  Jumps and corrections stay one-qubit data; the no-jump
-operator is the one dense matrix per step.  It and the block are real
-(float64) exactly when every array the engine reads has no imaginary
-part, as for relaxation channels on the synthesized code; otherwise all of
-them stay complex.  A density series or a run's per-step series
-larger than ``DENSITY_BUDGET_BYTES`` is refused before any setup.
+it steps.  The run lives in the code's eigenframe
+(:class:`.codes.StabilizerCode`), where the codespace is a parity mask:
+jumps and corrections stay one-qubit data rotated into it, and the no-jump
+operator is the one dense matrix, built there once.  It and the block are
+real (float64) exactly when every rotated 2x2 datum and the initial
+coefficients are real, as for relaxation channels on the synthesized
+code.  Mean densities are rotated back to the computational basis.  A
+density series or a run's per-step series larger than
+``DENSITY_BUDGET_BYTES`` is refused before any setup.
 
 The oracle evolves the unconditioned master equation (independent of the
 unraveling offset) on the ensemble's density grid, by exact per-qubit
 propagation when undriven and by fixed-step RK4 when driven, and is used
-to cross-validate ensemble means.
+to cross-validate ensemble means; it works in the computational basis.
 """
 
 from __future__ import annotations
@@ -120,12 +123,13 @@ class SimConfig:
             raise ValueError("trajectories must be a positive integer")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
+        if isinstance(self.initial_state, bool):
+            raise ValueError("initial_state must be a codespace index or coefficients")
         if not isinstance(self.initial_state, int):
-            object.__setattr__(
-                self,
-                "initial_state",
-                tuple(complex(c) for c in self.initial_state),
-            )
+            coeffs = tuple(complex(c) for c in self.initial_state)
+            if not all(math.isfinite(abs(c)) for c in coeffs):
+                raise ValueError("initial_state coefficients must be finite")
+            object.__setattr__(self, "initial_state", coeffs)
         if self.code_override is not None:
             frozen = []
             for g in self.code_override:
@@ -181,18 +185,25 @@ class EnsembleResult(NamedTuple):
 class SimulationSetup:
     """Synthesis products shared by all trajectories of one config.
 
-    The arrays the engine reads (``kraus.no_jump`` and ``kraus.factors``,
-    ``initial``, and each correction's ``u_dag``, ``axis`` and ``codespace``)
-    are float64 exactly when none of them has an imaginary part, and all
-    complex128 otherwise; the corrections share one ``codespace`` array.
+    Every array the engine reads is in the eigenframe of ``code``:
+    ``kraus.no_jump`` and ``kraus.factors``, ``psi0``, and each correction's
+    ``u_dag`` and ``axis``.  ``kraus.no_jump`` has the result type of all of
+    them: float64 exactly when every one is real.
     """
 
+    code: StabilizerCode
     kraus: KrausSet
     #: One correction per channel of ``kraus``; ``None`` exactly when feedback is off.
     corrections: tuple[Correction, ...] | None
-    initial: np.ndarray
+    #: The initial vector in the frame.
+    psi0: np.ndarray
     times: np.ndarray
     sample_indices: np.ndarray
+
+    @property
+    def initial(self) -> np.ndarray:
+        """The initial vector in the computational basis."""
+        return self.code.from_frame(self.psi0)
 
 
 def _require_budget(need: int, claim: str, remedy: str) -> None:
@@ -222,27 +233,27 @@ def simulation_code(cfg: SimConfig) -> StabilizerCode:
 
 
 def _initial_vector(cfg: SimConfig, code: StabilizerCode) -> np.ndarray:
-    basis = code.codespace
+    """The unit initial vector in the frame, scattered from its coefficients."""
+    size = 2**code.logical_count
     if isinstance(cfg.initial_state, int):
-        if not 0 <= cfg.initial_state < basis.shape[0]:
+        if not 0 <= cfg.initial_state < size:
             raise ValueError(
                 f"initial_state index {cfg.initial_state} outside the "
-                f"{basis.shape[0]}-dimensional codespace"
+                f"{size}-dimensional codespace"
             )
-        psi = basis[cfg.initial_state].copy()
-    else:
-        coeffs = np.asarray(cfg.initial_state, dtype=np.complex128)
-        if coeffs.shape != (basis.shape[0],):
-            raise ValueError(
-                f"initial_state needs {basis.shape[0]} codespace coefficients, "
-                f"got {coeffs.shape[0]}"
-            )
-        psi = coeffs @ basis
-        nrm = np.linalg.norm(psi)
-        if nrm < 1e-12:
-            raise ValueError("initial_state coefficients have zero norm")
-        psi = psi / nrm
-    return psi
+        unit = np.zeros(size)
+        unit[cfg.initial_state] = 1.0
+        return code.encode(unit)
+    coeffs = np.array(cfg.initial_state)
+    if coeffs.shape != (size,):
+        raise ValueError(
+            f"initial_state needs {size} codespace coefficients, got {coeffs.shape[0]}"
+        )
+    psi = code.encode(coeffs.real if not coeffs.imag.any() else coeffs)
+    nrm = np.linalg.norm(psi)
+    if nrm < 1e-12:
+        raise ValueError("initial_state coefficients have zero norm")
+    return psi / nrm
 
 
 def _require_step_budget(cfg: SimConfig) -> None:
@@ -253,66 +264,35 @@ def _require_step_budget(cfg: SimConfig) -> None:
     _require_budget(need, claim, "use a larger dt or a shorter duration")
 
 
-def _narrowed(
-    kraus: KrausSet,
-    corrections: tuple[Correction, ...] | None,
-    initial: np.ndarray,
-) -> tuple[KrausSet, tuple[Correction, ...] | None, np.ndarray]:
-    """The engine's arrays in float64 when none has an imaginary part.
-
-    All or none: a real block times one complex operator is upcast on every
-    step, so a single complex array keeps them all complex.  Each distinct
-    array is copied once, with its original's read-only flag, so the
-    corrections keep sharing one codespace.
-    """
-    arrays = {id(a): a for a in _kernels.engine_arrays(initial, kraus, corrections)}
-    if any(a.imag.any() for a in arrays.values()):
-        return kraus, corrections, initial
-    narrowed = {key: np.array(a.real) for key, a in arrays.items()}
-    for key, a in arrays.items():
-        narrowed[key].flags.writeable = a.flags.writeable
-
-    def real(a: np.ndarray) -> np.ndarray:
-        return narrowed[id(a)]
-
-    kraus = replace(kraus, no_jump=real(kraus.no_jump), factors=real(kraus.factors))
-    if corrections is not None:
-        corrections = tuple(
-            replace(
-                c, u_dag=real(c.u_dag), axis=real(c.axis), codespace=real(c.codespace)
-            )
-            for c in corrections
-        )
-    return kraus, corrections, real(initial)
-
-
 def prepare(cfg: SimConfig) -> SimulationSetup:
     """Synthesize everything trajectories need: code, controls, Kraus set.
 
     A run too long for ``DENSITY_BUDGET_BYTES`` raises ``ValueError`` first.
     The control plan is only built when feedback or driving is enabled, so
-    fully unprotected runs do not require correctability.  Jumps and
-    corrections stay one-qubit data; the no-jump operator is the only dense
-    matrix the engine reads.  The engine's arrays are narrowed to float64
-    together when every one of them is exactly real (see
-    :class:`SimulationSetup`).
+    fully unprotected runs do not require correctability.  Everything is
+    built in the code's eigenframe from one-qubit data: the initial vector
+    is a scatter of its coefficients, jumps and corrections stay 2x2 data,
+    and the no-jump operator is the one dense array, built once in the
+    result type of the rest (see :class:`SimulationSetup`).
     """
     _require_step_budget(cfg)
     code = simulation_code(cfg)
     plan = None
     if cfg.feedback_enabled or cfg.driving_enabled:
         plan = build_control_plan(cfg.channels, code)
-    hamiltonian = plan.driving if cfg.driving_enabled else None
-    ks = kraus_set(cfg.channels, hamiltonian, cfg.n, cfg.dt)
     corrections = None
     if cfg.feedback_enabled:
-        corrections = tuple(plan.corrections[ch] for ch in ks.channels)
-    ks, corrections, initial = _narrowed(ks, corrections, _initial_vector(cfg, code))
+        corrections = tuple(plan.corrections[ch] for ch in cfg.channels)
+    psi0 = _initial_vector(cfg, code)
+    driving = plan.driving_terms if cfg.driving_enabled else ()
+    data = [a for c in corrections or () for a in (c.u_dag, c.axis)]
+    ks = kraus_set(cfg.channels, code, cfg.dt, driving, np.result_type(psi0, *data))
     steps = cfg.steps
     return SimulationSetup(
+        code=code,
         kraus=ks,
         corrections=corrections,
-        initial=initial,
+        psi0=psi0,
         times=np.arange(steps + 1) * cfg.dt,
         sample_indices=density_sample_indices(steps),
     )
@@ -331,7 +311,7 @@ def _block_width(cfg: SimConfig, setup: SimulationSetup) -> int:
     uniform and one overlap per step.
     """
     charged = len({ch.qubit for ch in setup.kraus.channels})
-    column_bytes = max(24 * charged * setup.initial.shape[0], 8 * cfg.steps)
+    column_bytes = max(24 * charged * setup.psi0.shape[0], 8 * cfg.steps)
     return max(1, _BLOCK_BYTES // column_bytes)
 
 
@@ -343,7 +323,7 @@ def _run_block(
 ) -> _kernels.BlockResult:
     uniforms = np.stack([_trajectory_uniforms(cfg, i) for i in indices], axis=1)
     result = _kernels.run_steps(
-        setup.initial,
+        setup.psi0,
         setup.kraus,
         setup.corrections,
         uniforms,
@@ -377,14 +357,17 @@ def run_ensemble(cfg: SimConfig, collect_density: bool = True) -> EnsembleResult
     selections do not depend on how they are grouped.  The mean density
     matrix series (outer products averaged over trajectories) is kept on
     the subsampled grid of :func:`density_sample_indices`; pass
-    ``collect_density=False`` to skip it for large registers.  A series
-    over ``DENSITY_BUDGET_BYTES`` raises ``ValueError`` before any setup.
+    ``collect_density=False`` to skip it for large registers.  The engine
+    sums it in the code's eigenframe, and each sample is rotated back to
+    the computational basis, ``2n`` one-qubit products per sample (none for
+    the pair).  A series over ``DENSITY_BUDGET_BYTES`` raises
+    ``ValueError`` before any setup.
     """
     steps = cfg.steps
     if collect_density:
         _require_density_budget(cfg, len(density_sample_indices(steps)))
     setup = prepare(cfg)
-    dim = setup.initial.shape[0]
+    dim = setup.psi0.shape[0]
     infid_sum = np.zeros(steps + 1)
     infid_m2 = np.zeros(steps + 1)
     jump_sum = np.zeros(steps + 1, dtype=np.int64)
@@ -413,6 +396,9 @@ def run_ensemble(cfg: SimConfig, collect_density: bool = True) -> EnsembleResult
     if rho_sum is None:
         return EnsembleResult(record, None, None)
     rho_sum /= n_traj  # in place, so the mean is not a second series
+    if setup.code.frames is not None:  # the pair's frame is the computational basis
+        for i in range(0, rho_sum.shape[0], 16):  # small temporaries
+            rho_sum[i : i + 16] = setup.code.operator_from_frame(rho_sum[i : i + 16])
     return EnsembleResult(
         record,
         setup.times[setup.sample_indices],
@@ -445,7 +431,7 @@ def master_equation_oracle(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     sample_indices = density_sample_indices(steps)
     _require_density_budget(cfg, sample_indices.shape[0])
     code = simulation_code(cfg)
-    psi0 = _initial_vector(cfg, code)
+    psi0 = code.from_frame(_initial_vector(cfg, code))
     if cfg.driving_enabled:
         advance = _rk4_advance(cfg, driving_hamiltonian(cfg.channels, code))
     else:

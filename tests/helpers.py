@@ -3,12 +3,14 @@
 A dense reference lives here, not in ``jumpqec``, when nothing in the
 package, its CLI, the README's library example or the benchmark calls
 it: the per-trajectory :func:`step` and :func:`run_trajectory`, the
-embedded jump operators, the Kraus completeness defect, generator
-matrices and the codespace matrix-element scan.  Each builds what the package keeps as
-one-qubit data into full register matrices, so the tests can check the
-engine against plain products.
+Kraus set in the computational basis, the embedded jump operators, the
+Kraus completeness defect, generator matrices and the codespace
+matrix-element scan.  Each builds what the package keeps as one-qubit
+data into full register matrices, so the tests can check the engine
+against plain products.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,12 +18,17 @@ import numpy as np
 from jumpqec import (
     ErrorChannel,
     FidelityRecord,
+    KrausSet,
     StepSizeError,
+    effective_jump_operator,
     jump_backaction,
     prepare,
 )
 from jumpqec._kernels import PROBABILITY_SLACK
-from jumpqec.linalg import PAULIS, bloch_matrix, max_abs, on_qubit, tensor_embed
+from jumpqec.channels import WEAK_COUPLING_BUDGET
+from jumpqec.linalg import (
+    IDENTITY, PAULIS, bloch_matrix, is_hermitian, max_abs, on_qubit, tensor_embed,
+)
 from jumpqec.trajectory import _run_block
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -152,6 +159,55 @@ def generator_matrix(generator):
     return out
 
 
+def dense_kraus_set(channels, hamiltonian, n, dt):
+    """The Kraus set of one step in the computational basis, from dense operators.
+
+    The reference for :func:`jumpqec.kraus_set`, which builds the same set
+    in a code's eigenframe: ``no_jump = 1 - dt (i H + sum_ch local_ch)``
+    with each channel's ``E^dag E / 2 + mu* E + |mu|^2 / 2`` embedded at
+    its qubit.  ``hamiltonian`` (``None`` means zero) must be Hermitian
+    within 1e-12.
+    """
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    dim = 2**n
+    if hamiltonian is None:
+        hamiltonian = np.zeros((dim, dim), dtype=np.complex128)
+    hamiltonian = np.asarray(hamiltonian, dtype=np.complex128)
+    if hamiltonian.shape != (dim, dim):
+        raise ValueError(
+            f"hamiltonian shape {hamiltonian.shape} does not match dimension {dim}"
+        )
+    if not is_hermitian(hamiltonian):
+        raise ValueError("hamiltonian is not Hermitian within tolerance")
+    factors = np.empty((len(channels), 2, 2), dtype=np.complex128)
+    backaction_sum = np.zeros((dim, dim), dtype=np.complex128)
+    budget = 0.0
+    for k, ch in enumerate(channels):
+        if ch.qubit >= n:
+            raise ValueError(f"channel qubit {ch.qubit} out of range for n={n}")
+        factors[k] = effective_jump_operator(ch) * math.sqrt(dt)
+        mu, e = ch.offset, ch.operator
+        local = 0.5 * (e.conj().T @ e) + np.conj(mu) * e + 0.5 * abs(mu) ** 2 * IDENTITY
+        backaction_sum += tensor_embed(local, ch.qubit, n)
+        ba = jump_backaction(ch)
+        budget += (ba.rate + float(np.abs(ba.bloch).sum())) * dt
+    no_jump = np.eye(dim, dtype=complex) - dt * (1j * hamiltonian + backaction_sum)
+    warnings = ("weak coupling",) if budget > WEAK_COUPLING_BUDGET else ()
+    return KrausSet(dt=float(dt), no_jump=no_jump, factors=factors,
+                    channels=tuple(channels), n=n, warnings=warnings)
+
+
+def dense_correction(corr):
+    """The dense correction ``R`` in the computational basis.
+
+    ``apply`` on the identity gives ``R`` in the code's eigenframe, which
+    the code rotates back.
+    """
+    code = corr.code
+    return code.operator_from_frame(corr.apply(np.eye(2**code.n, dtype=complex)))
+
+
 def dense_jumps(ks):
     """``(channel, dense jump operator)`` pairs of a Kraus set, in its order."""
     return tuple(
@@ -163,7 +219,8 @@ def cptp_defect(ks):
     """Max-norm deviation of ``sum_k Omega_k^dag Omega_k`` from the identity.
 
     For the construction in :func:`jumpqec.kraus_set` the first-order terms
-    cancel exactly, so the defect is quadratic in ``dt``.
+    cancel exactly, so the defect is quadratic in ``dt``.  It does not
+    depend on the frame the set is written in.
     """
     dim = ks.no_jump.shape[0]
     total = ks.no_jump.conj().T @ ks.no_jump
@@ -188,7 +245,8 @@ def step(ts, ks, corrections, rng):
     when the uniform falls below the cumulative probability through ``k``,
     followed by ``corrections[k]`` unless ``corrections`` is ``None``.
     Returns ``(ts, fired channel)``, with ``None`` for the no-jump branch.
-    Jumps and corrections act as dense matrices here.
+    Jumps and corrections act as dense matrices here, in the frame of
+    ``ks`` (a setup's ``psi0`` shares it).
     """
     branches = [omega @ ts.state for _, omega in dense_jumps(ks)]
     probs = [float(np.vdot(phi, phi).real) for phi in branches]

@@ -17,7 +17,13 @@ import numpy as np
 import jumpqec as jq
 from jumpqec.cli import canonical_config, execute
 
-from helpers import cptp_defect, random_suite, rank3_channels, relaxation_channels
+from helpers import (
+    cptp_defect,
+    dense_correction,
+    random_suite,
+    rank3_channels,
+    relaxation_channels,
+)
 
 
 def report(number, passed, detail):
@@ -77,8 +83,8 @@ def test_criterion_4_nojump_codespace_invariance():
     worst_scalar = 0.0
     for n, channels in random_suite(seed=100, count=100):
         code = jq.build_code(channels, n)
-        ham = jq.driving_hamiltonian(channels, code)
-        ks = jq.kraus_set(channels, ham, n, dt)
+        driving = jq.build_control_plan(channels, code).driving_terms
+        ks = jq.kraus_set(channels, code, dt, driving)
         result = jq.nojump_invariance_check(ks, code)
         total = sum(jq.jump_backaction(ch).rate for ch in channels)
         worst_res = max(worst_res, result.residual)
@@ -105,12 +111,10 @@ def test_criterion_5_corrected_jump_fidelity():
             if corr.null_channel:
                 continue
             jump = jq.tensor_embed(jq.effective_jump_operator(ch), ch.qubit, n)
+            matrix = dense_correction(corr)
             for v in code.codespace:
                 image = jump @ v
-                overlap = (
-                    abs(np.vdot(v, corr.apply(np.eye(2**n, dtype=complex)) @ image))
-                    / np.linalg.norm(image)
-                ) ** 2
+                overlap = (abs(np.vdot(v, matrix @ image)) / np.linalg.norm(image)) ** 2
                 worst = max(worst, abs(1.0 - overlap))
     elapsed = time.monotonic() - started
     ok = worst <= 1e-9 and elapsed < 30.0
@@ -123,9 +127,9 @@ def test_criterion_6_deviation_quadratic_in_dt():
     ratios = []
     for n, channels in random_suite(seed=200, count=20):
         code = jq.build_code(channels, n)
-        ham = jq.driving_hamiltonian(channels, code)
-        coarse = cptp_defect(jq.kraus_set(channels, ham, n, 1e-2))
-        fine = cptp_defect(jq.kraus_set(channels, ham, n, 5e-3))
+        driving = jq.build_control_plan(channels, code).driving_terms
+        coarse = cptp_defect(jq.kraus_set(channels, code, 1e-2, driving))
+        fine = cptp_defect(jq.kraus_set(channels, code, 5e-3, driving))
         ratios.append(coarse / fine)
     elapsed = time.monotonic() - started
     lo, hi = min(ratios), max(ratios)

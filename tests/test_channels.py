@@ -2,11 +2,28 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from jumpqec import ErrorChannel, effective_jump_operator, jump_backaction, kraus_set
+from jumpqec import (
+    ErrorChannel,
+    StabilizerCode,
+    effective_jump_operator,
+    jump_backaction,
+    kraus_set,
+)
 from jumpqec.channels import lindblad_generator
 from jumpqec.linalg import SIGMA_X, SIGMA_Z, bloch_matrix, tensor_embed
 
-from helpers import SIGMA_MINUS, cptp_defect, dense_jumps, random_channel_set
+from helpers import (
+    SIGMA_MINUS,
+    cptp_defect,
+    dense_jumps,
+    dense_kraus_set,
+    random_channel_set,
+)
+
+
+def z_code(n):
+    """Single generator ``Z^n``: its eigenframe is the computational basis."""
+    return StabilizerCode(n, [np.tile([0.0, 0.0, 1.0], (n, 1))])
 
 
 def lowering(gamma=0.0, phi=0.0, kappa=1.0, qubit=0):
@@ -75,46 +92,49 @@ class TestJumpBackaction:
 
 
 class TestKrausSet:
+    # On the Z^n code the frame is the computational basis.
     def test_single_lowering_channel_matrices(self):
-        ks = kraus_set([lowering()], None, 1, 0.01)
+        ks = kraus_set([lowering()], z_code(1), 0.01)
         assert len(dense_jumps(ks)) == 1
         assert_allclose(dense_jumps(ks)[0][1], 0.1 * SIGMA_MINUS)
         assert_allclose(ks.no_jump, np.diag([1.0, 0.995]))
 
     def test_no_channels_is_trivial(self):
-        ks = kraus_set([], None, 2, 0.01)
+        ks = kraus_set([], z_code(2), 0.01)
         assert dense_jumps(ks) == ()
         assert_allclose(ks.no_jump, np.eye(4))
 
     def test_offset_channel_stays_trace_preserving_to_first_order(self):
-        ks = kraus_set([lowering(gamma=0.5)], None, 1, 0.01)
+        ks = kraus_set([lowering(gamma=0.5)], z_code(1), 0.01)
         assert cptp_defect(ks) <= 2.5e-3
 
     def test_weak_coupling_warning(self):
-        assert kraus_set([lowering()], None, 1, 1e-3).warnings == ()
-        strained = kraus_set([lowering()], None, 1, 0.2)
+        assert kraus_set([lowering()], z_code(1), 1e-3).warnings == ()
+        strained = kraus_set([lowering()], z_code(1), 0.2)
         assert len(strained.warnings) == 1
 
     def test_rejects_non_hermitian_hamiltonian(self):
+        # The package takes driving terms, Hermitian by construction; the
+        # dense reference still takes a matrix and checks it.
         with pytest.raises(ValueError):
-            kraus_set([lowering()], SIGMA_MINUS, 1, 0.01)
+            dense_kraus_set([lowering()], SIGMA_MINUS, 1, 0.01)
 
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
-            kraus_set([lowering()], None, 1, 0.0)
+            kraus_set([lowering()], z_code(1), 0.0)
 
 
 class TestCptpDefect:
     def test_exact_value_for_unit_rate_lowering(self):
-        ks = kraus_set([lowering()], None, 1, 0.01)
+        ks = kraus_set([lowering()], z_code(1), 0.01)
         assert cptp_defect(ks) == pytest.approx(2.5e-5, abs=1e-12)
 
     def test_quadratic_scaling_under_halving(self):
         rng = np.random.default_rng(31)
         for _ in range(5):
             channels = random_channel_set(rng, 2)
-            coarse = cptp_defect(kraus_set(channels, None, 2, 1e-2))
-            fine = cptp_defect(kraus_set(channels, None, 2, 5e-3))
+            coarse = cptp_defect(kraus_set(channels, z_code(2), 1e-2))
+            fine = cptp_defect(kraus_set(channels, z_code(2), 5e-3))
             assert coarse / fine == pytest.approx(4.0, rel=0.05)
 
 
@@ -133,7 +153,7 @@ class TestMeanEvolution:
             ham = (ham + ham.T) / 2
             ratios = []
             for dt in (1e-2, 5e-3, 2.5e-3):
-                ks = kraus_set(channels, ham, 2, dt)
+                ks = dense_kraus_set(channels, ham, 2, dt)
                 mean = ks.no_jump @ rho @ ks.no_jump.conj().T
                 for _, omega in dense_jumps(ks):
                     mean = mean + omega @ rho @ omega.conj().T
@@ -204,3 +224,28 @@ class TestErrorChannelValidation:
     def test_offset_property(self):
         ch = lowering(gamma=2.0, phi=np.pi / 2)
         assert ch.offset == pytest.approx(2j)
+
+    @pytest.mark.parametrize("qubit", [1.5, True, False, np.True_, "0", None])
+    def test_non_integer_qubit_rejected(self, qubit):
+        with pytest.raises(ValueError, match="integer"):
+            ErrorChannel(qubit=qubit, operator=SIGMA_MINUS)
+
+    def test_numpy_integer_qubit_kept_as_int(self):
+        ch = ErrorChannel(qubit=np.int64(2), operator=SIGMA_MINUS)
+        assert ch.qubit == 2 and type(ch.qubit) is int
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("gamma", np.inf), ("gamma", np.nan), ("phi", np.inf), ("phi", -np.inf),
+         ("phi", np.nan)],
+    )
+    def test_non_finite_offset_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            ErrorChannel(qubit=0, operator=SIGMA_MINUS, **{field: value})
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan, complex(0.0, np.inf)])
+    def test_non_finite_operator_rejected(self, value):
+        operator = SIGMA_MINUS.copy()
+        operator[1, 0] = value
+        with pytest.raises(ValueError, match="finite"):
+            ErrorChannel(qubit=0, operator=operator)

@@ -254,6 +254,46 @@ class TestClosedFormCodespace:
         assert axes.flags.writeable
 
 
+class TestFrame:
+    @pytest.mark.parametrize("pair", [False, True], ids=["one-generator", "pair"])
+    def test_frame_is_the_parity_picture_of_the_code(self, pair):
+        rng = np.random.default_rng(11 + pair)
+        for _ in range(4):
+            n, channels = family_channel_set(rng, pair)
+            code = build_code(channels, n)
+            dim = 2**n
+            # The scattered basis rotates back to the codespace rows ...
+            basis = code.encode(np.eye(2**code.logical_count))
+            assert basis.dtype == np.float64
+            assert_allclose(code.from_frame(basis), code.codespace.T, atol=1e-15)
+            # ... P projects onto it ...
+            v = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+            assert_allclose(code.project(v), basis @ (basis.T @ v), atol=1e-14)
+            # ... and each generator in the frame rotates back to itself.
+            for g, generator in enumerate(code.generators):
+                in_frame = np.zeros((dim, dim))
+                code.add_local(in_frame, np.eye(2), 0, g)
+                rotated = code.operator_from_frame(in_frame)
+                assert_allclose(rotated, generator_matrix(generator), atol=1e-14)
+            # A rotated 2x2 datum is V_q^dag op V_q.
+            op = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            embedded = code.operator_from_frame(
+                np.kron(code.to_frame(op, 0), np.eye(dim // 2))
+            )
+            assert_allclose(embedded, np.kron(op, np.eye(dim // 2)), atol=1e-14)
+
+    def test_pair_frame_is_the_identity(self):
+        code = build_code(rank3_channels(4), 4)
+        assert code.frames is None
+        m = np.eye(16)
+        assert code.from_frame(m) is m and code.operator_from_frame(m) is m
+
+    def test_codespace_is_built_on_first_access(self):
+        code = build_code(relaxation_channels(3), 3)
+        assert "codespace" not in vars(code)
+        assert code.codespace is code.codespace
+
+
 class TestAnticommutingTerms:
     @pytest.mark.parametrize(
         "n, channels",

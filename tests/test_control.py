@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from jumpqec import (
     sector_assignment,
 )
 from jumpqec.codes import anticommuting_terms
-from jumpqec.control import _driving
+from jumpqec.control import _dense_driving, _driving_terms
 from jumpqec.linalg import (
     SIGMA_X,
     SIGMA_Y,
@@ -31,6 +33,8 @@ from jumpqec.linalg import (
 
 from helpers import (
     SIGMA_MINUS,
+    dense_correction,
+    dense_kraus_set,
     family_channel_set,
     generator_matrix,
     random_suite,
@@ -126,7 +130,7 @@ class TestDrivingHamiltonian:
         if tilt and not pair:
             axes = code.generators[0] + tilt * rng.normal(size=(n, 3))
             code = StabilizerCode(n, [axes / np.linalg.norm(axes, axis=1)[:, None]])
-        ham = _driving(channels, code)
+        ham = _dense_driving(_driving_terms(channels, code), code)
         assert max_abs(ham - ham.conj().T) <= 1e-15 * max(1.0, max_abs(ham))
 
     def test_local_products_match_the_dense_sum(self):
@@ -142,7 +146,8 @@ class TestDrivingHamiltonian:
                 mu, e = ch.offset, ch.operator
                 offset = 0.5j * (np.conj(mu) * e - mu * e.conj().T)
                 dense += tensor_embed(offset, ch.qubit, n)
-            assert max_abs(_driving(channels, code) - dense) <= 1e-14
+            ham = _dense_driving(_driving_terms(channels, code), code)
+            assert max_abs(ham - dense) <= 1e-14
         assert branches == {1, 2}
 
 
@@ -154,7 +159,7 @@ class TestCorrectionUnitary:
         code = build_code(relaxation_channels(2), 2)
         corr = build_control_plan([ch], code).corrections[ch]
         assert not corr.null_channel
-        assert_allclose(corr.apply(np.eye(4, dtype=complex)), np.eye(4), atol=1e-12)
+        assert_allclose(dense_correction(corr), np.eye(4), atol=1e-12)
 
     def test_unitary_error_channel(self):
         kappa = 0.7
@@ -166,9 +171,7 @@ class TestCorrectionUnitary:
             label="flip",
         )
         code = build_code(relaxation_channels(2), 2)
-        matrix = build_control_plan([ch], code).corrections[ch].apply(
-            np.eye(4, dtype=complex)
-        )
+        matrix = dense_correction(build_control_plan([ch], code).corrections[ch])
         jump = tensor_embed(np.sqrt(kappa) * SIGMA_X, 1, 2)
         for v in code.codespace:
             out = matrix @ jump @ v
@@ -184,7 +187,7 @@ class TestCorrectionUnitary:
         rate = jump_backaction(ch).rate
         jump = tensor_embed(SIGMA_MINUS, 0, 2)
         for v in code.codespace:
-            out = corr.apply(np.eye(4, dtype=complex)) @ jump @ v
+            out = dense_correction(corr) @ jump @ v
             assert np.max(np.abs(out - np.sqrt(rate) * v)) <= 1e-9
 
     def test_null_channel_flagged(self):
@@ -194,6 +197,7 @@ class TestCorrectionUnitary:
         code = build_code(relaxation_channels(2), 2)
         corr = build_control_plan([ch], code).corrections[ch]
         assert corr.null_channel
+        # The identity is the identity in every frame.
         assert_allclose(corr.apply(np.eye(4, dtype=complex)), np.eye(4))
 
     def test_rejects_uncorrectable_channel(self):
@@ -244,7 +248,7 @@ class TestClosedFormCorrection:
                 corr = plan.corrections[ch]
                 if corr.null_channel:
                     continue
-                matrix = corr.apply(np.eye(2**n, dtype=complex))
+                matrix = dense_correction(corr)
                 assert max_abs(matrix.conj().T @ matrix - np.eye(2**n)) <= 1e-12
                 jump = tensor_embed(effective_jump_operator(ch), ch.qubit, n)
                 rate = jump_backaction(ch).rate
@@ -264,7 +268,7 @@ class TestClosedFormCorrection:
                 ba = jump_backaction(ch)
                 axis = tensor_embed(ba.matrix / np.linalg.norm(ba.bloch), ch.qubit, n)
                 complement = identity - projector - axis @ projector @ axis
-                undone = corr.apply(np.eye(2**n, dtype=complex)) @ _polar_unitary(ch, n)
+                undone = dense_correction(corr) @ _polar_unitary(ch, n)
                 assert max_abs((undone - identity) @ complement) <= 1e-12
 
     def test_repeat_call_is_bytewise_identical(self):
@@ -274,7 +278,7 @@ class TestClosedFormCorrection:
         identity = np.eye(16, dtype=complex)
 
         def dense(corr):
-            return corr.apply(identity).tobytes()
+            return dense_correction(corr).tobytes()
 
         for ch in channels[:3]:
             first = dense(build_control_plan([ch], code).corrections[ch])
@@ -291,7 +295,10 @@ class TestCorrectionApply:
         code = build_code(channels, n)
         assert len(code.generators) == (2 if pair else 1)
         plan = build_control_plan(channels, code)
-        projector = code.codespace.T @ code.codespace.conj()
+        # The corrections' data and apply() are in the code's eigenframe,
+        # where the codespace basis is a scatter of the unit coefficients.
+        basis = code.encode(np.eye(2**code.logical_count))
+        projector = basis @ basis.conj().T
         identity = np.eye(2**n)
         v = rng.normal(size=(2**n, 3)) + 1j * rng.normal(size=(2**n, 3))
         for ch in channels:
@@ -312,7 +319,7 @@ class TestCorrectionApply:
         code = build_code(channels, 4)
         for corr in build_control_plan(channels, code).corrections.values():
             assert corr.u_dag.shape == corr.axis.shape == (2, 2)
-            assert corr.codespace is code.codespace
+            assert corr.code is code and not hasattr(corr, "codespace")
 
 
 class TestControlPlan:
@@ -332,7 +339,7 @@ class TestControlPlan:
             plan = build_control_plan(channels, build_code(channels, n))
             dim = 2**n
             for corr in plan.corrections.values():
-                matrix = corr.apply(np.eye(dim, dtype=complex))
+                matrix = dense_correction(corr)
                 gram = matrix.conj().T @ matrix
                 assert np.max(np.abs(gram - np.eye(dim))) <= 1e-10
 
@@ -341,14 +348,15 @@ class TestNoJumpInvariance:
     def test_two_qubit_lowering_scalar(self):
         channels = relaxation_channels(2)
         code = build_code(channels, 2)
-        ks = kraus_set(channels, driving_hamiltonian(channels, code), 2, 0.01)
+        driving = build_control_plan(channels, code).driving_terms
+        ks = kraus_set(channels, code, 0.01, driving)
         result = nojump_invariance_check(ks, code)
         assert result.a == pytest.approx(0.995, abs=1e-12)
         assert result.residual <= 1e-12
 
     def test_zero_channels(self):
         code = build_code(relaxation_channels(2), 2)
-        ks = kraus_set([], None, 2, 0.01)
+        ks = kraus_set([], code, 0.01)
         result = nojump_invariance_check(ks, code)
         assert result.a == pytest.approx(1.0)
         assert result.residual == pytest.approx(0.0, abs=1e-15)
@@ -356,7 +364,8 @@ class TestNoJumpInvariance:
     def test_generator_pair_branch(self):
         channels = rank3_channels(4)
         code = build_code(channels, 4)
-        ks = kraus_set(channels, driving_hamiltonian(channels, code), 4, 1e-3)
+        driving = build_control_plan(channels, code).driving_terms
+        ks = kraus_set(channels, code, 1e-3, driving)
         result = nojump_invariance_check(ks, code)
         assert result.a == pytest.approx(1.0 - 4.0 * 1e-3 / 2.0, abs=1e-12)
         assert result.residual <= 1e-12
@@ -364,14 +373,15 @@ class TestNoJumpInvariance:
     def test_missing_driving_breaks_invariance(self):
         channels = relaxation_channels(2)
         code = build_code(channels, 2)
-        ks = kraus_set(channels, None, 2, 0.01)
+        ks = kraus_set(channels, code, 0.01)
         assert nojump_invariance_check(ks, code).residual > 1e-6
 
     def test_scalar_matches_total_rate_for_random_sets(self):
         dt = 1e-3
         for n, channels in random_suite(seed=53, count=15):
             code = build_code(channels, n)
-            ks = kraus_set(channels, driving_hamiltonian(channels, code), n, dt)
+            driving = build_control_plan(channels, code).driving_terms
+            ks = kraus_set(channels, code, dt, driving)
             result = nojump_invariance_check(ks, code)
             total = sum(jump_backaction(ch).rate for ch in channels)
             assert result.a == pytest.approx(1.0 - total * dt / 2.0, abs=1e-12)
@@ -391,9 +401,58 @@ class TestJumpExactness:
                 if corr.null_channel:
                     continue
                 jump = tensor_embed(effective_jump_operator(ch), ch.qubit, n)
-                matrix = corr.apply(np.eye(2**n, dtype=complex))  # build it once
+                matrix = dense_correction(corr)  # build it once
                 for v in code.codespace:
                     image = jump @ v
                     norm = np.linalg.norm(image)
                     overlap = abs(np.vdot(v, matrix @ image) / norm) ** 2
                     assert overlap == pytest.approx(1.0, abs=1e-9)
+
+
+class TestFrameMatchesDenseReference:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        pair=st.booleans(),
+        driven=st.booleans(),
+        offset_scale=st.sampled_from([0.0, 1.0, 3.0]),
+    )
+    def test_frame_data_rotate_back_to_the_dense_operators(
+        self, seed, pair, driven, offset_scale
+    ):
+        # The run's Kraus set and corrections live in the code's eigenframe;
+        # rotated back they are the computational-basis operators built
+        # densely from the channels and the codespace rows.
+        rng = np.random.default_rng(seed)
+        n, channels = family_channel_set(rng, pair)
+        channels = tuple(
+            replace(ch, gamma=offset_scale * rng.uniform()) for ch in channels
+        )
+        code = build_code(channels, n)
+        plan = build_control_plan(channels, code)
+        dt = 1e-3
+        ks = kraus_set(channels, code, dt, plan.driving_terms if driven else ())
+        ref = dense_kraus_set(channels, plan.driving if driven else None, n, dt)
+        assert max_abs(code.operator_from_frame(ks.no_jump) - ref.no_jump) <= 1e-13
+        for ch, factor, dense_factor in zip(channels, ks.factors, ref.factors):
+            rotated = code.operator_from_frame(tensor_embed(factor, ch.qubit, n))
+            assert max_abs(rotated - tensor_embed(dense_factor, ch.qubit, n)) <= 1e-13
+
+        projector = code.codespace.T @ code.codespace.conj()
+        identity = np.eye(2**n)
+        for ch in channels:
+            corr = plan.corrections[ch]
+            ba = jump_backaction(ch)
+            w, _, vh = np.linalg.svd(effective_jump_operator(ch))
+            u_dag = tensor_embed((w @ vh).conj().T, ch.qubit, n)
+            if corr.null_channel:  # the identity, in every frame
+                assert np.array_equal(corr.apply(identity), identity)
+                continue
+            norm = np.linalg.norm(ba.bloch)
+            d = tensor_embed(ba.matrix / (norm or 1.0), ch.qubit, n)
+            expected = (
+                identity
+                + (np.cos(corr.theta) - 1.0) * (projector + d @ projector @ d)
+                - np.sin(corr.theta) * (d @ projector - projector @ d)
+            ) @ u_dag
+            assert max_abs(dense_correction(corr) - expected) <= 1e-13

@@ -9,8 +9,8 @@ from numpy.testing import assert_allclose
 
 import jumpqec
 import jumpqec.trajectory as trajectory
-from jumpqec import ErrorChannel, KrausSet, SimConfig, StepSizeError
-from jumpqec import kraus_set, prepare, run_ensemble, tensor_embed
+from jumpqec import ErrorChannel, KrausSet, SimConfig, StabilizerCode, StepSizeError
+from jumpqec import build_code, kraus_set, prepare, run_ensemble, tensor_embed
 from jumpqec._kernels import BlockResult, jump_probabilities, run_steps
 from jumpqec.trajectory import _trajectory_uniforms
 
@@ -51,25 +51,26 @@ def _uniform_block(cfg, indices):
 
 
 def _run_block(setup, uniforms, sample_idx):
-    dim = setup.initial.shape[0]
+    dim = setup.psi0.shape[0]
     rho_sum = np.zeros((sample_idx.shape[0], dim, dim), dtype=complex)
     result = run_steps(
-        setup.initial, setup.kraus, setup.corrections, uniforms, sample_idx, rho_sum
+        setup.psi0, setup.kraus, setup.corrections, uniforms, sample_idx, rho_sum
     )
     return result, rho_sum
 
 
 def _reference(setup, uniforms):
-    """``step()`` run on one uniform stream: events, fidelities, states."""
+    """``step()`` run on one uniform stream, in the setup's frame: events,
+    fidelities, states."""
     order = setup.kraus.channels
-    ts = TrajectoryState(state=setup.initial.copy())
+    ts = TrajectoryState(state=setup.psi0.copy())
     rng = _Replay(uniforms)
-    events, fids, states = [], [1.0], [setup.initial.copy()]
+    events, fids, states = [], [1.0], [setup.psi0.copy()]
     for s in range(uniforms.shape[0]):
         ts, event = step(ts, setup.kraus, setup.corrections, rng)
         if event is not None:
             events.append((s, order.index(event)))
-        fids.append(min(1.0, abs(np.vdot(setup.initial, ts.state)) ** 2))
+        fids.append(min(1.0, abs(np.vdot(setup.psi0, ts.state)) ** 2))
         states.append(ts.state)
     return events, np.array(fids), np.array(states)
 
@@ -209,7 +210,7 @@ class TestKernelMatchesReference:
         rho_sum = np.zeros((2, dim, dim), dtype=complex)
         result = run_steps(
             psi0,
-            kraus_set([], None, 2, 0.01),
+            kraus_set([], StabilizerCode(2, [np.tile([0.0, 0, 1.0], (2, 1))]), 0.01),
             None,
             np.random.default_rng(1).random((50, 3)),
             sample_idx,
@@ -246,8 +247,7 @@ class TestKernelMatchesReference:
         assert result.status >= 0
         assert rho_sum.shape == (3, 4, 4)
         assert_allclose(
-            rho_sum[0], 3.0 * np.outer(setup.initial, setup.initial.conj()),
-            atol=1e-15,
+            rho_sum[0], 3.0 * np.outer(setup.psi0, setup.psi0.conj()), atol=1e-15
         )
         traces = np.trace(rho_sum, axis1=1, axis2=2)
         assert_allclose(traces, 3.0, atol=1e-12)
@@ -261,9 +261,9 @@ def _readme_config(**extra):
 
 
 def _engine_arrays(setup):
-    arrays = [setup.initial, setup.kraus.no_jump, setup.kraus.factors]
+    arrays = [setup.psi0, setup.kraus.no_jump, setup.kraus.factors]
     for c in setup.corrections or ():
-        arrays += [c.u_dag, c.axis, c.codespace]
+        arrays += [c.u_dag, c.axis]
     return arrays
 
 
@@ -277,12 +277,9 @@ def _as_complex(setup):
         setup.kraus, no_jump=cast(setup.kraus.no_jump), factors=cast(setup.kraus.factors)
     )
     corrections = tuple(
-        replace(c, u_dag=cast(c.u_dag), axis=cast(c.axis), codespace=cast(c.codespace))
-        for c in setup.corrections
+        replace(c, u_dag=cast(c.u_dag), axis=cast(c.axis)) for c in setup.corrections
     )
-    return replace(
-        setup, kraus=kraus, corrections=corrections, initial=cast(setup.initial)
-    )
+    return replace(setup, kraus=kraus, corrections=corrections, psi0=cast(setup.psi0))
 
 
 class TestRealArithmetic:
@@ -313,22 +310,27 @@ class TestRealArithmetic:
         assert_allclose(rho_real, rho_full, rtol=0, atol=2e-15 * width)
 
     def test_engine_dtype_follows_its_inputs(self):
-        # Relaxation channels on the synthesized code are exactly real.
+        # Relaxation channels on the synthesized code are exactly real in
+        # its eigenframe.
         setup = prepare(_readme_config())
         assert {a.dtype for a in _engine_arrays(setup)} == {np.dtype(np.float64)}
         assert not setup.kraus.no_jump.flags.writeable
         assert not setup.kraus.factors.flags.writeable
-        # One complex input keeps every array complex: a complex initial
-        # vector, or the rank-3 set's Y-axis channel.
+        # One complex input makes the block and the dense no-jump operator
+        # complex, so the product never upcasts: a complex initial vector,
+        # or the rank-3 set's Y-axis channel.  The 2x2 data and the initial
+        # vector keep their own dtype and are upcast where they meet the block.
         phased = _readme_config(initial_state=(2**-0.5, 1j * 2**-0.5))
         rank3 = SimConfig(n=4, channels=rank3_channels(4), dt=1e-3, duration=0.01)
         for cfg in (phased, rank3):
-            arrays = _engine_arrays(prepare(cfg))
-            assert {a.dtype for a in arrays} == {np.dtype(np.complex128)}
+            setup = prepare(cfg)
+            assert np.result_type(*_engine_arrays(setup)) == np.complex128
+            assert setup.kraus.no_jump.dtype == np.complex128
+        # The corrections hold no codespace rows: they project through the code.
         for cfg in (_readme_config(), rank3):
-            corrections = prepare(cfg).corrections
-            assert len({id(c.codespace) for c in corrections}) == 1
-            assert not corrections[0].codespace.flags.writeable
+            setup = prepare(cfg)
+            assert all(c.code is setup.code for c in setup.corrections)
+            assert not any(hasattr(c, "codespace") for c in setup.corrections)
 
 
 class TestLocalProbabilities:
@@ -340,7 +342,7 @@ class TestLocalProbabilities:
         # Unnormalized columns scale the weights and norms by |psi|^2.
         rng = np.random.default_rng(seed)
         n, channels = family_channel_set(rng, pair)
-        ks = kraus_set(channels, None, n, 0.01)
+        ks = kraus_set(channels, build_code(channels, n), 0.01)
         psi = rng.normal(size=(2**n, 5)) + 1j * rng.normal(size=(2**n, 5))
         if normalized:
             psi /= np.linalg.norm(psi, axis=0)
@@ -357,8 +359,9 @@ class TestLocalProbabilities:
         assert np.max(np.abs(norm2 - norms) / norms) <= 1e-15
 
     def test_dense_jumps_embed_the_factors(self):
+        # The pair's frame is the computational basis.
         channels = rank3_channels(2)
-        ks = kraus_set(channels, None, 2, 0.04)
+        ks = kraus_set(channels, build_code(channels, 2), 0.04)
         for (ch, op), factor in zip(dense_jumps(ks), ks.factors):
             assert_allclose(factor, 0.2 * ch.operator, rtol=0, atol=1e-16)
             assert np.array_equal(op, tensor_embed(factor, ch.qubit, 2))

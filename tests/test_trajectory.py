@@ -10,6 +10,7 @@ import jumpqec as jq
 from jumpqec import (
     ErrorChannel,
     SimConfig,
+    StabilizerCode,
     StepSizeError,
     effective_jump_operator,
     jump_backaction,
@@ -20,7 +21,8 @@ from jumpqec import (
     tensor_embed,
     trace_distance,
 )
-from jumpqec import trajectory
+from jumpqec import channels as channels_module
+from jumpqec import codes, control, linalg, trajectory
 from jumpqec.channels import lindblad_generator
 from jumpqec.control import driving_hamiltonian
 from jumpqec.linalg import expm1, max_abs
@@ -38,6 +40,9 @@ from helpers import (
 
 #: Single generator -Z on one qubit: the codespace is span{|1>}.
 EXCITED_OVERRIDE = (np.array([[0.0, 0.0, -1.0]]),)
+
+#: Single generator Z on one qubit: its eigenframe is the computational basis.
+Z_CODE = StabilizerCode(1, [np.array([[0.0, 0.0, 1.0]])])
 
 
 class _FixedUniform:
@@ -98,6 +103,19 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(n=1, channels=(), dt=0.1, duration=1.0, seed=2**64)
 
+    @pytest.mark.parametrize("state", [True, False])
+    def test_rejects_boolean_initial_state(self, state):
+        with pytest.raises(ValueError, match="initial_state"):
+            SimConfig(n=2, channels=(), dt=0.1, duration=1.0, initial_state=state)
+
+    @pytest.mark.parametrize(
+        "state",
+        [(np.nan, 1.0), (1.0, np.inf), (complex(1.0, np.nan), 0.0), (-np.inf, 0.0)],
+    )
+    def test_rejects_non_finite_initial_coefficients(self, state):
+        with pytest.raises(ValueError, match="finite"):
+            SimConfig(n=2, channels=(), dt=0.1, duration=1.0, initial_state=state)
+
     def test_rejects_misshapen_override(self):
         with pytest.raises(ValueError):
             SimConfig(
@@ -142,6 +160,45 @@ class TestOperatorBudget:
         assert len(many.channels) == 3 * len(few.channels)
         assert _prepare_peak(many) - _prepare_peak(few) < 16 * 4**n
 
+    def test_prepare_builds_one_register_array(self):
+        # The protected n=9 relaxation run: the frame no-jump operator is
+        # the one float64 (dim, dim) array prepare() builds and keeps.
+        cfg = SimConfig(n=9, channels=relaxation_channels(9, gamma=0.5), dt=1e-3,
+                        duration=1.0)
+        prepare(cfg)  # warm-up: imports and the code's cached arrays
+        register = 8 * 4**cfg.n
+        tracemalloc.start()
+        try:
+            setup = prepare(cfg)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert setup.kraus.no_jump.dtype == np.float64
+        assert peak <= 4 * register, peak / register
+        assert retained <= 1.1 * register, retained / register
+
+    @pytest.mark.parametrize(
+        "n, channels",
+        [(4, rank3_channels(4)), (5, relaxation_channels(5, gamma=0.5))],
+        ids=["generator-pair", "one-generator"],
+    )
+    def test_run_path_builds_no_dense_embedding(self, monkeypatch, n, channels):
+        # No embedded operator, dense driving Hamiltonian or codespace row
+        # on the run path: prepare() and run_ensemble() with density.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense builder reached")
+
+        for module, name in (
+            (linalg, "tensor_embed"),
+            (channels_module, "tensor_embed"),
+            (control, "_dense_driving"),
+        ):
+            monkeypatch.setattr(module, name, forbidden)
+        monkeypatch.setattr(codes.StabilizerCode, "codespace", property(forbidden))
+        cfg = SimConfig(n=n, channels=channels, dt=1e-3, duration=0.02, trajectories=3)
+        assert prepare(cfg).corrections is not None
+        assert run_ensemble(cfg).mean_density.shape == (21, 2**n, 2**n)
+
     def test_refused_before_synthesis_at_twelve_qubits(self, monkeypatch):
         monkeypatch.setattr(trajectory, "build_code", _reached_synthesis)
         with pytest.raises(ValueError, match=r"\[1, 11\]"):
@@ -176,7 +233,7 @@ class TestRunLength:
 
 class TestStep:
     def test_no_channels_leaves_state(self):
-        ks = kraus_set([], None, 1, 0.1)
+        ks = kraus_set([], Z_CODE, 0.1)
         ts = TrajectoryState(state=np.array([1.0, 0.0], dtype=complex))
         ts, event = step(ts, ks, None, _FixedUniform(0.5))
         assert event is None
@@ -189,17 +246,17 @@ class TestStep:
             n=2, channels=relaxation_channels(2), dt=0.01, duration=1.0
         )
         setup = prepare(cfg)
-        ts = TrajectoryState(state=setup.initial.copy())
+        ts = TrajectoryState(state=setup.psi0.copy())
         ts, event = step(ts, setup.kraus, setup.corrections, _FixedUniform(0.0))
         assert event is cfg.channels[0]
-        overlap = abs(np.vdot(ts.state, setup.initial)) ** 2
+        overlap = abs(np.vdot(ts.state, setup.psi0)) ** 2
         assert overlap == pytest.approx(1.0, abs=1e-9)
         assert ts.jump_log == [(pytest.approx(0.01), cfg.channels[0])]
 
     def test_uniform_brackets_jump_probability(self):
         # From |1> the lone lowering channel fires with probability dt.
         ch = _lowering(0)
-        ks = kraus_set([ch], None, 1, 0.01)
+        ks = kraus_set([ch], Z_CODE, 0.01)
         excited = np.array([0.0, 1.0], dtype=complex)
         below = TrajectoryState(state=excited.copy())
         _, event = step(below, ks, None, _FixedUniform(0.01 - 1e-12))
@@ -214,7 +271,7 @@ class TestStep:
         ch = ErrorChannel(
             qubit=0, operator=5.0 * SIGMA_MINUS, gamma=0.0, phi=0.0, label=0
         )
-        ks = kraus_set([ch], None, 1, 0.1)
+        ks = kraus_set([ch], Z_CODE, 0.1)
         ts = TrajectoryState(state=np.array([0.0, 1.0], dtype=complex))
         with pytest.raises(StepSizeError):
             step(ts, ks, None, _FixedUniform(0.5))
