@@ -29,10 +29,11 @@ The engine is basis-blind: it runs in whatever frame its inputs share.
 ``trajectory.prepare`` gives it the code's eigenframe, where the
 corrections project through the code without any codespace rows.  One
 path serves both dtypes: the block takes the result type of the arrays
-the engine reads (:func:`engine_arrays`), and ``prepare`` builds the
-no-jump operator in that type, so the dense product never upcasts; it is
-float64 exactly when every 2x2 datum and the initial coefficients are
-real.
+the engine reads (:func:`engine_arrays`), float64 exactly when every 2x2
+datum and the initial coefficients are real.  ``kraus_set`` builds the
+no-jump operator in the type of its own data, which is the block's type
+on every run but a complex one from real channels; there the block casts
+it once, so the dense product never upcasts per step.
 """
 
 from __future__ import annotations
@@ -146,6 +147,8 @@ def run_steps(psi0, kraus, corrections, uniforms, sample_idx, rho_sum=None):
     steps, width = uniforms.shape
     dtype = np.result_type(*engine_arrays(psi0, kraus, corrections))
     factors = kraus.factors
+    # A no-op unless the Kraus set is real and another input complex.
+    no_jump = kraus.no_jump.astype(dtype, copy=False)
     qubits = [ch.qubit for ch in kraus.channels]
     # The weights map takes blocks of its factors' dtype.
     weights = jump_probabilities(factors.astype(dtype, copy=False), qubits, kraus.n)
@@ -164,7 +167,7 @@ def run_steps(psi0, kraus, corrections, uniforms, sample_idx, rho_sum=None):
         # column over the probability bound clicks too, since u < 1.
         threshold = uniforms[s] * norm2
         clicked = (acc[-1:] > threshold).nonzero()[1]  # empty without channels
-        nxt = kraus.no_jump @ psi
+        nxt = no_jump @ psi
         if clicked.size:
             total = acc[-1, clicked] / norm2[clicked]
             if (over := 1.0 - total < -PROBABILITY_SLACK).any():

@@ -20,6 +20,7 @@ import cmath
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,6 +31,9 @@ from .linalg import (
     tensor_embed,
     traceless_decompose,
 )
+
+if TYPE_CHECKING:
+    from .codes import StabilizerCode
 
 __all__ = [
     "ErrorChannel",
@@ -121,13 +125,14 @@ class Backaction:
 class KrausSet:
     """First-order Kraus decomposition of one time step of length ``dt``.
 
-    Both operators are in the eigenframe of the code they were built for
-    (:class:`.codes.StabilizerCode`).  ``factors`` stacks the ``(m, 2, 2)``
-    one-qubit jump factors ``sqrt(dt) (E + mu)`` of ``channels`` in input
-    order, each acting on its channel's qubit; ``no_jump`` is the dense
-    between-detections operator on the full register.  ``warnings`` is
-    non-empty when the requested step violates the weak-coupling budget
-    (the set is still usable).
+    Both operators are in the eigenframe of ``code``, the code they were
+    built for (:class:`.codes.StabilizerCode`); ``None`` marks a set built
+    by hand, whose frame is whatever its author chose.  ``factors`` stacks
+    the ``(m, 2, 2)`` one-qubit jump factors ``sqrt(dt) (E + mu)`` of
+    ``channels`` in input order, each acting on its channel's qubit;
+    ``no_jump`` is the dense between-detections operator on the full
+    register.  ``warnings`` is non-empty when the requested step violates
+    the weak-coupling budget (the set is still usable).
     """
 
     dt: float
@@ -136,6 +141,7 @@ class KrausSet:
     channels: tuple[ErrorChannel, ...]
     n: int
     warnings: tuple[str, ...] = field(default=())
+    code: StabilizerCode | None = None
 
 
 def effective_jump_operator(channel: ErrorChannel) -> np.ndarray:
@@ -150,7 +156,7 @@ def jump_backaction(channel: ErrorChannel) -> Backaction:
     return Backaction(matrix=matrix, bloch=bloch_decompose(matrix), rate=rate)
 
 
-def kraus_set(channels, code, dt: float, driving=(), dtype=np.float64) -> KrausSet:
+def kraus_set(channels, code, dt: float, driving=()) -> KrausSet:
     """Build the jump and no-jump operators for one step of length ``dt``.
 
     Everything is built in ``code``'s eigenframe, from 2x2 data that
@@ -164,9 +170,8 @@ def kraus_set(channels, code, dt: float, driving=(), dtype=np.float64) -> KrausS
     ``driving`` holds the driving Hamiltonian's terms
     (:class:`.control.DrivingTerm`); empty means undriven.
 
-    ``no_jump`` is one dense array, built once in the result type of
-    ``dtype`` and every rotated datum: float64 exactly when all of them
-    are real.  A step whose worst-case total jump probability exceeds
+    ``no_jump`` is one dense array, built once in the result type of the
+    rotated data: float64 exactly when all of them are real.  A step whose worst-case total jump probability exceeds
     ``WEAK_COUPLING_BUDGET`` is flagged in ``warnings`` rather than
     rejected, since stressing the first-order scheme can be deliberate.
     """
@@ -195,7 +200,7 @@ def kraus_set(channels, code, dt: float, driving=(), dtype=np.float64) -> KrausS
     factors.flags.writeable = False
 
     dim = 2**n
-    dtype = np.result_type(dtype, factors, *(datum for _, datum, _ in terms))
+    dtype = np.result_type(np.float64, factors, *(datum for _, datum, _ in terms))
     no_jump = np.zeros((dim, dim), dtype)
     for qubit, datum, generator in terms:
         code.add_local(no_jump, datum, qubit, generator)
@@ -216,6 +221,7 @@ def kraus_set(channels, code, dt: float, driving=(), dtype=np.float64) -> KrausS
         channels=tuple(channels),
         n=n,
         warnings=warnings,
+        code=code,
     )
 
 

@@ -34,7 +34,11 @@ from . import __version__
 from .channels import ErrorChannel, kraus_set
 from .codes import CodeSynthesisError, verify_correctability
 from .control import (
-    CorrectabilityError, _driving_terms, build_control_plan, nojump_invariance_check,
+    CorrectabilityError,
+    _dense_driving,
+    _driving_terms,
+    build_control_plan,
+    nojump_invariance_check,
 )
 from .linalg import IDENTITY, PAULIS
 from .trajectory import (
@@ -341,7 +345,7 @@ def _cmd_synthesize(cfg: SimConfig) -> tuple[int, Iterable[str]]:
             for q, row in enumerate(gen)
         )
         print(f"generator {gi}: {rows}")
-    terms = pauli_coefficients(plan.driving)
+    terms = pauli_coefficients(_dense_driving(plan.driving_terms, code))
     if terms:
         print("driving Hamiltonian (Pauli coefficients):")
         for label, value in terms:

@@ -113,25 +113,18 @@ class ControlPlan:
     """Synthesized feedback controls for a channel set on a code.
 
     Attributes:
-        code: the code the controls are built for.
-        driving_terms: the driving Hamiltonian as its terms.
+        driving_terms: the driving Hamiltonian as its terms, 2x2 factors in
+            the computational basis (:func:`driving_hamiltonian` gives the
+            dense sum).
         corrections: map from each channel object to its :class:`Correction`.
         sector_map: axis letter -> generator index used to cancel that
             Pauli axis; the assignment is the same for every channel.
             ``None`` on the single-generator branch.
     """
 
-    code: StabilizerCode
     driving_terms: tuple[DrivingTerm, ...]
     corrections: dict[ErrorChannel, Correction]
     sector_map: dict[str, int] | None
-
-    @functools.cached_property
-    def driving(self) -> np.ndarray:
-        """The dense Hermitian driving Hamiltonian (units of rate), read-only."""
-        driving = _dense_driving(self.driving_terms, self.code)
-        driving.flags.writeable = False
-        return driving
 
 
 class NoJumpInvariance(NamedTuple):
@@ -253,7 +246,7 @@ def build_control_plan(
         sector_map = {ax: sector_assignment(ax, code.generators) for ax in "xyz"}
     else:
         sector_map = None
-    return ControlPlan(code, _driving_terms(channels, code), corrections, sector_map)
+    return ControlPlan(_driving_terms(channels, code), corrections, sector_map)
 
 
 def nojump_invariance_check(ks: KrausSet, code: StabilizerCode) -> NoJumpInvariance:
@@ -266,11 +259,17 @@ def nojump_invariance_check(ks: KrausSet, code: StabilizerCode) -> NoJumpInvaria
     was built with the matching driving terms the no-jump operator equals
     ``a`` plus terms annihilating the codespace, so the residual sits at
     machine precision.
+
+    Raises ``ValueError`` unless ``ks`` was built for ``code``, or for a
+    code with the same generators (hence the same frame).
     """
+    built = ks.code
+    if built is not code and (
+        built is None or not np.array_equal(built.generators, code.generators)
+    ):
+        raise ValueError("the Kraus set was built for a different code")
     total_rate = sum(jump_backaction(ch).rate for ch in ks.channels)
     a = 1.0 - total_rate * ks.dt / 2.0
-    if code.n != ks.n:
-        raise ValueError("code and Kraus set act on different register sizes")
     basis = code.encode(np.eye(2**code.logical_count))
     deviation = ks.no_jump @ basis - a * basis
     residual = float(np.max(np.linalg.norm(deviation, axis=0))) if basis.size else 0.0

@@ -187,8 +187,9 @@ class SimulationSetup:
 
     Every array the engine reads is in the eigenframe of ``code``:
     ``kraus.no_jump`` and ``kraus.factors``, ``psi0``, and each correction's
-    ``u_dag`` and ``axis``.  ``kraus.no_jump`` has the result type of all of
-    them: float64 exactly when every one is real.
+    ``u_dag`` and ``axis``.  ``kraus.no_jump`` has the result type of the
+    Kraus set's own 2x2 data; the engine evolves in the result type of all
+    of them, float64 exactly when every one is real.
     """
 
     code: StabilizerCode
@@ -272,8 +273,8 @@ def prepare(cfg: SimConfig) -> SimulationSetup:
     fully unprotected runs do not require correctability.  Everything is
     built in the code's eigenframe from one-qubit data: the initial vector
     is a scatter of its coefficients, jumps and corrections stay 2x2 data,
-    and the no-jump operator is the one dense array, built once in the
-    result type of the rest (see :class:`SimulationSetup`).
+    and the no-jump operator is the one dense array, built once (see
+    :class:`SimulationSetup`).
     """
     _require_step_budget(cfg)
     code = simulation_code(cfg)
@@ -285,8 +286,7 @@ def prepare(cfg: SimConfig) -> SimulationSetup:
         corrections = tuple(plan.corrections[ch] for ch in cfg.channels)
     psi0 = _initial_vector(cfg, code)
     driving = plan.driving_terms if cfg.driving_enabled else ()
-    data = [a for c in corrections or () for a in (c.u_dag, c.axis)]
-    ks = kraus_set(cfg.channels, code, cfg.dt, driving, np.result_type(psi0, *data))
+    ks = kraus_set(cfg.channels, code, cfg.dt, driving)
     steps = cfg.steps
     return SimulationSetup(
         code=code,

@@ -376,6 +376,22 @@ class TestNoJumpInvariance:
         ks = kraus_set(channels, code, 0.01)
         assert nojump_invariance_check(ks, code).residual > 1e-6
 
+    def test_refuses_a_set_built_for_another_code(self):
+        # Both codes are on four qubits, but their frames differ: the
+        # relaxation code's is the Hadamard axis, the pair's the identity.
+        channels = relaxation_channels(4)
+        code = build_code(channels, 4)
+        other = build_code(rank3_channels(4), 4)
+        ks = kraus_set(channels, code, 1e-3)
+        with pytest.raises(ValueError, match="different code"):
+            nojump_invariance_check(ks, other)
+        with pytest.raises(ValueError, match="different code"):
+            nojump_invariance_check(replace(ks, code=None), code)
+        # A code rebuilt from the same channels has the same frame.
+        driving = build_control_plan(channels, code).driving_terms
+        ks = kraus_set(channels, code, 1e-3, driving)
+        assert nojump_invariance_check(ks, build_code(channels, 4)).residual <= 1e-12
+
     def test_scalar_matches_total_rate_for_random_sets(self):
         dt = 1e-3
         for n, channels in random_suite(seed=53, count=15):
@@ -432,7 +448,8 @@ class TestFrameMatchesDenseReference:
         plan = build_control_plan(channels, code)
         dt = 1e-3
         ks = kraus_set(channels, code, dt, plan.driving_terms if driven else ())
-        ref = dense_kraus_set(channels, plan.driving if driven else None, n, dt)
+        hamiltonian = _dense_driving(plan.driving_terms, code) if driven else None
+        ref = dense_kraus_set(channels, hamiltonian, n, dt)
         assert max_abs(code.operator_from_frame(ks.no_jump) - ref.no_jump) <= 1e-13
         for ch, factor, dense_factor in zip(channels, ks.factors, ref.factors):
             rotated = code.operator_from_frame(tensor_embed(factor, ch.qubit, n))

@@ -316,16 +316,25 @@ class TestRealArithmetic:
         assert {a.dtype for a in _engine_arrays(setup)} == {np.dtype(np.float64)}
         assert not setup.kraus.no_jump.flags.writeable
         assert not setup.kraus.factors.flags.writeable
-        # One complex input makes the block and the dense no-jump operator
-        # complex, so the product never upcasts: a complex initial vector,
-        # or the rank-3 set's Y-axis channel.  The 2x2 data and the initial
-        # vector keep their own dtype and are upcast where they meet the block.
+        # One complex input makes the block complex: a complex initial
+        # vector, or the rank-3 set's Y-axis channel.  Each array keeps its
+        # own dtype: the no-jump operator is complex only from complex
+        # channel data, and the block casts a real one once.
         phased = _readme_config(initial_state=(2**-0.5, 1j * 2**-0.5))
         rank3 = SimConfig(n=4, channels=rank3_channels(4), dt=1e-3, duration=0.01)
-        for cfg in (phased, rank3):
+        for cfg, no_jump_dtype in ((phased, np.float64), (rank3, np.complex128)):
             setup = prepare(cfg)
             assert np.result_type(*_engine_arrays(setup)) == np.complex128
-            assert setup.kraus.no_jump.dtype == np.complex128
+            assert setup.kraus.no_jump.dtype == no_jump_dtype
+        setup = prepare(phased)
+        uniforms = _uniform_block(phased, range(phased.trajectories))
+        mixed, rho_mixed = _run_block(setup, uniforms, setup.sample_indices)
+        full, rho_full = _run_block(_as_complex(setup), uniforms, setup.sample_indices)
+        assert mixed.status == full.status > 0
+        assert np.array_equal(mixed.jump_steps, full.jump_steps)
+        width = phased.trajectories
+        assert_allclose(mixed.infid_sum, full.infid_sum, rtol=0, atol=1e-14 * width)
+        assert_allclose(rho_mixed, rho_full, rtol=0, atol=2e-15 * width)
         # The corrections hold no codespace rows: they project through the code.
         for cfg in (_readme_config(), rank3):
             setup = prepare(cfg)
