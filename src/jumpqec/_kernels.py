@@ -32,7 +32,7 @@ path serves both dtypes: the block takes the result type of the arrays
 the engine reads (:func:`engine_arrays`), float64 exactly when every 2x2
 datum and the initial coefficients are real.  ``kraus_set`` builds the
 no-jump operator in the type of its own data, which is the block's type
-on every run but a complex one from real channels; there the block casts
+unless a complex initial vector meets real channels; then the block casts
 it once, so the dense product never upcasts per step.
 """
 

@@ -171,9 +171,10 @@ def kraus_set(channels, code, dt: float, driving=()) -> KrausSet:
     (:class:`.control.DrivingTerm`); empty means undriven.
 
     ``no_jump`` is one dense array, built once in the result type of the
-    rotated data: float64 exactly when all of them are real.  A step whose worst-case total jump probability exceeds
-    ``WEAK_COUPLING_BUDGET`` is flagged in ``warnings`` rather than
-    rejected, since stressing the first-order scheme can be deliberate.
+    rotated data: float64 exactly when all of them are real.  A step whose
+    worst-case total jump probability exceeds ``WEAK_COUPLING_BUDGET`` is
+    flagged in ``warnings`` rather than rejected, since stressing the
+    first-order scheme can be deliberate.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
