@@ -36,7 +36,6 @@ from .control import (
     CorrectabilityError,
     NoJumpInvariance,
     build_control_plan,
-    driving_hamiltonian,
     nojump_invariance_check,
 )
 from .linalg import (
@@ -78,7 +77,6 @@ __all__ = [
     "CorrectabilityError",
     "NoJumpInvariance",
     "build_control_plan",
-    "driving_hamiltonian",
     "nojump_invariance_check",
     "sector_assignment",
     "bloch_decompose",

@@ -10,15 +10,19 @@ the no-jump operator
     Omega_0 = 1 - dt * (i H + sum_ch (E^dag E / 2 + mu* E + |mu|^2 / 2))
 
 applies.  This no-jump form is the unique first-order choice for which the
-Kraus set is trace preserving up to O(dt^2) and the ensemble average
-reproduces the offset-independent Lindblad generator defined here.
+Kraus set is trace preserving up to O(dt^2).  Its generator
+``K = (Omega_0 - 1) / dt`` satisfies ``K + K^dag = -sum_k A_k^dag A_k``
+with the jumps ``A_k = E_k + mu_k``, so without feedback the ensemble
+average follows the Lindblad equation
+``rho' = K rho + rho K^dag + sum_k A_k rho A_k^dag``, whose offsets
+cancel.  The Kraus set keeps the local terms it sums into ``K``
+(:attr:`KrausSet.terms`), the one source of these dynamics.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -28,7 +32,6 @@ from .linalg import (
     IDENTITY,
     bloch_decompose,
     bloch_matrix,
-    tensor_embed,
     traceless_decompose,
 )
 
@@ -42,7 +45,6 @@ __all__ = [
     "effective_jump_operator",
     "jump_backaction",
     "kraus_set",
-    "lindblad_generator",
 ]
 
 #: Largest total per-step jump probability before a KrausSet is flagged.
@@ -131,8 +133,11 @@ class KrausSet:
     the ``(m, 2, 2)`` one-qubit jump factors ``sqrt(dt) (E + mu)`` of
     ``channels`` in input order, each acting on its channel's qubit;
     ``no_jump`` is the dense between-detections operator on the full
-    register.  ``warnings`` is non-empty when the requested step violates
-    the weak-coupling budget (the set is still usable).
+    register, ``1 + dt K``.  ``terms`` holds the ``(qubit, 2x2 frame datum,
+    generator or None)`` triples whose embedded products (see
+    :meth:`.codes.StabilizerCode.add_local`) sum to ``-K``; a set built by
+    hand may leave it empty.  ``warnings`` is non-empty when the requested
+    step violates the weak-coupling budget (the set is still usable).
     """
 
     dt: float
@@ -142,6 +147,7 @@ class KrausSet:
     n: int
     warnings: tuple[str, ...] = field(default=())
     code: StabilizerCode | None = None
+    terms: tuple[tuple[int, np.ndarray, int | None], ...] = ()
 
 
 def effective_jump_operator(channel: ErrorChannel) -> np.ndarray:
@@ -198,7 +204,8 @@ def kraus_set(channels, code, dt: float, driving=()) -> KrausSet:
         datum = code.to_frame(1j * local, term.qubit)
         terms.append((term.qubit, datum, term.generator))
     factors = np.array(factors).reshape(-1, 2, 2)
-    factors.flags.writeable = False
+    for frozen in (factors, *(datum for _, datum, _ in terms)):
+        frozen.flags.writeable = False
 
     dim = 2**n
     dtype = np.result_type(np.float64, factors, *(datum for _, datum, _ in terms))
@@ -223,36 +230,6 @@ def kraus_set(channels, code, dt: float, driving=()) -> KrausSet:
         n=n,
         warnings=warnings,
         code=code,
+        terms=tuple(terms),
     )
 
-
-def lindblad_generator(
-    channels: list[ErrorChannel] | tuple[ErrorChannel, ...],
-    hamiltonian: np.ndarray | None,
-    n: int,
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The map ``rho -> drho/dt`` of the register's Lindblad master equation.
-
-    ``K rho + rho K^dag + sum_k E_k rho E_k^dag`` with the embedded channel
-    operators ``E_k`` and ``K = -i H - sum_k E_k^dag E_k / 2``.  The
-    detection offsets do not appear: the averaged evolution is unraveling
-    independent.
-    """
-    dim = 2**n
-    ops = np.array(
-        [tensor_embed(ch.operator, ch.qubit, n) for ch in channels],
-        dtype=np.complex128,
-    ).reshape(-1, dim, dim)
-    tall = ops.reshape(-1, dim)  # rows stack E_1, ..., E_m
-    k = -0.5 * (tall.conj().T @ tall)
-    if hamiltonian is not None:
-        k -= 1j * np.asarray(hamiltonian, dtype=np.complex128)
-    k_dag = k.conj().T
-    wide = ops.transpose(1, 0, 2).reshape(dim, -1)  # columns E_1 | ... | E_m
-    ops_dag = ops.conj().transpose(0, 2, 1)
-
-    def generator(rho: np.ndarray) -> np.ndarray:
-        # wide times the rows rho E_1^dag, ..., rho E_m^dag sums the jumps.
-        return k @ rho + rho @ k_dag + wide @ (rho @ ops_dag).reshape(-1, dim)
-
-    return generator

@@ -9,9 +9,9 @@ per-channel correction unitary that maps the jumped codespace isometrically
 back onto itself, built in closed form (see :func:`_correction`).
 
 The controls are one-qubit data.  The driving Hamiltonian is kept as its
-terms (:class:`DrivingTerm`), in the computational basis; it is densified
-only on request.  Each :class:`Correction` holds its 2x2 data in the
-code's eigenframe, the frame the trajectory engine runs in.
+terms (:class:`DrivingTerm`), in the computational basis; only the
+``synthesize`` listing densifies it.  Each :class:`Correction` holds its
+2x2 data in the code's eigenframe, the frame the trajectory engine runs in.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
     "ControlPlan",
     "DrivingTerm",
     "NoJumpInvariance",
-    "driving_hamiltonian",
     "build_control_plan",
     "nojump_invariance_check",
 ]
@@ -114,8 +113,8 @@ class ControlPlan:
 
     Attributes:
         driving_terms: the driving Hamiltonian as its terms, 2x2 factors in
-            the computational basis (:func:`driving_hamiltonian` gives the
-            dense sum).
+            the computational basis (:func:`_dense_driving` gives the dense
+            sum that ``synthesize`` lists).
         corrections: map from each channel object to its :class:`Correction`.
         sector_map: axis letter -> generator index used to cancel that
             Pauli axis; the assignment is the same for every channel.
@@ -180,25 +179,6 @@ def _require_correctable(
             f"(residual {report.max_residual:.3e})",
             report,
         )
-
-
-def driving_hamiltonian(
-    channels: tuple[ErrorChannel, ...] | list[ErrorChannel], code: StabilizerCode
-) -> np.ndarray:
-    """Hermitian Hamiltonian cancelling the no-jump backaction on the codespace.
-
-    Each channel contributes ``(i/4)[T_q, S]`` for its embedded traceless
-    backaction ``T_q`` and the generator ``S`` that anticommutes with it
-    (axis by axis on the two-generator branch), plus an unraveling-offset
-    term ``(i/2)(mu* E - mu E^dag)`` local to its qubit.  The commutator
-    makes every term Hermitian by construction; on a correctable code,
-    where ``T_q`` and ``S`` anticommute, it equals ``(i/2) T_q S``.
-
-    Raises :class:`CorrectabilityError` when the code does not protect
-    against the channels (the construction has no meaning then).
-    """
-    _require_correctable(code, channels)
-    return _dense_driving(_driving_terms(channels, code), code)
 
 
 def _correction(ch: ErrorChannel, code: StabilizerCode) -> Correction:

@@ -26,24 +26,26 @@ code.  Mean densities are rotated back to the computational basis.  A
 density series or a run's per-step series larger than
 ``DENSITY_BUDGET_BYTES`` is refused before any setup.
 
-The oracle evolves the unconditioned master equation (independent of the
-unraveling offset) on the ensemble's density grid, by exact per-qubit
-propagation when undriven and by fixed-step RK4 when driven, and is used
-to cross-validate ensemble means; it works in the computational basis.
+The oracle evolves the unconditioned master equation on the ensemble's
+density grid, from the same Kraus set's no-jump generator and jumps, by
+exact per-qubit propagation when undriven and by fixed-step RK4 when
+driven, and is used to cross-validate ensemble means; it rotates those
+operators back once and evolves in the computational basis.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels
-from .channels import ErrorChannel, KrausSet, kraus_set, lindblad_generator
+from .channels import ErrorChannel, KrausSet, kraus_set
 from .codes import StabilizerCode, build_code
-from .control import Correction, build_control_plan, driving_hamiltonian
+from .control import Correction, build_control_plan
 from .linalg import MAX_QUBITS, expm1, max_abs
 
 __all__ = [
@@ -100,6 +102,11 @@ class SimConfig:
     code_override: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
+        # Integral values of any type (numpy's too) are stored as int.
+        for name in ("n", "seed", "trajectories", "initial_state"):
+            value = getattr(self, name)
+            if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+                object.__setattr__(self, name, int(value))
         if not isinstance(self.n, int) or not 1 <= self.n <= MAX_QUBITS:
             raise ValueError(f"n must be an integer in [1, {MAX_QUBITS}]")
         object.__setattr__(self, "channels", tuple(self.channels))
@@ -416,27 +423,31 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
 def master_equation_oracle(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """Evolve the unconditioned master equation on the ensemble's grid.
 
-    Without driving every term of :func:`.channels.lindblad_generator` acts
-    on one qubit, so the density moves from one sample to the next under
-    the exact product ``exp(L t) = (x)_q exp(L_q t)`` of per-qubit 4x4
-    propagators.  With driving on, the generator does not factor and is
-    integrated by classical fixed-step RK4 with internal substeps no longer
-    than 1e-3 of the characteristic evolution time.  The density is
+    ``rho' = K rho + rho K^dag + sum_k A_k rho A_k^dag``, with the no-jump
+    generator ``K`` (minus the sum of the terms) and the jumps
+    ``A_k = E_k + mu_k`` of the Kraus set :func:`prepare` builds with
+    feedback off; the offsets cancel, and feedback plays no role.  When
+    every term is local, as without driving, the density moves from one
+    sample to the next under the exact product ``exp(L t) = (x)_q
+    exp(L_q t)`` of per-qubit 4x4 propagators; otherwise by classical
+    fixed-step RK4 with internal substeps no longer than 1e-3 of the
+    characteristic evolution time.  The operators are rotated to the
+    computational basis once, and the density evolves there; it is
     re-symmetrized at every sample (every grid step under RK4) and a trace
-    drift beyond 1e-6 aborts.  Feedback plays no role.  Returns ``(sampled
-    times, density matrices)``; a series over ``DENSITY_BUDGET_BYTES``
-    raises ``ValueError`` before any setup.
+    drift beyond 1e-6 aborts.  Returns ``(sampled times, density
+    matrices)``; a series over ``DENSITY_BUDGET_BYTES`` raises
+    ``ValueError`` before any setup.
     """
     steps = cfg.steps
     sample_indices = density_sample_indices(steps)
     _require_density_budget(cfg, sample_indices.shape[0])
-    code = simulation_code(cfg)
-    psi0 = code.from_frame(_initial_vector(cfg, code))
-    if cfg.driving_enabled:
-        advance = _rk4_advance(cfg, driving_hamiltonian(cfg.channels, code))
+    setup = prepare(replace(cfg, feedback_enabled=False))
+    if any(generator is not None for _, _, generator in setup.kraus.terms):
+        advance = _rk4_advance(setup.kraus)
     else:
-        advance = _product_advance(cfg, np.diff(sample_indices))
+        advance = _product_advance(setup.kraus, np.diff(sample_indices))
 
+    psi0 = setup.initial
     rho = np.outer(psi0, psi0.conj())
     out = np.empty((sample_indices.shape[0], 2**cfg.n, 2**cfg.n), dtype=np.complex128)
     out[0] = rho
@@ -457,18 +468,37 @@ def _settled(rho: np.ndarray, t: float, remedy: str) -> np.ndarray:
     return rho
 
 
-def _rk4_advance(cfg: SimConfig, hamiltonian: np.ndarray):
-    """RK4 from grid step ``start`` to ``stop``, settling every grid step."""
-    rhs = lindblad_generator(cfg.channels, hamiltonian, cfg.n)
+def _rk4_advance(ks: KrausSet):
+    """RK4 from grid step ``start`` to ``stop``, settling every grid step.
+
+    ``K`` and the jumps are densified once in the frame, where the substep
+    rule reads ``K``'s anti-Hermitian part, and rotated back once.
+    """
+    code, dim = ks.code, 2**ks.n
+    ops = np.zeros((1 + len(ks.channels), dim, dim), dtype=np.complex128)
+    for qubit, datum, generator in ks.terms:
+        code.add_local(ops[0], -datum, qubit, generator)
+    for op, ch, factor in zip(ops[1:], ks.channels, ks.factors):
+        code.add_local(op, factor / math.sqrt(ks.dt), ch.qubit)
     rate_scale = sum(
         float(np.trace(ch.operator.conj().T @ ch.operator).real) / 2.0
-        for ch in cfg.channels
-    ) + max_abs(hamiltonian)
-    h_target = cfg.dt
+        for ch in ks.channels
+    ) + max_abs(ops[0] - ops[0].conj().T) / 2.0
+    h_target = ks.dt
     if rate_scale > 0:
-        h_target = min(cfg.dt, 1e-3 / rate_scale)
-    substeps = max(1, int(math.ceil(cfg.dt / h_target - 1e-12)))
-    h = cfg.dt / substeps
+        h_target = min(ks.dt, 1e-3 / rate_scale)
+    substeps = max(1, int(math.ceil(ks.dt / h_target - 1e-12)))
+    h = ks.dt / substeps
+
+    ops = code.operator_from_frame(ops)
+    k, jumps = ops[0], ops[1:]
+    k_dag = k.conj().T
+    wide = jumps.transpose(1, 0, 2).reshape(dim, -1)  # columns A_1 | ... | A_m
+    jumps_dag = jumps.conj().transpose(0, 2, 1)
+
+    def rhs(rho: np.ndarray) -> np.ndarray:
+        # wide times the rows rho A_1^dag, ..., rho A_m^dag sums the jumps.
+        return k @ rho + rho @ k_dag + wide @ (rho @ jumps_dag).reshape(-1, dim)
 
     def advance(rho: np.ndarray, start: int, stop: int) -> np.ndarray:
         for s in range(start, stop):
@@ -478,39 +508,43 @@ def _rk4_advance(cfg: SimConfig, hamiltonian: np.ndarray):
                 k3 = rhs(rho + 0.5 * h * k2)
                 k4 = rhs(rho + h * k3)
                 rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            rho = _settled(rho, (s + 1) * cfg.dt, "use a smaller dt")
+            rho = _settled(rho, (s + 1) * ks.dt, "use a smaller dt")
         return rho
 
     return advance
 
 
-def _propagator_increments(
-    channels: tuple[ErrorChannel, ...], tau: float
-) -> list[tuple[int, np.ndarray]]:
+def _propagator_increments(ks: KrausSet, tau: float) -> list[tuple[int, np.ndarray]]:
     """``(q, exp(L_q tau) - 1)`` for every qubit that carries a channel.
 
-    ``L_q`` is :func:`.channels.lindblad_generator` of the qubit's channels
-    as a 4x4 matrix on the row-major ``vec`` of a one-qubit density.
+    ``L_q = K_q (x) 1 + 1 (x) conj(K_q) + sum_k A_k (x) conj(A_k)`` is the
+    4x4 matrix, on the row-major ``vec`` of a one-qubit density, of the
+    Lindblad generator of qubit ``q``: ``K_q`` is minus the sum of the
+    Kraus set's terms on ``q``, which must all be local, and the ``A_k`` are
+    the factors of its channels over ``sqrt(dt)``.  Built in the frame, it
+    is rotated to the computational basis by ``V_q (x) conj(V_q)``.
     """
-    by_qubit: dict[int, list[ErrorChannel]] = {}
-    for ch in channels:
-        by_qubit.setdefault(ch.qubit, []).append(replace(ch, qubit=0))
-    units = np.eye(4, dtype=np.complex128).reshape(4, 2, 2)
+    eye = np.eye(2)
+    local = {ch.qubit: np.zeros((4, 4), dtype=np.complex128) for ch in ks.channels}
+    for qubit, datum, _ in ks.terms:
+        local[qubit] -= np.kron(datum, eye) + np.kron(eye, datum.conj())
+    for ch, factor in zip(ks.channels, ks.factors):
+        a = factor / math.sqrt(ks.dt)
+        local[ch.qubit] += np.kron(a, a.conj())
+    frames = ks.code.frames
     increments = []
-    for q in sorted(by_qubit):
-        generator = lindblad_generator(by_qubit[q], None, 1)
-        local = np.stack([generator(u).reshape(4) for u in units], axis=1)
-        increments.append((q, expm1(local * tau)))
+    for q in sorted(local):
+        if frames is not None:
+            w = np.kron(frames[q], frames[q].conj())
+            local[q] = w @ local[q] @ w.conj().T
+        increments.append((q, expm1(local[q] * tau)))
     return increments
 
 
-def _product_advance(cfg: SimConfig, gaps: np.ndarray):
+def _product_advance(ks: KrausSet, gaps: np.ndarray):
     """Exact per-qubit propagation from grid step ``start`` to ``stop``."""
-    n = cfg.n
-    maps = {
-        gap: _propagator_increments(cfg.channels, gap * cfg.dt)
-        for gap in set(gaps.tolist())
-    }
+    n = ks.n
+    maps = {gap: _propagator_increments(ks, gap * ks.dt) for gap in set(gaps.tolist())}
     # Axes (row_0, col_0, row_1, col_1, ...): qubit q's (row, col) pair is
     # the q-th base-4 digit of the flattened index.
     interleave = [axis for q in range(n) for axis in (q, n + q)]
@@ -524,7 +558,7 @@ def _product_advance(cfg: SimConfig, gaps: np.ndarray):
         rho = vec.reshape((2,) * 2 * n).transpose(restore).reshape(rho.shape)
         return _settled(
             rho,
-            stop * cfg.dt,
+            stop * ks.dt,
             "the exact propagation lost trace, which no choice of dt changes; "
             "check the channel operators",
         )

@@ -4,10 +4,11 @@ A dense reference lives here, not in ``jumpqec``, when nothing in the
 package, its CLI, the README's library example or the benchmark calls
 it: the per-trajectory :func:`step` and :func:`run_trajectory`, the
 Kraus set in the computational basis, the embedded jump operators, the
-Kraus completeness defect, generator matrices and the codespace
-matrix-element scan.  Each builds what the package keeps as one-qubit
+Kraus completeness defect, generator matrices, the codespace
+matrix-element scan, the dense driving Hamiltonian and the textbook
+Lindblad generator.  Each builds what the package keeps as one-qubit
 data into full register matrices, so the tests can check the engine
-against plain products.
+and the oracle against plain products.
 """
 
 import math
@@ -20,12 +21,14 @@ from jumpqec import (
     FidelityRecord,
     KrausSet,
     StepSizeError,
+    build_control_plan,
     effective_jump_operator,
     jump_backaction,
     prepare,
 )
 from jumpqec._kernels import PROBABILITY_SLACK
 from jumpqec.channels import WEAK_COUPLING_BUDGET
+from jumpqec.control import _dense_driving
 from jumpqec.linalg import (
     IDENTITY, PAULIS, bloch_matrix, is_hermitian, max_abs, on_qubit, tensor_embed,
 )
@@ -157,6 +160,45 @@ def generator_matrix(generator):
     for row in generator:
         out = np.kron(out, bloch_matrix(row))
     return out
+
+
+def dense_driving_hamiltonian(channels, code):
+    """The driving Hamiltonian in the computational basis, as ``synthesize`` lists it.
+
+    The sum of the control plan's terms, so it raises
+    :class:`jumpqec.CorrectabilityError` when ``code`` does not protect
+    the channels.
+    """
+    return _dense_driving(build_control_plan(channels, code).driving_terms, code)
+
+
+def lindblad_generator(channels, hamiltonian, n):
+    """The map ``rho -> drho/dt`` of the register's Lindblad master equation.
+
+    The textbook form ``K rho + rho K^dag + sum_k E_k rho E_k^dag``, with
+    the embedded channel operators ``E_k`` and ``K = -i H - sum_k E_k^dag
+    E_k / 2`` (``hamiltonian`` ``None`` means zero): the reference for
+    :func:`jumpqec.master_equation_oracle`, which evolves the Kraus set's
+    own generator.  The detection offsets do not appear.
+    """
+    dim = 2**n
+    ops = np.array(
+        [tensor_embed(ch.operator, ch.qubit, n) for ch in channels],
+        dtype=np.complex128,
+    ).reshape(-1, dim, dim)
+    tall = ops.reshape(-1, dim)  # rows stack E_1, ..., E_m
+    k = -0.5 * (tall.conj().T @ tall)
+    if hamiltonian is not None:
+        k -= 1j * np.asarray(hamiltonian, dtype=np.complex128)
+    k_dag = k.conj().T
+    wide = ops.transpose(1, 0, 2).reshape(dim, -1)  # columns E_1 | ... | E_m
+    ops_dag = ops.conj().transpose(0, 2, 1)
+
+    def generator(rho):
+        # wide times the rows rho E_1^dag, ..., rho E_m^dag sums the jumps.
+        return k @ rho + rho @ k_dag + wide @ (rho @ ops_dag).reshape(-1, dim)
+
+    return generator
 
 
 def dense_kraus_set(channels, hamiltonian, n, dt):

@@ -5,18 +5,22 @@ from numpy.testing import assert_allclose
 from jumpqec import (
     ErrorChannel,
     StabilizerCode,
+    build_code,
+    build_control_plan,
     effective_jump_operator,
     jump_backaction,
     kraus_set,
 )
-from jumpqec.channels import lindblad_generator
 from jumpqec.linalg import SIGMA_X, SIGMA_Z, bloch_matrix, tensor_embed
 
 from helpers import (
     SIGMA_MINUS,
     cptp_defect,
+    dense_driving_hamiltonian,
     dense_jumps,
     dense_kraus_set,
+    family_channel_set,
+    lindblad_generator,
     random_channel_set,
 )
 
@@ -161,6 +165,33 @@ class TestMeanEvolution:
                 ratios.append(np.max(np.abs(mean - target)) / dt**2)
             assert max(ratios) <= 100.0
             assert max(ratios) / min(ratios) <= 1.2
+
+
+    @pytest.mark.parametrize("pair", [False, True])
+    @pytest.mark.parametrize("driven", [False, True])
+    def test_terms_and_factors_give_the_textbook_generator(self, pair, driven):
+        # K = -(sum of the embedded terms) and A_k = factor_k / sqrt(dt),
+        # rotated back, give the offset-free Lindblad generator: the
+        # dynamics the oracle evolves are the textbook ones.
+        rng = np.random.default_rng(17 + 2 * pair + driven)
+        for _ in range(4):
+            n, channels = family_channel_set(rng, pair)
+            code = build_code(channels, n)
+            terms = build_control_plan(channels, code).driving_terms if driven else ()
+            ks = kraus_set(channels, code, 1e-3, terms)
+            dim = 2**n
+            ops = np.zeros((1 + len(channels), dim, dim), dtype=complex)
+            for qubit, datum, generator in ks.terms:
+                code.add_local(ops[0], -datum, qubit, generator)
+            for op, ch, factor in zip(ops[1:], channels, ks.factors):
+                code.add_local(op, factor / np.sqrt(ks.dt), ch.qubit)
+            k, *jumps = code.operator_from_frame(ops)
+            ham = dense_driving_hamiltonian(channels, code) if driven else None
+            reference = lindblad_generator(channels, ham, n)
+            raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            rho = raw @ raw.conj().T / np.trace(raw @ raw.conj().T).real
+            out = k @ rho + rho @ k.conj().T + sum(a @ rho @ a.conj().T for a in jumps)
+            assert np.max(np.abs(out - reference(rho))) <= 1e-12
 
 
 class TestLindbladRhs:

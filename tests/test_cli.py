@@ -12,7 +12,6 @@ from jumpqec import (
     cli,
     codes,
     control,
-    driving_hamiltonian,
     jump_backaction,
     trajectory,
 )
@@ -26,7 +25,7 @@ from jumpqec.cli import (
 )
 from jumpqec.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, max_abs
 
-from helpers import rank3_channels, relaxation_channels
+from helpers import dense_driving_hamiltonian, rank3_channels, relaxation_channels
 
 PAULI_BASIS = {"I": np.eye(2), "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 
@@ -223,7 +222,7 @@ class TestPauliCoefficients:
         ids=["relaxation-8", "rank3-4"],
     )
     def test_listing_rebuilds_the_driving_hamiltonian(self, n, channels):
-        ham = driving_hamiltonian(channels, build_code(channels, n))
+        ham = dense_driving_hamiltonian(channels, build_code(channels, n))
         terms = pauli_coefficients(ham)
         assert terms
         rebuilt = sum(value * pauli_product(label) for label, value in terms)

@@ -12,7 +12,6 @@ from jumpqec import (
     StabilizerCode,
     build_code,
     build_control_plan,
-    driving_hamiltonian,
     effective_jump_operator,
     jump_backaction,
     kraus_set,
@@ -34,6 +33,7 @@ from jumpqec.linalg import (
 from helpers import (
     SIGMA_MINUS,
     dense_correction,
+    dense_driving_hamiltonian,
     dense_kraus_set,
     family_channel_set,
     generator_matrix,
@@ -70,7 +70,7 @@ class TestSectorAssignment:
 class TestDrivingHamiltonian:
     def test_two_qubit_lowering_channels(self):
         channels = relaxation_channels(2)
-        ham = driving_hamiltonian(channels, build_code(channels, 2))
+        ham = dense_driving_hamiltonian(channels, build_code(channels, 2))
         expected = 0.25 * (np.kron(SIGMA_Y, SIGMA_X) + np.kron(SIGMA_X, SIGMA_Y))
         assert_allclose(ham, expected, atol=1e-12)
 
@@ -83,7 +83,7 @@ class TestDrivingHamiltonian:
             qubit=0, operator=SIGMA_MINUS, gamma=gamma, phi=0.0, label=0
         )
         code = build_code([ch], 1)
-        ham = driving_hamiltonian([ch], code)
+        ham = dense_driving_hamiltonian([ch], code)
         d = jump_backaction(ch).bloch
         s = code.generators[0][0]
         expected = bloch_matrix(-0.5 * np.cross(d, s)) - (gamma / 2) * SIGMA_Y
@@ -97,7 +97,7 @@ class TestDrivingHamiltonian:
         ba = jump_backaction(ch)
         assert_allclose(ba.bloch, [1.0, 0, 0], atol=1e-14)
         code = StabilizerCode(4, ERASURE_PAIR)
-        ham = driving_hamiltonian([ch], code)
+        ham = dense_driving_hamiltonian([ch], code)
         expected = 0.5 * np.kron(
             SIGMA_Y, np.kron(SIGMA_Z, np.kron(SIGMA_Z, SIGMA_Z))
         )
@@ -107,12 +107,12 @@ class TestDrivingHamiltonian:
         channels = relaxation_channels(2)
         wrong = StabilizerCode(2, [np.tile([0.0, 0, 1.0], (2, 1))])
         with pytest.raises(CorrectabilityError):
-            driving_hamiltonian(channels, wrong)
+            dense_driving_hamiltonian(channels, wrong)
 
     def test_hermitian_for_random_sets(self):
         for n, channels in random_suite(seed=29, count=30):
             code = build_code(channels, n)
-            ham = driving_hamiltonian(channels, code)
+            ham = dense_driving_hamiltonian(channels, code)
             assert is_hermitian(ham, tol=1e-12)
 
     @settings(max_examples=24, deadline=None)
@@ -206,13 +206,12 @@ class TestCorrectionUnitary:
             build_control_plan([relaxation_channels(2)[0]], wrong)
 
 
-@pytest.mark.parametrize("build", [build_control_plan, driving_hamiltonian])
-def test_correctability_error_names_the_worst_channel(build):
+def test_correctability_error_names_the_worst_channel():
     # Relaxation on a z-axis code; qubit 1 decays four times faster.
     channels = (relaxation_channels(2)[0], relaxation_channels(2, kappa=4.0)[1])
     wrong = StabilizerCode(2, [np.tile([0.0, 0, 1.0], (2, 1))])
     with pytest.raises(CorrectabilityError) as raised:
-        build(channels, wrong)
+        build_control_plan(channels, wrong)
     report = raised.value.report
     assert report.labels[int(np.argmax(report.residuals))] == "relax1"
     assert str(raised.value) == (

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from jumpqec import ErrorChannel
-from jumpqec.channels import lindblad_generator
+from jumpqec import ErrorChannel, StabilizerCode, kraus_set
 from jumpqec.linalg import (
     SIGMA_X,
     SIGMA_Y,
@@ -20,7 +19,10 @@ from jumpqec.linalg import (
 )
 from jumpqec.trajectory import _propagator_increments
 
-from helpers import SIGMA_MINUS, random_channel_set
+from helpers import SIGMA_MINUS, lindblad_generator, random_channel_set
+
+#: One qubit under Z: its eigenframe is the computational basis.
+Z_CODE = StabilizerCode(1, [np.array([[0.0, 0.0, 1.0]])])
 
 
 class TestTensorEmbed:
@@ -148,7 +150,7 @@ def test_hermiticity_predicate():
 
 def _propagator(channels, t):
     """``exp(L_q t)`` of the channels of qubit 0, on the row-major vec."""
-    ((_, increment),) = _propagator_increments(channels, t)
+    ((_, increment),) = _propagator_increments(kraus_set(channels, Z_CODE, 1.0), t)
     return np.eye(4) + increment
 
 

@@ -33,7 +33,6 @@ KEPT = {
     "CorrectabilityError",
     "NoJumpInvariance",
     "build_control_plan",
-    "driving_hamiltonian",
     "nojump_invariance_check",
     "sector_assignment",
     "bloch_decompose",
@@ -58,9 +57,11 @@ REMOVED = [
     (trajectory, "fidelity"),
     (channels, "cptp_defect"),
     (channels, "lindblad_rhs"),
+    (channels, "lindblad_generator"),
     (channels.KrausSet, "jumps"),
     (codes, "generator_matrix"),
     (control, "correction_unitary"),
+    (control, "driving_hamiltonian"),
     (control.Correction, "matrix"),
     (linalg, "is_unitary"),
     (linalg, "ORTHO_ATOL"),

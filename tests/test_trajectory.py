@@ -21,16 +21,15 @@ from jumpqec import (
     tensor_embed,
     trace_distance,
 )
-from jumpqec import channels as channels_module
 from jumpqec import codes, control, linalg, trajectory
-from jumpqec.channels import lindblad_generator
-from jumpqec.control import driving_hamiltonian
 from jumpqec.linalg import expm1, max_abs
 from jumpqec.trajectory import _run_block, simulation_code
 
 from helpers import (
     SIGMA_MINUS,
     TrajectoryState,
+    dense_driving_hamiltonian,
+    lindblad_generator,
     random_channel_set,
     rank3_channels,
     relaxation_channels,
@@ -126,6 +125,25 @@ class TestSimConfig:
                 code_override=(np.zeros((1, 3)),),
             )
 
+    @pytest.mark.parametrize("integer", [np.int64, np.uint8])
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", 2), ("seed", 5), ("trajectories", 3), ("initial_state", 1)],
+    )
+    def test_numpy_integers_are_stored_as_int(self, field, value, integer):
+        base = dict(n=2, channels=relaxation_channels(2), dt=0.01, duration=0.2)
+        cfg = SimConfig(**{**base, field: integer(value)})
+        assert type(getattr(cfg, field)) is int
+        assert cfg == SimConfig(**{**base, field: value})
+
+    def test_numpy_initial_index_runs_as_int(self):
+        cfg = SimConfig(n=2, channels=relaxation_channels(2, gamma=0.5), dt=0.01,
+                        duration=0.2, trajectories=4, feedback_enabled=False)
+        res = run_ensemble(replace(cfg, initial_state=np.int64(1)))
+        ref = run_ensemble(replace(cfg, initial_state=1))
+        assert np.array_equal(res.mean_density, ref.mean_density)
+        assert np.array_equal(res.record.mean_fidelity, ref.record.mean_fidelity)
+
 
 def _prepare_peak(cfg):
     """Tracemalloc peak of ``prepare(cfg)``, in bytes."""
@@ -184,13 +202,13 @@ class TestOperatorBudget:
     )
     def test_run_path_builds_no_dense_embedding(self, monkeypatch, n, channels):
         # No embedded operator, dense driving Hamiltonian or codespace row
-        # on the run path: prepare() and run_ensemble() with density.
+        # on the run path: prepare(), run_ensemble() with density, and the
+        # oracle, driven and undriven.
         def forbidden(*args, **kwargs):
             raise AssertionError("dense builder reached")
 
         for module, name in (
             (linalg, "tensor_embed"),
-            (channels_module, "tensor_embed"),
             (control, "_dense_driving"),
         ):
             monkeypatch.setattr(module, name, forbidden)
@@ -198,6 +216,9 @@ class TestOperatorBudget:
         cfg = SimConfig(n=n, channels=channels, dt=1e-3, duration=0.02, trajectories=3)
         assert prepare(cfg).corrections is not None
         assert run_ensemble(cfg).mean_density.shape == (21, 2**n, 2**n)
+        for driving in (True, False):
+            oracle = master_equation_oracle(replace(cfg, driving_enabled=driving))
+            assert oracle[1].shape == (21, 2**n, 2**n)
 
     def test_refused_before_synthesis_at_twelve_qubits(self, monkeypatch):
         monkeypatch.setattr(trajectory, "build_code", _reached_synthesis)
@@ -511,6 +532,20 @@ class TestMasterEquationOracle:
         traces = np.array([np.trace(r).real for r in rhos])
         assert np.max(np.abs(traces - 1.0)) <= 1e-8
 
+    def test_feedback_is_ignored(self):
+        # Undriven, the oracle needs no control plan: feedback on and off
+        # give the same series, even on a code that protects nothing.
+        cfg = SimConfig(
+            n=2, channels=relaxation_channels(2, gamma=0.3), dt=1e-2,
+            duration=0.5, driving_enabled=False,
+            code_override=(np.tile([0.0, 0.0, 1.0], (2, 1)),),
+        )
+        with pytest.raises(jq.CorrectabilityError):
+            prepare(cfg)
+        _, on = master_equation_oracle(cfg)
+        _, off = master_equation_oracle(replace(cfg, feedback_enabled=False))
+        assert np.array_equal(on, off)
+
     def test_offset_does_not_move_the_mean(self):
         # The detection offset reshapes trajectories, not the averaged
         # evolution: ensembles at two offsets both track the same oracle.
@@ -548,7 +583,7 @@ class TestDrivenOracle:
     def test_matches_the_dense_propagator(self, n, channels):
         cfg = SimConfig(n=n, channels=channels, dt=1e-2, duration=1.0,
                         feedback_enabled=False, driving_enabled=True)
-        hamiltonian = driving_hamiltonian(channels, simulation_code(cfg))
+        hamiltonian = dense_driving_hamiltonian(channels, simulation_code(cfg))
         assert max_abs(hamiltonian) > 0.1
         generator = lindblad_generator(channels, hamiltonian, n)
         dim = 2**n
