@@ -147,16 +147,18 @@ class StabilizerCode:
     def operator_from_frame(self, m: np.ndarray) -> np.ndarray:
         """``V m V^dag`` for frame operators ``(..., 2**n, 2**n)``.
 
-        Costs ``2n`` one-qubit products per operator, and nothing for the pair.
+        Costs ``2n`` one-qubit products for the whole stack, and nothing for
+        the pair.
         """
         if self.frames is None:
             return m
         shape = m.shape
-        for q, frame in enumerate(self.frames):
-            low = 2 ** (self.n - 1 - q)
-            m = np.matmul(frame, m.reshape(-1, 2, low * shape[-1]))  # rows
-            m = np.matmul(frame.conj(), m.reshape(-1, 2, low))  # columns
-        return m.reshape(shape)
+        # Axes (stack, row_0, ..., row_n-1, col_0, ..., col_n-1): each product
+        # acts on the last axis and moves it to the front, so after all 2n
+        # the stack axis is last.
+        for frame in [*self.frames.conj()[::-1], *self.frames[::-1]]:
+            m = frame @ m.reshape(-1, 2).T
+        return np.ascontiguousarray(m.reshape(-1, m.size // 4**self.n).T).reshape(shape)
 
     def encode(self, coeffs: np.ndarray) -> np.ndarray:
         """Frame vector(s) with codespace coefficients ``(L,)`` or ``(L, k)``.

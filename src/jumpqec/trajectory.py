@@ -30,7 +30,9 @@ The oracle evolves the unconditioned master equation on the ensemble's
 density grid, from the same Kraus set's no-jump generator and jumps, by
 exact per-qubit propagation when undriven and by fixed-step RK4 when
 driven, and is used to cross-validate ensemble means; it rotates those
-operators back once and evolves in the computational basis.
+operators back once and evolves in the computational basis.  Undriven, the
+series is evolved 16 samples per product from each chunk's settled first
+sample; every sample is still settled and checked.
 """
 
 from __future__ import annotations
@@ -73,6 +75,10 @@ DENSITY_BUDGET_BYTES = 2 * 2**30
 #: and its ``(steps + 1, B)`` overlaps may take; this sets the block width
 #: ``B``.
 _BLOCK_BYTES = 8 * 2**20
+
+#: Density samples per batch: the ensemble rotates its mean back and the
+#: exact oracle propagates this many at a time.
+_CHUNK = 16
 
 #: Bytes a run holds per time step: the grid times, the engine's and the
 #: ensemble's infidelity and jump sums and record columns, and a block's
@@ -404,8 +410,10 @@ def run_ensemble(cfg: SimConfig, collect_density: bool = True) -> EnsembleResult
         return EnsembleResult(record, None, None)
     rho_sum /= n_traj  # in place, so the mean is not a second series
     if setup.code.frames is not None:  # the pair's frame is the computational basis
-        for i in range(0, rho_sum.shape[0], 16):  # small temporaries
-            rho_sum[i : i + 16] = setup.code.operator_from_frame(rho_sum[i : i + 16])
+        for i in range(0, rho_sum.shape[0], _CHUNK):  # small temporaries
+            rho_sum[i : i + _CHUNK] = setup.code.operator_from_frame(
+                rho_sum[i : i + _CHUNK]
+            )
     return EnsembleResult(
         record,
         setup.times[setup.sample_indices],
@@ -427,49 +435,49 @@ def master_equation_oracle(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     generator ``K`` (minus the sum of the terms) and the jumps
     ``A_k = E_k + mu_k`` of the Kraus set :func:`prepare` builds with
     feedback off; the offsets cancel, and feedback plays no role.  When
-    every term is local, as without driving, the density moves from one
-    sample to the next under the exact product ``exp(L t) = (x)_q
-    exp(L_q t)`` of per-qubit 4x4 propagators; otherwise by classical
-    fixed-step RK4 with internal substeps no longer than 1e-3 of the
-    characteristic evolution time.  The operators are rotated to the
-    computational basis once, and the density evolves there; it is
-    re-symmetrized at every sample (every grid step under RK4) and a trace
-    drift beyond 1e-6 aborts.  Returns ``(sampled times, density
-    matrices)``; a series over ``DENSITY_BUDGET_BYTES`` raises
-    ``ValueError`` before any setup.
+    every term is local, as without driving, the samples are the exact
+    product ``exp(L t) = (x)_q exp(L_q t)`` of per-qubit 4x4 propagators,
+    16 samples per product from each chunk's settled first sample;
+    otherwise the density moves by classical fixed-step RK4 with internal
+    substeps no longer than 1e-3 of the characteristic evolution time.  The
+    operators are rotated to the computational basis once, and the density
+    evolves there; every sample (every grid step under RK4) is
+    re-symmetrized, and a trace drift beyond 1e-6 aborts.  Returns
+    ``(sampled times, density matrices)``; a series over
+    ``DENSITY_BUDGET_BYTES`` raises ``ValueError`` before any setup.
     """
-    steps = cfg.steps
-    sample_indices = density_sample_indices(steps)
+    sample_indices = density_sample_indices(cfg.steps)
     _require_density_budget(cfg, sample_indices.shape[0])
     setup = prepare(replace(cfg, feedback_enabled=False))
-    if any(generator is not None for _, _, generator in setup.kraus.terms):
-        advance = _rk4_advance(setup.kraus)
-    else:
-        advance = _product_advance(setup.kraus, np.diff(sample_indices))
-
     psi0 = setup.initial
-    rho = np.outer(psi0, psi0.conj())
-    out = np.empty((sample_indices.shape[0], 2**cfg.n, 2**cfg.n), dtype=np.complex128)
-    out[0] = rho
-    for i in range(1, sample_indices.shape[0]):
-        rho = advance(rho, int(sample_indices[i - 1]), int(sample_indices[i]))
-        out[i] = rho
-    return sample_indices * cfg.dt, out
+    rho0 = np.outer(psi0, psi0.conj())
+    if any(generator is not None for _, _, generator in setup.kraus.terms):
+        series = _rk4_series(setup.kraus, sample_indices, rho0)
+    else:
+        series = _product_series(setup.kraus, sample_indices, rho0)
+    return sample_indices * cfg.dt, series
 
 
-def _settled(rho: np.ndarray, t: float, remedy: str) -> np.ndarray:
-    """``rho`` re-symmetrized; a trace drift beyond 1e-6 aborts."""
-    rho = (rho + rho.conj().T) / 2.0
-    drift = abs(float(np.trace(rho).real) - 1.0)
-    if drift > 1e-6:
+def _settle(rhos: np.ndarray, times: np.ndarray, remedy: str) -> None:
+    """Re-symmetrize the ``(k, d, d)`` stack ``rhos`` in place.
+
+    The first sample whose trace drifts beyond 1e-6 aborts, named by its
+    time ``times[i]``.
+    """
+    rhos += rhos.conj().swapaxes(1, 2)
+    rhos /= 2.0
+    drift = np.abs(np.trace(rhos, axis1=1, axis2=2).real - 1.0)
+    if (drift > 1e-6).any():
+        i = int(np.argmax(drift > 1e-6))
         raise StepSizeError(
-            f"oracle trace drifted by {drift:.3e} at t={t:.6g}; {remedy}"
+            f"oracle trace drifted by {drift[i]:.3e} at t={times[i]:.6g}; {remedy}"
         )
-    return rho
 
 
-def _rk4_advance(ks: KrausSet):
-    """RK4 from grid step ``start`` to ``stop``, settling every grid step.
+def _rk4_series(
+    ks: KrausSet, sample_indices: np.ndarray, rho0: np.ndarray
+) -> np.ndarray:
+    """RK4 over the grid from ``rho0``, settling every grid step.
 
     ``K`` and the jumps are densified once in the frame, where the substep
     rule reads ``K``'s anti-Hermitian part, and rotated back once.
@@ -500,22 +508,25 @@ def _rk4_advance(ks: KrausSet):
         # wide times the rows rho A_1^dag, ..., rho A_m^dag sums the jumps.
         return k @ rho + rho @ k_dag + wide @ (rho @ jumps_dag).reshape(-1, dim)
 
-    def advance(rho: np.ndarray, start: int, stop: int) -> np.ndarray:
-        for s in range(start, stop):
+    out = np.empty((sample_indices.shape[0], dim, dim), dtype=np.complex128)
+    out[0] = rho = rho0
+    for i in range(1, sample_indices.shape[0]):
+        for s in range(sample_indices[i - 1], sample_indices[i]):
             for _ in range(substeps):
                 k1 = rhs(rho)
                 k2 = rhs(rho + 0.5 * h * k1)
                 k3 = rhs(rho + 0.5 * h * k2)
                 k4 = rhs(rho + h * k3)
                 rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            rho = _settled(rho, (s + 1) * ks.dt, "use a smaller dt")
-        return rho
+            _settle(rho[None], [(s + 1) * ks.dt], "use a smaller dt")
+        out[i] = rho
+    return out
 
-    return advance
 
-
-def _propagator_increments(ks: KrausSet, tau: float) -> list[tuple[int, np.ndarray]]:
-    """``(q, exp(L_q tau) - 1)`` for every qubit that carries a channel.
+def _propagator_increments(
+    ks: KrausSet, tau: float
+) -> tuple[list[int], np.ndarray]:
+    """The qubits that carry a channel, and their ``exp(L_q tau) - 1`` stacked.
 
     ``L_q = K_q (x) 1 + 1 (x) conj(K_q) + sum_k A_k (x) conj(A_k)`` is the
     4x4 matrix, on the row-major ``vec`` of a one-qubit density, of the
@@ -532,35 +543,71 @@ def _propagator_increments(ks: KrausSet, tau: float) -> list[tuple[int, np.ndarr
         a = factor / math.sqrt(ks.dt)
         local[ch.qubit] += np.kron(a, a.conj())
     frames = ks.code.frames
-    increments = []
-    for q in sorted(local):
+    qubits = sorted(local)
+    increments = np.empty((len(qubits), 4, 4), dtype=np.complex128)
+    for row, q in enumerate(qubits):
         if frames is not None:
             w = np.kron(frames[q], frames[q].conj())
             local[q] = w @ local[q] @ w.conj().T
-        increments.append((q, expm1(local[q] * tau)))
-    return increments
+        increments[row] = expm1(local[q] * tau)
+    return qubits, increments
 
 
-def _product_advance(ks: KrausSet, gaps: np.ndarray):
-    """Exact per-qubit propagation from grid step ``start`` to ``stop``."""
-    n = ks.n
-    maps = {gap: _propagator_increments(ks, gap * ks.dt) for gap in set(gaps.tolist())}
-    # Axes (row_0, col_0, row_1, col_1, ...): qubit q's (row, col) pair is
-    # the q-th base-4 digit of the flattened index.
-    interleave = [axis for q in range(n) for axis in (q, n + q)]
-    restore = np.argsort(interleave)
+def _product_series(
+    ks: KrausSet, sample_indices: np.ndarray, rho0: np.ndarray
+) -> np.ndarray:
+    """Exact per-qubit propagation of ``rho0`` over ``sample_indices``.
 
-    def advance(rho: np.ndarray, start: int, stop: int) -> np.ndarray:
-        vec = rho.reshape((2,) * 2 * n).transpose(interleave)
-        for q, increment in maps[stop - start]:
-            vec = vec.reshape(4**q, 4, -1)
-            vec = vec + np.matmul(increment, vec)
-        rho = vec.reshape((2,) * 2 * n).transpose(restore).reshape(rho.shape)
-        return _settled(
-            rho,
-            stop * ks.dt,
-            "the exact propagation lost trace, which no choice of dt changes; "
-            "check the channel operators",
-        )
+    Every gap but the last is the stride; the last may be shorter.  The samples
+    go in chunks of 16: sample ``j`` of a chunk is its settled first
+    sample moved by the increments ``exp(L_q j stride dt) - 1``, from one
+    table for ``j = 1..16``, one batched product per charged qubit.
+    """
+    n, dt = ks.n, ks.dt
+    gaps = np.diff(sample_indices)
+    qubits, step = _propagator_increments(ks, gaps[0] * dt)
+    rows = {q: row for row, q in enumerate(qubits)}
+    table = [step]  # the maps commute: (1 + a)(1 + b) - 1 = a + b + a b
+    for _ in range(_CHUNK - 1):
+        table.append(table[-1] + step + table[-1] @ step)
+    table = np.stack(table, axis=1)  # (charged qubits, 16, 4, 4)
+    final = None
+    if gaps[-1] != gaps[0]:
+        _, final = _propagator_increments(ks, gaps[-1] * dt)
 
-    return advance
+    out = np.empty((sample_indices.shape[0], 2**n, 2**n), dtype=np.complex128)
+    out[0] = rho0
+    # Each density with axes (row_0, col_0, row_1, col_1, ...): qubit q's
+    # (row, col) pair is the q-th base-4 digit of the flattened index.
+    woven = out.reshape(-1, *(2,) * 2 * n).transpose(
+        0, *[1 + axis for q in range(n) for axis in (q, n + q)]
+    )
+    remedy = (
+        "the exact propagation lost trace, which no choice of dt changes; "
+        "check the channel operators"
+    )
+    last = sample_indices.shape[0] - 1
+    for start in range(0, last, _CHUNK):
+        stop = min(start + _CHUNK, last)
+        maps = table[:, : stop - start]
+        if stop == last and final is not None:  # the shorter last gap
+            maps = maps.copy()
+            maps[:, -1] = final
+            if stop - start > 1:
+                before = table[:, stop - start - 2]
+                maps[:, -1] += before + before @ final
+        vec = woven[start].reshape(1, 4, -1)
+        for q in range(n):
+            # The product acts on the leading pair and moves it to the end,
+            # so qubit q + 1's pair leads next.
+            vec = vec.swapaxes(1, 2)
+            if q in rows:
+                moved = vec @ maps[rows[q]].swapaxes(1, 2)
+                moved += vec
+                vec = moved
+            vec = vec.reshape(vec.shape[0], 4, -1)
+        chunk = slice(start + 1, stop + 1)
+        woven[chunk] = vec.reshape(-1, *(2,) * 2 * n)
+        _settle(out[chunk], sample_indices[chunk] * dt, remedy)
+    return out
+

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -281,6 +283,17 @@ class TestFrame:
                 np.kron(code.to_frame(op, 0), np.eye(dim // 2))
             )
             assert_allclose(embedded, np.kron(op, np.eye(dim // 2)), atol=1e-14)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_operators_and_stacks_rotate_back_densely(self, n):
+        rng = np.random.default_rng(20 + n)
+        code = StabilizerCode(n, (_random_axes(rng, n),))
+        v = functools.reduce(np.kron, code.frames)
+        dim = 2**n
+        stack = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
+        dense = v @ stack @ v.conj().T
+        assert_allclose(code.operator_from_frame(stack[1]), dense[1], atol=1e-13)
+        assert_allclose(code.operator_from_frame(stack), dense, atol=1e-13)
 
     def test_pair_frame_is_the_identity(self):
         code = build_code(rank3_channels(4), 4)

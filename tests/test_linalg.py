@@ -150,7 +150,7 @@ def test_hermiticity_predicate():
 
 def _propagator(channels, t):
     """``exp(L_q t)`` of the channels of qubit 0, on the row-major vec."""
-    ((_, increment),) = _propagator_increments(kraus_set(channels, Z_CODE, 1.0), t)
+    _, (increment,) = _propagator_increments(kraus_set(channels, Z_CODE, 1.0), t)
     return np.eye(4) + increment
 
 

@@ -625,7 +625,10 @@ class TestExactOracle:
             (n, random_channel_set(np.random.default_rng(seed), n))
             for n, seed in [(1, 3), (1, 4), (2, 5), (2, 6), (3, 7), (3, 8)]
         ]
-        + [(4, rank3_channels(4))],
+        + [(4, rank3_channels(4))]
+        # Qubit 1 carries no channel: the propagation only moves past it.
+        + [(3, [ch for ch in random_channel_set(np.random.default_rng(5), 3)
+                if ch.qubit != 1])],
     )
     def test_matches_fine_rk4(self, n, channels):
         cfg = _undriven(channels, n)
@@ -652,6 +655,28 @@ class TestExactOracle:
         )
         assert np.max(np.abs(rhos[-1] - coarse[-1])) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "steps, last_chunk", [(1025, 1), (1027, 2)], ids=["alone", "shared"]
+    )
+    def test_short_final_gap_at_a_chunk_boundary(self, steps, last_chunk):
+        # Samples go 16 to a chunk after sample 0; the final, shorter gap
+        # closes a chunk of ``last_chunk`` samples.
+        channels = random_channel_set(np.random.default_rng(9), 2)
+        strided = _undriven(channels, 2, duration=steps * 1e-3)
+        gaps = np.diff(trajectory.density_sample_indices(strided.steps))
+        assert set(gaps[:-1]) == {2} and gaps[-1] == 1
+        assert (gaps.shape[0] - 1) % 16 + 1 == last_chunk
+        times, rhos = master_equation_oracle(strided)
+        _, ref = master_equation_oracle(_undriven(channels, 2, duration=1.0))
+        common = times <= 1.0
+        assert np.max(np.abs(rhos[common] - ref[: 2 * common.sum() : 2])) <= 1e-12
+        # The final sample from a stride-one grid of 1000 steps.
+        _, coarse = master_equation_oracle(
+            _undriven(channels, 2, dt=steps * 1e-6, duration=steps * 1e-3)
+        )
+        assert coarse.shape[0] == 1001
+        assert np.max(np.abs(rhos[-1] - coarse[-1])) <= 1e-12
+
     def test_trace_drift_does_not_blame_dt(self, monkeypatch):
         exact = trajectory.expm1
         # Each qubit's map loses 1e-3 of the trace: the abort must fire, and
@@ -659,7 +684,11 @@ class TestExactOracle:
         monkeypatch.setattr(
             trajectory, "expm1", lambda a: exact(a) - 1e-3 * np.eye(4)
         )
-        with pytest.raises(StepSizeError, match="trace drifted") as err:
+        # The first sample past 1e-6 is named, with its own drift: later
+        # samples of the same chunk drift further.
+        with pytest.raises(
+            StepSizeError, match=r"trace drifted by 1\.999e-03 at t=0\.001;"
+        ) as err:
             master_equation_oracle(_undriven(relaxation_channels(2), 2))
         assert "smaller dt" not in str(err.value)
 
