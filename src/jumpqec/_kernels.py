@@ -198,9 +198,12 @@ def run_steps(psi0, kraus, corrections, uniforms, sample_idx, rho_sum=None):
     )
     status = jump_steps.size if failed < 0 else -(s + 1)
     counts = np.bincount(jump_steps + 1, minlength=steps + 1).cumsum()
-    infid = 1.0 - np.minimum(np.square(overlaps, out=overlaps), 1.0)
+    # In place: the reduction takes no array as large as the overlaps.
+    infid = np.square(overlaps, out=overlaps)
+    np.subtract(1.0, np.minimum(infid, 1.0, out=infid), out=infid)
     infid_sum = infid.sum(axis=1)
-    infid_m2 = np.square(infid - infid_sum[:, None] / width).sum(axis=1)
+    infid -= infid_sum[:, None] / width
+    infid_m2 = np.square(infid, out=infid).sum(axis=1)
     return BlockResult(
         status, failed, infid_sum, infid_m2, counts,
         jump_steps, jump_columns, jump_channels,

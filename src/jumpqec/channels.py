@@ -28,12 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import (
-    IDENTITY,
-    bloch_decompose,
-    bloch_matrix,
-    traceless_decompose,
-)
+from .linalg import IDENTITY, bloch_decompose, traceless_decompose
 
 if TYPE_CHECKING:
     from .codes import StabilizerCode
@@ -134,10 +129,10 @@ class KrausSet:
     ``channels`` in input order, each acting on its channel's qubit;
     ``no_jump`` is the dense between-detections operator on the full
     register, ``1 + dt K``.  ``terms`` holds the ``(qubit, 2x2 frame datum,
-    generator or None)`` triples whose embedded products (see
-    :meth:`.codes.StabilizerCode.add_local`) sum to ``-K``; a set built by
-    hand may leave it empty.  ``warnings`` is non-empty when the requested
-    step violates the weak-coupling budget (the set is still usable).
+    generator or None)`` triples whose embedded products sum to ``-K``
+    (:meth:`.codes.StabilizerCode.dense`); a set built by hand may leave it
+    empty.  ``warnings`` is non-empty when the requested step violates the
+    weak-coupling budget (the set is still usable).
     """
 
     dt: float
@@ -170,17 +165,16 @@ def kraus_set(channels, code, dt: float, driving=()) -> KrausSet:
     no-jump operator ``1 - dt [sum_q M_q + sum_g (sum_q i L_q^g) S_g]``.
     ``M_q`` sums qubit ``q``'s channel terms ``E^dag E / 2 + mu* E +
     |mu|^2 / 2`` and ``i`` times the local offset terms of ``driving``;
-    each generator term of ``driving`` gives ``i L_q^g S_g``, where ``L_q^g``
-    is its slot factor times the generator's factor ``s_q`` (so that
-    ``L_q^g S_g`` is the term) and ``S_g`` the generator in the frame.
-    ``driving`` holds the driving Hamiltonian's terms
-    (:class:`.control.DrivingTerm`); empty means undriven.
+    each generator term of ``driving`` is ``i L_q^g S_g``, with ``S_g`` the
+    generator in the frame.  ``driving`` holds the driving Hamiltonian's
+    frame terms (:attr:`.control.ControlPlan.driving_terms`), appended
+    after the channel terms; empty means undriven.
 
-    ``no_jump`` is one dense array, built once in the result type of the
-    rotated data: float64 exactly when all of them are real.  A step whose
-    worst-case total jump probability exceeds ``WEAK_COUPLING_BUDGET`` is
-    flagged in ``warnings`` rather than rejected, since stressing the
-    first-order scheme can be deliberate.
+    ``no_jump`` is one dense array (:meth:`.codes.StabilizerCode.dense`),
+    built once in the result type of the rotated data: float64 exactly when
+    all of them are real.  A step whose worst-case total jump probability
+    exceeds ``WEAK_COUPLING_BUDGET`` is flagged in ``warnings`` rather than
+    rejected, since stressing the first-order scheme can be deliberate.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -197,21 +191,14 @@ def kraus_set(channels, code, dt: float, driving=()) -> KrausSet:
         terms.append((ch.qubit, code.to_frame(local, ch.qubit), None))
         ba = jump_backaction(ch)
         probability_budget += (ba.rate + float(np.abs(ba.bloch).sum())) * dt
-    for term in driving:
-        local = term.local
-        if term.generator is not None:
-            local = local @ bloch_matrix(code.generators[term.generator][term.qubit])
-        datum = code.to_frame(1j * local, term.qubit)
-        terms.append((term.qubit, datum, term.generator))
+    terms += driving
     factors = np.array(factors).reshape(-1, 2, 2)
     for frozen in (factors, *(datum for _, datum, _ in terms)):
         frozen.flags.writeable = False
 
     dim = 2**n
     dtype = np.result_type(np.float64, factors, *(datum for _, datum, _ in terms))
-    no_jump = np.zeros((dim, dim), dtype)
-    for qubit, datum, generator in terms:
-        code.add_local(no_jump, datum, qubit, generator)
+    no_jump = code.dense(terms, dtype)
     no_jump *= -dt
     no_jump.reshape(-1)[:: dim + 1] += 1.0
     no_jump.flags.writeable = False

@@ -184,27 +184,31 @@ class StabilizerCode:
             m = (m + m[::-1]) / 2.0
         return m * (self.signs > 0).reshape(-1, *[1] * (m.ndim - 1))
 
-    def add_local(self, out, datum, qubit, generator=None) -> None:
-        """``out += embed(datum, qubit) S_g`` on a dense frame operator ``out``.
+    def dense(self, terms, dtype=np.complex128) -> np.ndarray:
+        """``sum embed(datum, qubit) S_g`` over ``(qubit, datum, generator)`` terms.
 
-        ``datum`` is 2x2 frame data on ``qubit``; ``S_g`` is generator
-        ``generator`` in the frame (the identity for ``None``).  The embedded
-        ``datum`` holds two entries per row, so this costs ``O(2**n)``.
+        Each ``datum`` is 2x2 frame data on ``qubit``; ``S_g`` is generator
+        ``generator`` in the frame (the identity for ``None``).  Returns the
+        dense ``(2**n, 2**n)`` frame operator of ``dtype``; an embedded
+        ``datum`` holds two entries per row, so each term costs ``O(2**n)``.
         """
         dim = 2**self.n
+        out = np.zeros((dim, dim), dtype)
         rows = np.arange(dim)
-        shift = self.n - 1 - qubit
-        bit = (rows >> shift) & 1
-        cols = np.stack([rows, rows ^ (1 << shift)])
-        vals = np.stack([datum[bit, bit], datum[bit, 1 - bit]])
-        if generator is not None:
-            # S_g e_j is sign_j e_{pi(j)} with pi an involution: entry (i, c)
-            # of embed(datum) moves to column pi(c) with that column's sign.
-            if self.frames is None and generator == 0:  # X^n reverses the index
-                cols = dim - 1 - cols
-            else:
-                vals = vals * self.signs[cols]
-        out[rows, cols] += vals
+        for qubit, datum, generator in terms:
+            shift = self.n - 1 - qubit
+            bit = (rows >> shift) & 1
+            cols = np.stack([rows, rows ^ (1 << shift)])
+            vals = np.stack([datum[bit, bit], datum[bit, 1 - bit]])
+            if generator is not None:
+                # S_g e_j is sign_j e_{pi(j)} with pi an involution: entry (i, c)
+                # of embed(datum) moves to column pi(c) with that column's sign.
+                if self.frames is None and generator == 0:  # X^n reverses the index
+                    cols = dim - 1 - cols
+                else:
+                    vals = vals * self.signs[cols]
+            out[rows, cols] += vals
+        return out
 
 
 def null_space_involution(constraints: list[np.ndarray]) -> np.ndarray:

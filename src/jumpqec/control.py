@@ -8,15 +8,15 @@ machine-precision rather than O(dt^2)).  Detected jumps are undone by a
 per-channel correction unitary that maps the jumped codespace isometrically
 back onto itself, built in closed form (see :func:`_correction`).
 
-The controls are one-qubit data.  The driving Hamiltonian is kept as its
-terms (:class:`DrivingTerm`), in the computational basis; only the
-``synthesize`` listing densifies it.  Each :class:`Correction` holds its
-2x2 data in the code's eigenframe, the frame the trajectory engine runs in.
+The controls are one-qubit data in the code's eigenframe, the frame the
+trajectory engine runs in.  The driving Hamiltonian is kept as the
+``(qubit, 2x2 datum, generator)`` terms of :attr:`.channels.KrausSet.terms`,
+which :meth:`.codes.StabilizerCode.dense` sums; each :class:`Correction`
+holds its 2x2 data.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -36,13 +36,12 @@ from .codes import (
     sector_assignment,
     verify_correctability,
 )
-from .linalg import IDENTITY, bloch_matrix, on_qubit
+from .linalg import bloch_matrix, on_qubit
 
 __all__ = [
     "CorrectabilityError",
     "Correction",
     "ControlPlan",
-    "DrivingTerm",
     "NoJumpInvariance",
     "build_control_plan",
     "nojump_invariance_check",
@@ -94,34 +93,20 @@ class Correction:
         return w
 
 
-class DrivingTerm(NamedTuple):
-    """One Kronecker product of the driving Hamiltonian.
-
-    ``local`` sits in slot ``qubit``; every other slot holds generator
-    ``generator``'s factor ``s_j``, or the identity when ``generator`` is
-    ``None`` (an offset term, local to ``qubit``).
-    """
-
-    generator: int | None
-    qubit: int
-    local: np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
 class ControlPlan:
     """Synthesized feedback controls for a channel set on a code.
 
     Attributes:
-        driving_terms: the driving Hamiltonian as its terms, 2x2 factors in
-            the computational basis (:func:`_dense_driving` gives the dense
-            sum that ``synthesize`` lists).
+        driving_terms: the driving Hamiltonian as the frame terms that
+            :func:`.kraus_set` appends to its own (see :func:`_driving_terms`).
         corrections: map from each channel object to its :class:`Correction`.
         sector_map: axis letter -> generator index used to cancel that
             Pauli axis; the assignment is the same for every channel.
             ``None`` on the single-generator branch.
     """
 
-    driving_terms: tuple[DrivingTerm, ...]
+    driving_terms: tuple[tuple[int, np.ndarray, int | None], ...]
     corrections: dict[ErrorChannel, Correction]
     sector_map: dict[str, int] | None
 
@@ -133,33 +118,25 @@ class NoJumpInvariance(NamedTuple):
 
 def _driving_terms(
     channels: tuple[ErrorChannel, ...] | list[ErrorChannel], code: StabilizerCode
-) -> tuple[DrivingTerm, ...]:
-    """The driving Hamiltonian's terms, channel by channel."""
+) -> tuple[tuple[int, np.ndarray, int | None], ...]:
+    """The driving Hamiltonian ``H`` as frame terms, channel by channel.
+
+    A term ``L S_g`` (``S_g`` the identity for an offset term) is kept as
+    ``(q, V_q^dag (i L s_q) V_q, g)``, so that ``code.dense`` of the terms
+    is ``i H`` in the frame.
+    """
     gens = [[bloch_matrix(axis) for axis in g] for g in code.generators]
     terms = []
     for ch in channels:
         q, mu, e = ch.qubit, ch.offset, ch.operator
-        # (i/4)[T, s_q] is Hermitian whatever T and s_q; where they
-        # anticommute, as correctability requires, it is (i/2) T s_q.
-        terms += [
-            DrivingTerm(g, q, 0.25j * (t @ gens[g][q] - gens[g][q] @ t))
-            for t, g in anticommuting_terms(ch, code)
-        ]
-        terms.append(DrivingTerm(None, q, 0.5j * (np.conj(mu) * e - mu * e.conj().T)))
+        for t, g in anticommuting_terms(ch, code):
+            # (i/4)[T, s_q] is Hermitian whatever T and s_q; where they
+            # anticommute, as correctability requires, it is (i/2) T s_q.
+            local = 0.25j * (t @ gens[g][q] - gens[g][q] @ t) @ gens[g][q]
+            terms.append((q, code.to_frame(1j * local, q), g))
+        local = 0.5j * (np.conj(mu) * e - mu * e.conj().T)
+        terms.append((q, code.to_frame(1j * local, q), None))
     return tuple(terms)
-
-
-def _dense_driving(terms: tuple[DrivingTerm, ...], code: StabilizerCode) -> np.ndarray:
-    """Sum of the terms' Kronecker products of 2x2 factors."""
-    gens = [[bloch_matrix(axis) for axis in g] for g in code.generators]
-    h = np.zeros((2**code.n,) * 2, dtype=np.complex128)
-    for g, q, local in terms:
-        factors = [IDENTITY] * code.n if g is None else gens[g]
-        # Folded from the last factor, each kron broadcasts over the long
-        # trailing axis: 2.5x faster than from the first at n=8.
-        slots = reversed([*factors[:q], local, *factors[q + 1 :]])
-        h += functools.reduce(lambda acc, f: np.kron(f, acc), slots)
-    return h
 
 
 def _require_correctable(

@@ -71,13 +71,18 @@ MAX_DENSITY_SAMPLES = 1000
 #: allocated, in bytes.
 DENSITY_BUDGET_BYTES = 2 * 2**30
 
+#: Largest driven-oracle RK4 work, grid steps x substeps x (m + 2) x dim^3
+#: for m channels: about ten seconds at the 0.9-1.6e9 per second measured at
+#: n = 6 and 8 (2 vCPUs, OpenBLAS).
+RK4_WORK_BUDGET = 1e10
+
 #: Bytes each of a block's gathered amplitudes, its ``(steps, B)`` uniforms
 #: and its ``(steps + 1, B)`` overlaps may take; this sets the block width
 #: ``B``.
 _BLOCK_BYTES = 8 * 2**20
 
-#: Density samples per batch: the ensemble rotates its mean back and the
-#: exact oracle propagates this many at a time.
+#: Density samples per batch: the ensemble rotates its mean back, the exact
+#: oracle propagates and ``trace_distance`` compares this many at a time.
 _CHUNK = 16
 
 #: Bytes a run holds per time step: the grid times, the engine's and the
@@ -422,10 +427,20 @@ def run_ensemble(cfg: SimConfig, collect_density: bool = True) -> EnsembleResult
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
-    """Half the trace norm of ``a - b``, per pair if both are ``(..., d, d)`` stacks."""
-    diff = a - b
-    diff = (diff + diff.conj().swapaxes(-1, -2)) / 2.0
-    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
+    """Half the trace norm of ``a - b``, per pair if both are ``(..., d, d)`` stacks.
+
+    ``_CHUNK`` pairs per eigensolve keep its three temporary stacks small next
+    to the series: one over a whole series raised an n=4 peak RSS by 26 %.
+    """
+    a, b = np.broadcast_arrays(a, b)
+    if a.ndim == 2:
+        return trace_distance(a[None], b[None])[0]
+    distances = []
+    for i in range(0, a.shape[0], _CHUNK):
+        diff = a[i : i + _CHUNK] - b[i : i + _CHUNK]
+        diff = (diff + diff.conj().swapaxes(-1, -2)) / 2.0
+        distances.append(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1))
+    return np.concatenate(distances)
 
 
 def master_equation_oracle(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -444,7 +459,8 @@ def master_equation_oracle(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     evolves there; every sample (every grid step under RK4) is
     re-symmetrized, and a trace drift beyond 1e-6 aborts.  Returns
     ``(sampled times, density matrices)``; a series over
-    ``DENSITY_BUDGET_BYTES`` raises ``ValueError`` before any setup.
+    ``DENSITY_BUDGET_BYTES`` raises ``ValueError`` before any setup, and
+    RK4 work over ``RK4_WORK_BUDGET`` before the first substep.
     """
     sample_indices = density_sample_indices(cfg.steps)
     _require_density_budget(cfg, sample_indices.shape[0])
@@ -479,15 +495,17 @@ def _rk4_series(
 ) -> np.ndarray:
     """RK4 over the grid from ``rho0``, settling every grid step.
 
-    ``K`` and the jumps are densified once in the frame, where the substep
-    rule reads ``K``'s anti-Hermitian part, and rotated back once.
+    ``K`` and the jumps are densified once in the frame by
+    :meth:`.codes.StabilizerCode.dense`, where the substep rule reads
+    ``K``'s anti-Hermitian part, and rotated back once.  Work over
+    ``RK4_WORK_BUDGET`` raises ``ValueError`` before the first substep.
     """
     code, dim = ks.code, 2**ks.n
-    ops = np.zeros((1 + len(ks.channels), dim, dim), dtype=np.complex128)
-    for qubit, datum, generator in ks.terms:
-        code.add_local(ops[0], -datum, qubit, generator)
-    for op, ch, factor in zip(ops[1:], ks.channels, ks.factors):
-        code.add_local(op, factor / math.sqrt(ks.dt), ch.qubit)
+    ops = np.stack([
+        -code.dense(ks.terms),
+        *(code.dense([(ch.qubit, factor / math.sqrt(ks.dt), None)])
+          for ch, factor in zip(ks.channels, ks.factors)),
+    ])
     rate_scale = sum(
         float(np.trace(ch.operator.conj().T @ ch.operator).real) / 2.0
         for ch in ks.channels
@@ -497,6 +515,15 @@ def _rk4_series(
         h_target = min(ks.dt, 1e-3 / rate_scale)
     substeps = max(1, int(math.ceil(ks.dt / h_target - 1e-12)))
     h = ks.dt / substeps
+    steps = int(sample_indices[-1])
+    work = steps * substeps * (len(ks.channels) + 2) * dim**3
+    if work > RK4_WORK_BUDGET:
+        raise ValueError(
+            f"the driven oracle's RK4 work is {work:.2g} ({steps} steps x "
+            f"{substeps} substeps x {len(ks.channels) + 2} x {dim}^3), over its "
+            f"budget of {RK4_WORK_BUDGET:.0e}; run it undriven, or on fewer "
+            "qubits or a shorter duration"
+        )
 
     ops = code.operator_from_frame(ops)
     k, jumps = ops[0], ops[1:]

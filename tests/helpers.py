@@ -5,10 +5,12 @@ package, its CLI, the README's library example or the benchmark calls
 it: the per-trajectory :func:`step` and :func:`run_trajectory`, the
 Kraus set in the computational basis, the embedded jump operators, the
 Kraus completeness defect, generator matrices, the codespace
-matrix-element scan, the dense driving Hamiltonian and the textbook
+matrix-element scan, the textbook driving Hamiltonian and the textbook
 Lindblad generator.  Each builds what the package keeps as one-qubit
-data into full register matrices, so the tests can check the engine
-and the oracle against plain products.
+data into full register matrices with ``tensor_embed`` and Kronecker
+products, never with the package's own densifier
+(``StabilizerCode.dense``), so the tests can check the engine, the oracle
+and the ``synthesize`` listing against plain products.
 """
 
 import math
@@ -21,14 +23,13 @@ from jumpqec import (
     FidelityRecord,
     KrausSet,
     StepSizeError,
-    build_control_plan,
     effective_jump_operator,
     jump_backaction,
     prepare,
 )
 from jumpqec._kernels import PROBABILITY_SLACK
 from jumpqec.channels import WEAK_COUPLING_BUDGET
-from jumpqec.control import _dense_driving
+from jumpqec.codes import anticommuting_terms
 from jumpqec.linalg import (
     IDENTITY, PAULIS, bloch_matrix, is_hermitian, max_abs, on_qubit, tensor_embed,
 )
@@ -163,13 +164,25 @@ def generator_matrix(generator):
 
 
 def dense_driving_hamiltonian(channels, code):
-    """The driving Hamiltonian in the computational basis, as ``synthesize`` lists it.
+    """The textbook driving Hamiltonian in the computational basis.
 
-    The sum of the control plan's terms, so it raises
-    :class:`jumpqec.CorrectabilityError` when ``code`` does not protect
+    ``sum (i/2) T_q G_g`` over each channel's backaction terms ``T`` on its
+    qubit, paired with the generators ``G_g`` they anticommute with
+    (:func:`jumpqec.codes.anticommuting_terms`), plus each channel's offset
+    term ``(i/2)(mu* E - mu E^dag)`` on its qubit: the reference for the
+    control plan's frame terms, which the package sums with
+    ``StabilizerCode.dense``.  It is Hermitian only when ``code`` protects
     the channels.
     """
-    return _dense_driving(build_control_plan(channels, code).driving_terms, code)
+    n = code.n
+    gens = [generator_matrix(g) for g in code.generators]
+    dense = np.zeros((2**n, 2**n), dtype=complex)
+    for ch in channels:
+        for term, index in anticommuting_terms(ch, code):
+            dense += 0.5j * tensor_embed(term, ch.qubit, n) @ gens[index]
+        mu, e = ch.offset, ch.operator
+        dense += tensor_embed(0.5j * (np.conj(mu) * e - mu * e.conj().T), ch.qubit, n)
+    return dense
 
 
 def lindblad_generator(channels, hamiltonian, n):

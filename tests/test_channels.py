@@ -180,12 +180,11 @@ class TestMeanEvolution:
             terms = build_control_plan(channels, code).driving_terms if driven else ()
             ks = kraus_set(channels, code, 1e-3, terms)
             dim = 2**n
-            ops = np.zeros((1 + len(channels), dim, dim), dtype=complex)
-            for qubit, datum, generator in ks.terms:
-                code.add_local(ops[0], -datum, qubit, generator)
-            for op, ch, factor in zip(ops[1:], channels, ks.factors):
-                code.add_local(op, factor / np.sqrt(ks.dt), ch.qubit)
-            k, *jumps = code.operator_from_frame(ops)
+            ops = [-code.dense(ks.terms)] + [
+                code.dense([(ch.qubit, factor / np.sqrt(ks.dt), None)])
+                for ch, factor in zip(channels, ks.factors)
+            ]
+            k, *jumps = code.operator_from_frame(np.array(ops))
             ham = dense_driving_hamiltonian(channels, code) if driven else None
             reference = lindblad_generator(channels, ham, n)
             raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))

@@ -25,7 +25,12 @@ from jumpqec.cli import (
 )
 from jumpqec.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, max_abs
 
-from helpers import dense_driving_hamiltonian, rank3_channels, relaxation_channels
+from helpers import (
+    dense_driving_hamiltonian,
+    family_channel_set,
+    rank3_channels,
+    relaxation_channels,
+)
 
 PAULI_BASIS = {"I": np.eye(2), "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
 
@@ -218,14 +223,30 @@ class TestPauliCoefficients:
 
     @pytest.mark.parametrize(
         "n, channels",
-        [(8, relaxation_channels(8, gamma=0.5)), (4, rank3_channels(4))],
-        ids=["relaxation-8", "rank3-4"],
+        [
+            (8, relaxation_channels(8, gamma=0.5)),
+            (4, rank3_channels(4)),
+            *(family_channel_set(np.random.default_rng(seed), pair)
+              for seed, pair in [(3, False), (4, False), (5, True), (6, True)]),
+        ],
+        ids=["relaxation-8", "rank3-4", "one-a", "one-b", "pair-a", "pair-b"],
     )
-    def test_listing_rebuilds_the_driving_hamiltonian(self, n, channels):
+    def test_listing_rebuilds_the_driving_hamiltonian(self, n, channels, capsys):
+        # synthesize lists the Pauli coefficients of the plan's frame terms;
+        # they are those of the textbook driving Hamiltonian.
+        cfg = SimConfig(n=n, channels=channels, dt=1e-3, duration=1e-3)
+        _, chunks = cli._cmd_synthesize(cfg)
+        capsys.readouterr()
+        listed = [
+            (term["pauli"], complex(term["re"], term["im"]))
+            for term in json.loads("".join(chunks))["hamiltonian"]
+        ]
         ham = dense_driving_hamiltonian(channels, build_code(channels, n))
-        terms = pauli_coefficients(ham)
-        assert terms
-        rebuilt = sum(value * pauli_product(label) for label, value in terms)
+        expected = pauli_coefficients(ham)
+        assert listed
+        assert [label for label, _ in listed] == [label for label, _ in expected]
+        assert max(abs(a - b) for (_, a), (_, b) in zip(listed, expected)) <= 1e-14
+        rebuilt = sum(value * pauli_product(label) for label, value in listed)
         assert max_abs(rebuilt - ham) <= 1e-12
 
 
@@ -439,6 +460,40 @@ class TestExecute:
         assert not out.exists()
         err = capsys.readouterr().err
         assert "GiB" in err and "collect_density=False" in err
+
+    def test_driven_oracle_over_its_work_budget_exits_2(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The n8-simulate benchmark config, driven and without feedback:
+        # its RK4 would take minutes, so it is refused before any trajectory
+        # or substep runs.
+        def reached(*args, **kwargs):
+            raise AssertionError("trajectories or RK4 reached")
+
+        monkeypatch.setattr(cli, "run_ensemble", reached)
+        monkeypatch.setattr(trajectory, "_settle", reached)
+        doc = minimal_doc(
+            n=8,
+            dt=1e-3,
+            trajectories=4,
+            channels=[
+                {"qubit": q, "E": SIGMA_MINUS_JSON, "gamma": 0.5} for q in range(8)
+            ],
+        )
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "driven.csv"
+        started = time.monotonic()
+        code, manifest = execute(
+            ["oracle-compare", "--config", config, "--output", str(out), "--no-feedback"]
+        )
+        assert time.monotonic() - started < 1.0
+        assert code == 2 and manifest is None
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert (
+            "the driven oracle's RK4 work is 8.4e+11 (1000 steps x 5 substeps "
+            "x 10 x 256^3), over its budget of 1e+10" in err
+        )
 
     def test_oracle_compare_refuses_feedback(self, tmp_path, capsys):
         config = write_config(tmp_path, minimal_doc(duration=0.1, trajectories=2))

@@ -273,8 +273,7 @@ class TestFrame:
             assert_allclose(code.project(v), basis @ (basis.T @ v), atol=1e-14)
             # ... and each generator in the frame rotates back to itself.
             for g, generator in enumerate(code.generators):
-                in_frame = np.zeros((dim, dim))
-                code.add_local(in_frame, np.eye(2), 0, g)
+                in_frame = code.dense([(0, np.eye(2), g)], dtype=float)
                 rotated = code.operator_from_frame(in_frame)
                 assert_allclose(rotated, generator_matrix(generator), atol=1e-14)
             # A rotated 2x2 datum is V_q^dag op V_q.

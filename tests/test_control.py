@@ -18,8 +18,7 @@ from jumpqec import (
     nojump_invariance_check,
     sector_assignment,
 )
-from jumpqec.codes import anticommuting_terms
-from jumpqec.control import _dense_driving, _driving_terms
+from jumpqec.control import _driving_terms
 from jumpqec.linalg import (
     SIGMA_X,
     SIGMA_Y,
@@ -36,7 +35,6 @@ from helpers import (
     dense_driving_hamiltonian,
     dense_kraus_set,
     family_channel_set,
-    generator_matrix,
     random_suite,
     rank3_channels,
     relaxation_channels,
@@ -67,10 +65,15 @@ class TestSectorAssignment:
             sector_assignment("w", ERASURE_PAIR)
 
 
+def _dense_frame_driving(channels, code):
+    """The plan's frame terms sum to ``i H`` in the frame; ``H`` rotated back."""
+    return code.operator_from_frame(-1j * code.dense(_driving_terms(channels, code)))
+
+
 class TestDrivingHamiltonian:
     def test_two_qubit_lowering_channels(self):
         channels = relaxation_channels(2)
-        ham = dense_driving_hamiltonian(channels, build_code(channels, 2))
+        ham = _dense_frame_driving(channels, build_code(channels, 2))
         expected = 0.25 * (np.kron(SIGMA_Y, SIGMA_X) + np.kron(SIGMA_X, SIGMA_Y))
         assert_allclose(ham, expected, atol=1e-12)
 
@@ -83,7 +86,7 @@ class TestDrivingHamiltonian:
             qubit=0, operator=SIGMA_MINUS, gamma=gamma, phi=0.0, label=0
         )
         code = build_code([ch], 1)
-        ham = dense_driving_hamiltonian([ch], code)
+        ham = _dense_frame_driving([ch], code)
         d = jump_backaction(ch).bloch
         s = code.generators[0][0]
         expected = bloch_matrix(-0.5 * np.cross(d, s)) - (gamma / 2) * SIGMA_Y
@@ -97,7 +100,7 @@ class TestDrivingHamiltonian:
         ba = jump_backaction(ch)
         assert_allclose(ba.bloch, [1.0, 0, 0], atol=1e-14)
         code = StabilizerCode(4, ERASURE_PAIR)
-        ham = dense_driving_hamiltonian([ch], code)
+        ham = _dense_frame_driving([ch], code)
         expected = 0.5 * np.kron(
             SIGMA_Y, np.kron(SIGMA_Z, np.kron(SIGMA_Z, SIGMA_Z))
         )
@@ -107,12 +110,12 @@ class TestDrivingHamiltonian:
         channels = relaxation_channels(2)
         wrong = StabilizerCode(2, [np.tile([0.0, 0, 1.0], (2, 1))])
         with pytest.raises(CorrectabilityError):
-            dense_driving_hamiltonian(channels, wrong)
+            build_control_plan(channels, wrong)
 
     def test_hermitian_for_random_sets(self):
         for n, channels in random_suite(seed=29, count=30):
             code = build_code(channels, n)
-            ham = dense_driving_hamiltonian(channels, code)
+            ham = _dense_frame_driving(channels, code)
             assert is_hermitian(ham, tol=1e-12)
 
     @settings(max_examples=24, deadline=None)
@@ -130,7 +133,7 @@ class TestDrivingHamiltonian:
         if tilt and not pair:
             axes = code.generators[0] + tilt * rng.normal(size=(n, 3))
             code = StabilizerCode(n, [axes / np.linalg.norm(axes, axis=1)[:, None]])
-        ham = _dense_driving(_driving_terms(channels, code), code)
+        ham = _dense_frame_driving(channels, code)
         assert max_abs(ham - ham.conj().T) <= 1e-15 * max(1.0, max_abs(ham))
 
     def test_local_products_match_the_dense_sum(self):
@@ -138,16 +141,8 @@ class TestDrivingHamiltonian:
         for n, channels in random_suite(seed=31, count=24):
             code = build_code(channels, n)
             branches.add(len(code.generators))
-            gens = [generator_matrix(g) for g in code.generators]
-            dense = np.zeros((2**n, 2**n), dtype=complex)
-            for ch in channels:
-                for term, index in anticommuting_terms(ch, code):
-                    dense += 0.5j * tensor_embed(term, ch.qubit, n) @ gens[index]
-                mu, e = ch.offset, ch.operator
-                offset = 0.5j * (np.conj(mu) * e - mu * e.conj().T)
-                dense += tensor_embed(offset, ch.qubit, n)
-            ham = _dense_driving(_driving_terms(channels, code), code)
-            assert max_abs(ham - dense) <= 1e-14
+            ham = _dense_frame_driving(channels, code)
+            assert max_abs(ham - dense_driving_hamiltonian(channels, code)) <= 1e-14
         assert branches == {1, 2}
 
 
@@ -447,7 +442,7 @@ class TestFrameMatchesDenseReference:
         plan = build_control_plan(channels, code)
         dt = 1e-3
         ks = kraus_set(channels, code, dt, plan.driving_terms if driven else ())
-        hamiltonian = _dense_driving(plan.driving_terms, code) if driven else None
+        hamiltonian = dense_driving_hamiltonian(channels, code) if driven else None
         ref = dense_kraus_set(channels, hamiltonian, n, dt)
         assert max_abs(code.operator_from_frame(ks.no_jump) - ref.no_jump) <= 1e-13
         for ch, factor, dense_factor in zip(channels, ks.factors, ref.factors):

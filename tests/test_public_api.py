@@ -60,7 +60,9 @@ REMOVED = [
     (channels, "lindblad_generator"),
     (channels.KrausSet, "jumps"),
     (codes, "generator_matrix"),
+    (codes.StabilizerCode, "add_local"),
     (control, "correction_unitary"),
+    (control, "DrivingTerm"),
     (control, "driving_hamiltonian"),
     (control.Correction, "matrix"),
     (linalg, "is_unitary"),

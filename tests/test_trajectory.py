@@ -21,7 +21,7 @@ from jumpqec import (
     tensor_embed,
     trace_distance,
 )
-from jumpqec import codes, control, linalg, trajectory
+from jumpqec import codes, linalg, trajectory
 from jumpqec.linalg import expm1, max_abs
 from jumpqec.trajectory import _run_block, simulation_code
 
@@ -207,11 +207,7 @@ class TestOperatorBudget:
         def forbidden(*args, **kwargs):
             raise AssertionError("dense builder reached")
 
-        for module, name in (
-            (linalg, "tensor_embed"),
-            (control, "_dense_driving"),
-        ):
-            monkeypatch.setattr(module, name, forbidden)
+        monkeypatch.setattr(linalg, "tensor_embed", forbidden)
         monkeypatch.setattr(codes.StabilizerCode, "codespace", property(forbidden))
         cfg = SimConfig(n=n, channels=channels, dt=1e-3, duration=0.02, trajectories=3)
         assert prepare(cfg).corrections is not None
