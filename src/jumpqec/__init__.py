@@ -16,7 +16,6 @@ from .channels import (
     ErrorChannel,
     KrausSet,
     effective_jump_operator,
-    jump_backaction,
     kraus_set,
 )
 from .codes import (
@@ -38,12 +37,7 @@ from .control import (
     build_control_plan,
     nojump_invariance_check,
 )
-from .linalg import (
-    bloch_decompose,
-    bloch_matrix,
-    tensor_embed,
-    traceless_decompose,
-)
+from .linalg import bloch_matrix, tensor_embed
 from .trajectory import (
     EnsembleResult,
     FidelityRecord,
@@ -62,7 +56,6 @@ __all__ = [
     "ErrorChannel",
     "KrausSet",
     "effective_jump_operator",
-    "jump_backaction",
     "kraus_set",
     "CorrectabilityReport",
     "EvenQubitCountRequired",
@@ -79,10 +72,8 @@ __all__ = [
     "build_control_plan",
     "nojump_invariance_check",
     "sector_assignment",
-    "bloch_decompose",
     "bloch_matrix",
     "tensor_embed",
-    "traceless_decompose",
     "EnsembleResult",
     "FidelityRecord",
     "SimConfig",

@@ -17,6 +17,11 @@ average follows the Lindblad equation
 ``rho' = K rho + rho K^dag + sum_k A_k rho A_k^dag``, whose offsets
 cancel.  The Kraus set keeps the local terms it sums into ``K``
 (:attr:`KrausSet.terms`), the one source of these dynamics.
+
+Everything the construction reads of a channel is one split,
+``(E + mu)^dag (E + mu) = c 1 + d . sigma``: each channel derives it once,
+when it is built (:attr:`ErrorChannel.backaction`), and code synthesis,
+the controls and the Kraus set read it there.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import IDENTITY, bloch_decompose, traceless_decompose
+from .linalg import IDENTITY, PAULIS
 
 if TYPE_CHECKING:
     from .codes import StabilizerCode
@@ -38,7 +43,6 @@ __all__ = [
     "Backaction",
     "KrausSet",
     "effective_jump_operator",
-    "jump_backaction",
     "kraus_set",
 ]
 
@@ -64,6 +68,10 @@ class ErrorChannel:
         gamma: amplitude of the unraveling offset, ``gamma >= 0``.
         phi: phase of the offset, stored in [0, 2 pi).
         label: opaque identifier used in logs and reports.
+        backaction: the channel's :class:`Backaction`, derived once here.
+            Its ``bloch`` and ``rate`` read only the Hermitian part of
+            ``(E + mu)^dag (E + mu)``, so the product's rounding refuses no
+            channel; a product that overflows raises ``ValueError``.
     """
 
     qubit: int
@@ -71,6 +79,7 @@ class ErrorChannel:
     gamma: float = 0.0
     phi: float = 0.0
     label: str | int | None = None
+    backaction: Backaction = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         qubit = self.qubit
@@ -90,6 +99,17 @@ class ErrorChannel:
         object.__setattr__(self, "operator", operator)
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "phi", phi % (2.0 * math.pi))
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = effective_jump_operator(self)
+            gram = a.conj().T @ a
+            rate = float(np.trace(gram).real) / 2.0
+            matrix = gram - rate * IDENTITY
+            bloch = [float(np.trace(p @ matrix).real) / 2.0 for p in PAULIS]
+        if not (np.isfinite(matrix).all() and np.isfinite(bloch).all()):
+            raise ValueError(
+                "(E + mu)^dag (E + mu) overflows a float; rescale E and gamma"
+            )
+        object.__setattr__(self, "backaction", Backaction(matrix, bloch, rate))
 
     @property
     def offset(self) -> complex:
@@ -99,7 +119,7 @@ class ErrorChannel:
 
 @dataclass(frozen=True, eq=False)
 class Backaction:
-    """Traceless part of ``(E + mu)^dag (E + mu)`` for one channel.
+    """Traceless part of ``(E + mu)^dag (E + mu)``: :attr:`ErrorChannel.backaction`.
 
     ``matrix = bloch . sigma`` is the piece whose codespace matrix elements
     must vanish for the jump to be exactly reversible; ``rate`` is the
@@ -123,15 +143,14 @@ class KrausSet:
     """First-order Kraus decomposition of one time step of length ``dt``.
 
     Both operators are in the eigenframe of ``code``, the code they were
-    built for (:class:`.codes.StabilizerCode`); ``None`` marks a set built
-    by hand, whose frame is whatever its author chose.  ``factors`` stacks
-    the ``(m, 2, 2)`` one-qubit jump factors ``sqrt(dt) (E + mu)`` of
-    ``channels`` in input order, each acting on its channel's qubit;
-    ``no_jump`` is the dense between-detections operator on the full
-    register, ``1 + dt K``.  ``terms`` holds the ``(qubit, 2x2 frame datum,
-    generator or None)`` triples whose embedded products sum to ``-K``
-    (:meth:`.codes.StabilizerCode.dense`); a set built by hand may leave it
-    empty.  ``warnings`` is non-empty when the requested step violates the
+    built for (:class:`.codes.StabilizerCode`), whose register size is
+    ``n``.  ``factors`` stacks the ``(m, 2, 2)`` one-qubit jump factors
+    ``sqrt(dt) (E + mu)`` of ``channels`` in input order, each acting on
+    its channel's qubit; ``no_jump`` is the dense between-detections
+    operator on the full register, ``1 + dt K``.  ``terms`` holds the
+    ``(qubit, 2x2 frame datum, generator or None)`` triples whose embedded
+    products sum to ``-K`` (:meth:`.codes.StabilizerCode.dense`).
+    ``warnings`` is non-empty when the requested step violates the
     weak-coupling budget (the set is still usable).
     """
 
@@ -139,22 +158,19 @@ class KrausSet:
     no_jump: np.ndarray
     factors: np.ndarray
     channels: tuple[ErrorChannel, ...]
-    n: int
-    warnings: tuple[str, ...] = field(default=())
-    code: StabilizerCode | None = None
-    terms: tuple[tuple[int, np.ndarray, int | None], ...] = ()
+    code: StabilizerCode
+    terms: tuple[tuple[int, np.ndarray, int | None], ...]
+    warnings: tuple[str, ...] = ()
+
+    @property
+    def n(self) -> int:
+        """Register size, the code's."""
+        return self.code.n
 
 
 def effective_jump_operator(channel: ErrorChannel) -> np.ndarray:
     """Single-qubit factor ``E + mu * 1`` of the channel's jump operator."""
     return channel.operator + channel.offset * IDENTITY
-
-
-def jump_backaction(channel: ErrorChannel) -> Backaction:
-    """Decompose ``(E + mu)^dag (E + mu)`` into traceless part plus rate."""
-    a = effective_jump_operator(channel)
-    matrix, rate = traceless_decompose(a.conj().T @ a)
-    return Backaction(matrix=matrix, bloch=bloch_decompose(matrix), rate=rate)
 
 
 def kraus_set(channels, code, dt: float, driving=()) -> KrausSet:
@@ -189,7 +205,7 @@ def kraus_set(channels, code, dt: float, driving=()) -> KrausSet:
         mu, e = ch.offset, ch.operator
         local = 0.5 * (e.conj().T @ e) + np.conj(mu) * e + 0.5 * abs(mu) ** 2 * IDENTITY
         terms.append((ch.qubit, code.to_frame(local, ch.qubit), None))
-        ba = jump_backaction(ch)
+        ba = ch.backaction
         probability_budget += (ba.rate + float(np.abs(ba.bloch).sum())) * dt
     terms += driving
     factors = np.array(factors).reshape(-1, 2, 2)
@@ -214,9 +230,8 @@ def kraus_set(channels, code, dt: float, driving=()) -> KrausSet:
         no_jump=no_jump,
         factors=factors,
         channels=tuple(channels),
-        n=n,
-        warnings=warnings,
         code=code,
         terms=tuple(terms),
+        warnings=warnings,
     )
 

@@ -386,7 +386,7 @@ def _cmd_verify(cfg: SimConfig) -> tuple[int, Iterable[str]]:
         # The report above has passed: take the driving terms without rechecking.
         driving = _driving_terms(cfg.channels, code) if cfg.driving_enabled else ()
         ks = kraus_set(cfg.channels, code, cfg.dt, driving)
-        nojump = nojump_invariance_check(ks, code)
+        nojump = nojump_invariance_check(ks)
         checks["nojump_invariance"] = {
             "a": nojump.a,
             "residual": nojump.residual,

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import ErrorChannel, jump_backaction
+from .channels import ErrorChannel
 from .linalg import IDENTITY, PAULIS, bloch_matrix, max_abs, on_qubit
 
 __all__ = [
@@ -335,7 +335,7 @@ def build_code(
     for ch in channels:
         if not 0 <= ch.qubit < n:
             raise ValueError(f"channel qubit {ch.qubit} out of range for n={n}")
-        bloch = jump_backaction(ch).bloch
+        bloch = ch.backaction.bloch
         constraints = per_qubit.setdefault(ch.qubit, [])
         if max_abs(bloch) > 1e-12:
             constraints.append(bloch)
@@ -385,7 +385,7 @@ def anticommuting_terms(
     one term ``d_l sigma_l``, paired by :func:`sector_assignment` (which
     raises ``ValueError`` unless the generators are ``(X^n, Z^n)``).
     """
-    ba = jump_backaction(ch)
+    ba = ch.backaction
     if len(code.generators) == 1:
         return [(ba.matrix, 0)]
     return [
@@ -430,6 +430,6 @@ def verify_correctability(
         if not 0 <= ch.qubit < code.n:
             raise ValueError(f"channel qubit {ch.qubit} out of range for n={code.n}")
         axis = code.generators[0][ch.qubit]
-        residuals.append(abs(float(jump_backaction(ch).bloch @ axis)) if single else 0.0)
+        residuals.append(abs(float(ch.backaction.bloch @ axis)) if single else 0.0)
     labels = tuple(ch.label for ch in channels)
     return CorrectabilityReport(residuals=tuple(residuals), labels=labels)

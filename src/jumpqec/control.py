@@ -23,12 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import (
-    ErrorChannel,
-    KrausSet,
-    effective_jump_operator,
-    jump_backaction,
-)
+from .channels import ErrorChannel, KrausSet, effective_jump_operator
 from .codes import (
     CorrectabilityReport,
     StabilizerCode,
@@ -67,9 +62,7 @@ class Correction:
     ``U^dag`` and the unit backaction axis ``D`` acting on ``qubit``, and
     ``P`` the codespace projector (see :func:`_correction`).  ``u_dag`` and
     ``axis`` are in the eigenframe of ``code``, and so is :meth:`apply`,
-    which projects through ``code``.  ``null_channel`` marks channels with
-    vanishing effective rate: no jump can ever fire, and ``R`` is the
-    identity.
+    which projects through ``code``.
     """
 
     u_dag: np.ndarray
@@ -77,7 +70,6 @@ class Correction:
     theta: float
     qubit: int
     code: StabilizerCode
-    null_channel: bool = False
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """``R v`` for a frame vector or the columns of a ``(dim, k)`` matrix."""
@@ -100,14 +92,15 @@ class ControlPlan:
     Attributes:
         driving_terms: the driving Hamiltonian as the frame terms that
             :func:`.kraus_set` appends to its own (see :func:`_driving_terms`).
-        corrections: map from each channel object to its :class:`Correction`.
+        corrections: one :class:`Correction` per channel, in the order the
+            channels were given.
         sector_map: axis letter -> generator index used to cancel that
             Pauli axis; the assignment is the same for every channel.
             ``None`` on the single-generator branch.
     """
 
     driving_terms: tuple[tuple[int, np.ndarray, int | None], ...]
-    corrections: dict[ErrorChannel, Correction]
+    corrections: tuple[Correction, ...]
     sector_map: dict[str, int] | None
 
 
@@ -173,13 +166,12 @@ def _correction(ch: ErrorChannel, code: StabilizerCode) -> Correction:
     ``sqrt(c') v`` and ``R U`` is the identity off ``span(P, DP)``, so only
     the 2x2 SVD depends on the LAPACK build.  ``d = 0`` gives ``U^dag``.
 
-    Channels with ``c' = 0`` never fire; the result is the identity with
-    ``null_channel`` set.  The code must protect ``ch``, as
-    :func:`build_control_plan` checks.
+    Channels with ``c' = 0`` never fire; the result is the identity.  The
+    code must protect ``ch``, as :func:`build_control_plan` checks.
     """
-    ba = jump_backaction(ch)
+    ba = ch.backaction
     if ba.rate <= NULL_CHANNEL_ATOL:
-        return Correction(np.eye(2), np.zeros((2, 2)), 0.0, ch.qubit, code, True)
+        return Correction(np.eye(2), np.zeros((2, 2)), 0.0, ch.qubit, code)
     w, s, vh = np.linalg.svd(effective_jump_operator(ch))
     # With d = 0 the axis is zero, so is theta, and R is U^dag.
     axis = ba.matrix / (float(np.linalg.norm(ba.bloch)) or 1.0)
@@ -198,7 +190,7 @@ def build_control_plan(
     Correctability is verified once for the whole channel set.
     """
     _require_correctable(code, channels)
-    corrections = {ch: _correction(ch, code) for ch in channels}
+    corrections = tuple(_correction(ch, code) for ch in channels)
     if len(code.generators) == 2:
         sector_map = {ax: sector_assignment(ax, code.generators) for ax in "xyz"}
     else:
@@ -206,26 +198,19 @@ def build_control_plan(
     return ControlPlan(_driving_terms(channels, code), corrections, sector_map)
 
 
-def nojump_invariance_check(ks: KrausSet, code: StabilizerCode) -> NoJumpInvariance:
+def nojump_invariance_check(ks: KrausSet) -> NoJumpInvariance:
     """Measure how far no-jump evolution is from a scalar on the codespace.
 
     Returns ``a = 1 - (sum of channel rates) * dt / 2`` and the maximum
     over codespace basis vectors ``v`` of ``||Omega_0 v - a v||_2``, taken
-    in the code's eigenframe, where ``ks`` lives and the basis vectors are
-    a scatter (:meth:`.codes.StabilizerCode.encode`).  When the Kraus set
-    was built with the matching driving terms the no-jump operator equals
-    ``a`` plus terms annihilating the codespace, so the residual sits at
-    machine precision.
-
-    Raises ``ValueError`` unless ``ks`` was built for ``code``, or for a
-    code with the same generators (hence the same frame).
+    in the eigenframe of the code ``ks`` was built for, where the basis
+    vectors are a scatter (:meth:`.codes.StabilizerCode.encode`).  When the
+    Kraus set was built with the matching driving terms the no-jump
+    operator equals ``a`` plus terms annihilating the codespace, so the
+    residual sits at machine precision.
     """
-    built = ks.code
-    if built is not code and (
-        built is None or not np.array_equal(built.generators, code.generators)
-    ):
-        raise ValueError("the Kraus set was built for a different code")
-    total_rate = sum(jump_backaction(ch).rate for ch in ks.channels)
+    code = ks.code
+    total_rate = sum(ch.backaction.rate for ch in ks.channels)
     a = 1.0 - total_rate * ks.dt / 2.0
     basis = code.encode(np.eye(2**code.logical_count))
     deviation = ks.no_jump @ basis - a * basis

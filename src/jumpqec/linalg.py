@@ -20,11 +20,8 @@ __all__ = [
     "SIGMA_Z",
     "PAULIS",
     "max_abs",
-    "is_hermitian",
     "tensor_embed",
     "on_qubit",
-    "traceless_decompose",
-    "bloch_decompose",
     "bloch_matrix",
     "expm1",
 ]
@@ -33,9 +30,6 @@ __all__ = [
 #: relaxation channels, ``simulate`` of 4 trajectories x 1000 steps took
 #: 2.9 s and 3.3 s (two single runs, 2 vCPUs) at 78 MiB peak RSS.
 MAX_QUBITS = 11
-
-#: Max-norm tolerance for input predicates (Hermiticity, trace checks).
-HERMITIAN_ATOL = 1e-12
 
 IDENTITY = np.eye(2, dtype=np.complex128)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -54,11 +48,6 @@ def max_abs(m: np.ndarray) -> float:
     """Entrywise max-norm ``max |m_ij|`` (0.0 for empty input)."""
     m = np.asarray(m)
     return float(np.abs(m).max()) if m.size else 0.0
-
-
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_ATOL) -> bool:
-    m = np.asarray(m, dtype=np.complex128)
-    return max_abs(m - m.conj().T) <= tol
 
 
 def tensor_embed(op: np.ndarray, qubit: int, n: int) -> np.ndarray:
@@ -88,37 +77,8 @@ def on_qubit(op, qubit: int, m: np.ndarray) -> np.ndarray:
     return np.matmul(op, m.reshape(2**qubit, 2, -1)).reshape(m.shape)
 
 
-def traceless_decompose(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """Split a Hermitian 2x2 matrix as ``m = d + c * 1`` with tr(d) = 0.
-
-    Returns ``(d, c)`` where ``c = tr(m) / 2``.  Raises ``ValueError`` if
-    ``m`` is not Hermitian within ``HERMITIAN_ATOL``.
-    """
-    m = np.asarray(m, dtype=np.complex128)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if not is_hermitian(m):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    c = float(np.trace(m).real) / 2.0
-    return m - c * IDENTITY, c
-
-
-def bloch_decompose(m: np.ndarray) -> np.ndarray:
-    """Coefficients ``(dx, dy, dz)`` of a traceless Hermitian 2x2 matrix.
-
-    ``m = dx X + dy Y + dz Z`` with ``d_l = tr(sigma_l m) / 2``.  Raises
-    ``ValueError`` if the trace exceeds ``HERMITIAN_ATOL``.
-    """
-    m = np.asarray(m, dtype=np.complex128)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if abs(np.trace(m)) > HERMITIAN_ATOL:
-        raise ValueError("matrix has nonzero trace")
-    return np.array([float(np.trace(p @ m).real) / 2.0 for p in PAULIS])
-
-
 def bloch_matrix(bloch: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`bloch_decompose`: ``d . sigma`` for a coefficient triple."""
+    """``d . sigma`` for a coefficient triple ``d`` (Bloch vector)."""
     bx, by, bz = np.asarray(bloch, dtype=float)
     return bx * SIGMA_X + by * SIGMA_Y + bz * SIGMA_Z
 

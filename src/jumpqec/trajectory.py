@@ -210,7 +210,6 @@ class SimulationSetup:
     of them, float64 exactly when every one is real.
     """
 
-    code: StabilizerCode
     kraus: KrausSet
     #: One correction per channel of ``kraus``; ``None`` exactly when feedback is off.
     corrections: tuple[Correction, ...] | None
@@ -218,6 +217,11 @@ class SimulationSetup:
     psi0: np.ndarray
     times: np.ndarray
     sample_indices: np.ndarray
+
+    @property
+    def code(self) -> StabilizerCode:
+        """The code the run protects with, the one ``kraus`` was built for."""
+        return self.kraus.code
 
     @property
     def initial(self) -> np.ndarray:
@@ -299,15 +303,12 @@ def prepare(cfg: SimConfig) -> SimulationSetup:
     plan = None
     if cfg.feedback_enabled or cfg.driving_enabled:
         plan = build_control_plan(cfg.channels, code)
-    corrections = None
-    if cfg.feedback_enabled:
-        corrections = tuple(plan.corrections[ch] for ch in cfg.channels)
+    corrections = plan.corrections if cfg.feedback_enabled else None
     psi0 = _initial_vector(cfg, code)
     driving = plan.driving_terms if cfg.driving_enabled else ()
     ks = kraus_set(cfg.channels, code, cfg.dt, driving)
     steps = cfg.steps
     return SimulationSetup(
-        code=code,
         kraus=ks,
         corrections=corrections,
         psi0=psi0,

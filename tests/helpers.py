@@ -21,17 +21,14 @@ import numpy as np
 from jumpqec import (
     ErrorChannel,
     FidelityRecord,
-    KrausSet,
     StepSizeError,
     effective_jump_operator,
-    jump_backaction,
     prepare,
 )
 from jumpqec._kernels import PROBABILITY_SLACK
-from jumpqec.channels import WEAK_COUPLING_BUDGET
 from jumpqec.codes import anticommuting_terms
 from jumpqec.linalg import (
-    IDENTITY, PAULIS, bloch_matrix, is_hermitian, max_abs, on_qubit, tensor_embed,
+    IDENTITY, PAULIS, bloch_matrix, max_abs, on_qubit, tensor_embed,
 )
 from jumpqec.trajectory import _run_block
 
@@ -146,7 +143,7 @@ def dense_correctability_residuals(code, channels):
     bra, ket = code.codespace.conj(), np.ascontiguousarray(code.codespace.T)
     residuals = []
     for ch in channels:
-        ba = jump_backaction(ch)
+        ba = ch.backaction
         terms = [ba.matrix]
         if len(code.generators) == 2:
             terms += [d * pauli for d, pauli in zip(ba.bloch, PAULIS)]
@@ -214,6 +211,21 @@ def lindblad_generator(channels, hamiltonian, n):
     return generator
 
 
+@dataclass(frozen=True)
+class DenseKrausSet:
+    """A Kraus set's operators in the computational basis, without its terms.
+
+    ``factors`` are the channels' one-qubit jump factors in input order,
+    as in :class:`jumpqec.KrausSet`, and ``no_jump`` is the dense
+    between-detections operator on ``n`` qubits.
+    """
+
+    no_jump: np.ndarray
+    factors: np.ndarray
+    channels: tuple
+    n: int
+
+
 def dense_kraus_set(channels, hamiltonian, n, dt):
     """The Kraus set of one step in the computational basis, from dense operators.
 
@@ -233,11 +245,10 @@ def dense_kraus_set(channels, hamiltonian, n, dt):
         raise ValueError(
             f"hamiltonian shape {hamiltonian.shape} does not match dimension {dim}"
         )
-    if not is_hermitian(hamiltonian):
+    if max_abs(hamiltonian - hamiltonian.conj().T) > 1e-12:
         raise ValueError("hamiltonian is not Hermitian within tolerance")
     factors = np.empty((len(channels), 2, 2), dtype=np.complex128)
     backaction_sum = np.zeros((dim, dim), dtype=np.complex128)
-    budget = 0.0
     for k, ch in enumerate(channels):
         if ch.qubit >= n:
             raise ValueError(f"channel qubit {ch.qubit} out of range for n={n}")
@@ -245,12 +256,8 @@ def dense_kraus_set(channels, hamiltonian, n, dt):
         mu, e = ch.offset, ch.operator
         local = 0.5 * (e.conj().T @ e) + np.conj(mu) * e + 0.5 * abs(mu) ** 2 * IDENTITY
         backaction_sum += tensor_embed(local, ch.qubit, n)
-        ba = jump_backaction(ch)
-        budget += (ba.rate + float(np.abs(ba.bloch).sum())) * dt
     no_jump = np.eye(dim, dtype=complex) - dt * (1j * hamiltonian + backaction_sum)
-    warnings = ("weak coupling",) if budget > WEAK_COUPLING_BUDGET else ()
-    return KrausSet(dt=float(dt), no_jump=no_jump, factors=factors,
-                    channels=tuple(channels), n=n, warnings=warnings)
+    return DenseKrausSet(no_jump, factors, tuple(channels), n)
 
 
 def dense_correction(corr):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,10 +10,9 @@ from jumpqec import (
     build_code,
     build_control_plan,
     effective_jump_operator,
-    jump_backaction,
     kraus_set,
 )
-from jumpqec.linalg import SIGMA_X, SIGMA_Z, bloch_matrix, tensor_embed
+from jumpqec.linalg import SIGMA_X, SIGMA_Z, bloch_matrix, max_abs, tensor_embed
 
 from helpers import (
     SIGMA_MINUS,
@@ -59,12 +60,12 @@ class TestEffectiveJumpOperator:
 
 class TestJumpBackaction:
     def test_lowering_without_offset(self):
-        ba = jump_backaction(lowering())
+        ba = lowering().backaction
         assert_allclose(ba.bloch, [0.0, 0.0, -0.5], atol=1e-15)
         assert ba.rate == pytest.approx(0.5)
 
     def test_lowering_with_real_offset(self):
-        ba = jump_backaction(lowering(gamma=0.5))
+        ba = lowering(gamma=0.5).backaction
         assert_allclose(ba.bloch, [0.5, 0.0, -0.5], atol=1e-15)
         assert ba.rate == pytest.approx(0.75)
 
@@ -77,7 +78,7 @@ class TestJumpBackaction:
             phi=0.0,
             label=0,
         )
-        ba = jump_backaction(ch)
+        ba = ch.backaction
         assert_allclose(ba.bloch, [0.0, 0.0, 0.0], atol=1e-15)
         assert ba.rate == pytest.approx(kappa)
 
@@ -85,14 +86,26 @@ class TestJumpBackaction:
         rng = np.random.default_rng(23)
         for _ in range(100):
             (ch,) = random_channel_set(rng, 1)[:1]
-            ba = jump_backaction(ch)
+            ba = ch.backaction
             assert abs(np.trace(ba.matrix)) <= 1e-12
             assert np.max(np.abs(ba.matrix - bloch_matrix(ba.bloch))) <= 1e-12
             eff = effective_jump_operator(ch)
             gram = eff.conj().T @ eff
+            assert ba.rate == np.trace(gram).real / 2
             assert (
                 np.max(np.abs(gram - ba.matrix - ba.rate * np.eye(2))) <= 1e-12
             )
+
+    def test_large_rate_channel_is_accepted(self):
+        # Rate 7367: the Gram's rounding is near 1e-12 in absolute terms,
+        # which an absolute Hermiticity or trace check would refuse.
+        operator = np.array(
+            [[11.9 + 0.8j, -61.3 - 12.5j], [13.5 + 20.6j, -50.2 - 86.9j]]
+        )
+        ba = ErrorChannel(qubit=0, operator=operator).backaction
+        assert ba.rate == pytest.approx(7367.0, abs=0.5)
+        gram = operator.conj().T @ operator
+        assert max_abs(ba.matrix + ba.rate * np.eye(2) - gram) <= 1e-12 * ba.rate
 
 
 class TestKrausSet:
@@ -272,6 +285,15 @@ class TestErrorChannelValidation:
     def test_non_finite_offset_rejected(self, field, value):
         with pytest.raises(ValueError, match="finite"):
             ErrorChannel(qubit=0, operator=SIGMA_MINUS, **{field: value})
+
+    @pytest.mark.parametrize(
+        "operator, gamma", [(1e200 * SIGMA_MINUS, 0.0), (SIGMA_MINUS, 1e200)]
+    )
+    def test_overflowing_gram_rejected(self, operator, gamma):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                ErrorChannel(qubit=0, operator=operator, gamma=gamma)
 
     @pytest.mark.parametrize("value", [np.inf, np.nan, complex(0.0, np.inf)])
     def test_non_finite_operator_rejected(self, value):

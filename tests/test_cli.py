@@ -1,6 +1,7 @@
 import itertools
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from jumpqec import (
     cli,
     codes,
     control,
-    jump_backaction,
     trajectory,
 )
 from jumpqec.cli import (
@@ -23,6 +23,7 @@ from jumpqec.cli import (
     parse_config,
     pauli_coefficients,
 )
+from jumpqec import channels as channel_module
 from jumpqec.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, max_abs
 
 from helpers import (
@@ -273,7 +274,7 @@ def tilted_readme_doc(eps):
     channels = parse_config(json.dumps(README_DOC)).channels
     (axes,) = build_code(channels, 2).generators
     axes = np.array(axes)
-    backaction = jump_backaction(channels[0]).bloch
+    backaction = channels[0].backaction.bloch
     backaction = backaction / np.linalg.norm(backaction)
     axes[0] = np.cos(eps) * axes[0] + np.sin(eps) * backaction
     return dict(README_DOC, code_override=[axes.tolist()])
@@ -697,6 +698,54 @@ class TestExecute:
 
 
 COMMANDS = ["synthesize", "verify", "simulate", "oracle-compare"]
+
+
+#: Rate 7367 at rate * dt = 7.4e-4: valid, and its Gram's rounding is ~1e-12.
+LARGE_RATE_DOC = minimal_doc(n=2, dt=1e-7, duration=1e-5, trajectories=2, channels=[
+    {"qubit": 0, "E": [[[11.9, 0.8], [-61.3, -12.5]], [[13.5, 20.6], [-50.2, -86.9]]]}
+])
+
+
+class TestChannelBackaction:
+    @pytest.mark.parametrize("command", ["synthesize", "verify", "simulate"])
+    def test_large_rate_channel_runs(self, tmp_path, capsys, command):
+        config = write_config(tmp_path, LARGE_RATE_DOC)
+        out = str(tmp_path / "out")
+        code, _ = execute([command, "--config", config, "--output", out])
+        assert code == 0, capsys.readouterr().err
+
+    def test_overflowing_channel_exits_2_naming_it(self, tmp_path, capsys):
+        doc = minimal_doc(channels=[
+            {"qubit": 0, "E": [[[1e200, 0], [0, 0]], [[0, 0], [0, 0]]]}
+        ])
+        config = write_config(tmp_path, doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _ = execute(["verify", "--config", config,
+                               "--output", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: channels[0]: ") and "overflows" in err
+
+    def test_each_channel_derives_its_backaction_once(self, monkeypatch):
+        calls = []
+        backaction = channel_module.Backaction
+
+        def counted(*args, **kwargs):
+            calls.append(args or kwargs)
+            return backaction(*args, **kwargs)
+
+        monkeypatch.setattr(channel_module, "Backaction", counted)
+        cfg = parse_config(json.dumps(minimal_doc(
+            n=8, dt=1e-3, duration=1e-2, trajectories=2,
+            channels=[{"qubit": q, "E": SIGMA_MINUS_JSON, "gamma": 0.5} for q in range(8)],
+        )))
+        assert len(calls) == 8  # once per channel, as the config is parsed
+        trajectory.prepare(cfg)
+        for command in ("verify", "synthesize"):
+            code, chunks = cli._COMMANDS[command](cfg)
+            assert code == 0 and "".join(chunks)
+        assert len(calls) == 8
 
 
 class TestOutputFile:

@@ -313,7 +313,6 @@ class TestAnticommutingTerms:
         + random_suite(seed=5, count=12),
     )
     def test_terms_split_the_backaction_and_anticommute(self, n, channels):
-        from jumpqec import jump_backaction
         from jumpqec.linalg import tensor_embed
 
         code = build_code(channels, n)
@@ -322,7 +321,7 @@ class TestAnticommutingTerms:
             terms = anticommuting_terms(ch, code)
             assert all(term.shape == (2, 2) for term, _ in terms)
             total = sum((term for term, _ in terms), np.zeros((2, 2)))
-            assert_allclose(total, jump_backaction(ch).matrix, rtol=0, atol=1e-15)
+            assert_allclose(total, ch.backaction.matrix, rtol=0, atol=1e-15)
             for term, index in terms:
                 embedded = tensor_embed(term, ch.qubit, n)
                 anti = gens[index] @ embedded + embedded @ gens[index]
@@ -389,14 +388,13 @@ class TestVerifyCorrectability:
         assert report.passed
 
     def test_anticommutation_on_single_generator_branch(self):
-        from jumpqec import jump_backaction
         from jumpqec.linalg import tensor_embed
 
         channels = relaxation_channels(3)
         code = build_code(channels, 3)
         gen = generator_matrix(code.generators[0])
         for ch in channels:
-            embedded = tensor_embed(jump_backaction(ch).matrix, ch.qubit, 3)
+            embedded = tensor_embed(ch.backaction.matrix, ch.qubit, 3)
             assert np.max(np.abs(gen @ embedded + embedded @ gen)) <= 1e-10
 
     def test_sector_generators_anticommute_with_axes_exactly(self):

@@ -13,18 +13,16 @@ from jumpqec import (
     build_code,
     build_control_plan,
     effective_jump_operator,
-    jump_backaction,
     kraus_set,
     nojump_invariance_check,
     sector_assignment,
 )
-from jumpqec.control import _driving_terms
+from jumpqec.control import NULL_CHANNEL_ATOL, _driving_terms
 from jumpqec.linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     bloch_matrix,
-    is_hermitian,
     max_abs,
     tensor_embed,
 )
@@ -87,7 +85,7 @@ class TestDrivingHamiltonian:
         )
         code = build_code([ch], 1)
         ham = _dense_frame_driving([ch], code)
-        d = jump_backaction(ch).bloch
+        d = ch.backaction.bloch
         s = code.generators[0][0]
         expected = bloch_matrix(-0.5 * np.cross(d, s)) - (gamma / 2) * SIGMA_Y
         assert_allclose(ham, expected, atol=1e-12)
@@ -97,8 +95,7 @@ class TestDrivingHamiltonian:
         # contribution is (i/2) X_0 (Z Z Z Z) = Y/2 on qubit 0 times Z elsewhere.
         operator = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
         ch = ErrorChannel(qubit=0, operator=operator, gamma=0.0, phi=0.0, label=0)
-        ba = jump_backaction(ch)
-        assert_allclose(ba.bloch, [1.0, 0, 0], atol=1e-14)
+        assert_allclose(ch.backaction.bloch, [1.0, 0, 0], atol=1e-14)
         code = StabilizerCode(4, ERASURE_PAIR)
         ham = _dense_frame_driving([ch], code)
         expected = 0.5 * np.kron(
@@ -116,7 +113,7 @@ class TestDrivingHamiltonian:
         for n, channels in random_suite(seed=29, count=30):
             code = build_code(channels, n)
             ham = _dense_frame_driving(channels, code)
-            assert is_hermitian(ham, tol=1e-12)
+            assert max_abs(ham - ham.conj().T) <= 1e-12
 
     @settings(max_examples=24, deadline=None)
     @given(
@@ -152,8 +149,8 @@ class TestCorrectionUnitary:
             qubit=0, operator=np.eye(2, dtype=complex), gamma=0.0, phi=0.0, label=0
         )
         code = build_code(relaxation_channels(2), 2)
-        corr = build_control_plan([ch], code).corrections[ch]
-        assert not corr.null_channel
+        (corr,) = build_control_plan([ch], code).corrections
+        assert ch.backaction.rate > NULL_CHANNEL_ATOL
         assert_allclose(dense_correction(corr), np.eye(4), atol=1e-12)
 
     def test_unitary_error_channel(self):
@@ -166,7 +163,7 @@ class TestCorrectionUnitary:
             label="flip",
         )
         code = build_code(relaxation_channels(2), 2)
-        matrix = dense_correction(build_control_plan([ch], code).corrections[ch])
+        matrix = dense_correction(build_control_plan([ch], code).corrections[0])
         jump = tensor_embed(np.sqrt(kappa) * SIGMA_X, 1, 2)
         for v in code.codespace:
             out = matrix @ jump @ v
@@ -178,8 +175,8 @@ class TestCorrectionUnitary:
         channels = relaxation_channels(2)
         code = build_code(channels, 2)
         ch = channels[0]
-        corr = build_control_plan([ch], code).corrections[ch]
-        rate = jump_backaction(ch).rate
+        (corr,) = build_control_plan([ch], code).corrections
+        rate = ch.backaction.rate
         jump = tensor_embed(SIGMA_MINUS, 0, 2)
         for v in code.codespace:
             out = dense_correction(corr) @ jump @ v
@@ -190,8 +187,8 @@ class TestCorrectionUnitary:
             qubit=0, operator=np.zeros((2, 2)), gamma=0.0, phi=0.0, label="null"
         )
         code = build_code(relaxation_channels(2), 2)
-        corr = build_control_plan([ch], code).corrections[ch]
-        assert corr.null_channel
+        (corr,) = build_control_plan([ch], code).corrections
+        assert ch.backaction.rate <= NULL_CHANNEL_ATOL
         # The identity is the identity in every frame.
         assert_allclose(corr.apply(np.eye(4, dtype=complex)), np.eye(4))
 
@@ -238,14 +235,13 @@ class TestClosedFormCorrection:
         for n, channels, code in _closed_form_cases():
             plan = build_control_plan(channels, code)
             basis = code.codespace.T
-            for ch in channels:
-                corr = plan.corrections[ch]
-                if corr.null_channel:
+            for ch, corr in zip(channels, plan.corrections):
+                if ch.backaction.rate <= NULL_CHANNEL_ATOL:
                     continue
                 matrix = dense_correction(corr)
                 assert max_abs(matrix.conj().T @ matrix - np.eye(2**n)) <= 1e-12
                 jump = tensor_embed(effective_jump_operator(ch), ch.qubit, n)
-                rate = jump_backaction(ch).rate
+                rate = ch.backaction.rate
                 restored = matrix @ jump @ basis
                 assert max_abs(restored - np.sqrt(rate) * basis) <= 1e-12
 
@@ -255,11 +251,10 @@ class TestClosedFormCorrection:
             plan = build_control_plan(channels, code)
             projector = code.codespace.T @ code.codespace.conj()
             identity = np.eye(2**n)
-            for ch in channels:
-                corr = plan.corrections[ch]
-                if corr.null_channel:
+            for ch, corr in zip(channels, plan.corrections):
+                ba = ch.backaction
+                if ba.rate <= NULL_CHANNEL_ATOL:
                     continue
-                ba = jump_backaction(ch)
                 axis = tensor_embed(ba.matrix / np.linalg.norm(ba.bloch), ch.qubit, n)
                 complement = identity - projector - axis @ projector @ axis
                 undone = dense_correction(corr) @ _polar_unitary(ch, n)
@@ -274,10 +269,10 @@ class TestClosedFormCorrection:
         def dense(corr):
             return dense_correction(corr).tobytes()
 
-        for ch in channels[:3]:
-            first = dense(build_control_plan([ch], code).corrections[ch])
-            assert dense(build_control_plan([ch], code).corrections[ch]) == first
-            assert dense(plan.corrections[ch]) == first
+        for k, ch in enumerate(channels[:3]):
+            first = dense(build_control_plan([ch], code).corrections[0])
+            assert dense(build_control_plan([ch], code).corrections[0]) == first
+            assert dense(plan.corrections[k]) == first
 
 
 class TestCorrectionApply:
@@ -295,8 +290,7 @@ class TestCorrectionApply:
         projector = basis @ basis.conj().T
         identity = np.eye(2**n)
         v = rng.normal(size=(2**n, 3)) + 1j * rng.normal(size=(2**n, 3))
-        for ch in channels:
-            corr = plan.corrections[ch]
+        for ch, corr in zip(channels, plan.corrections):
             d = tensor_embed(corr.axis, ch.qubit, n)
             bracket = (
                 identity
@@ -311,7 +305,7 @@ class TestCorrectionApply:
     def test_holds_no_dense_matrix(self):
         channels = relaxation_channels(4)
         code = build_code(channels, 4)
-        for corr in build_control_plan(channels, code).corrections.values():
+        for corr in build_control_plan(channels, code).corrections:
             assert corr.u_dag.shape == corr.axis.shape == (2, 2)
             assert corr.code is code and not hasattr(corr, "codespace")
 
@@ -321,7 +315,7 @@ class TestControlPlan:
         channels = relaxation_channels(3)
         plan = build_control_plan(channels, build_code(channels, 3))
         assert plan.sector_map is None
-        assert set(plan.corrections) == set(channels)
+        assert [c.qubit for c in plan.corrections] == [ch.qubit for ch in channels]
 
     def test_generator_pair_plan_sector_map(self):
         channels = rank3_channels(4)
@@ -332,7 +326,7 @@ class TestControlPlan:
         for n, channels in random_suite(seed=41, count=10):
             plan = build_control_plan(channels, build_code(channels, n))
             dim = 2**n
-            for corr in plan.corrections.values():
+            for corr in plan.corrections:
                 matrix = dense_correction(corr)
                 gram = matrix.conj().T @ matrix
                 assert np.max(np.abs(gram - np.eye(dim))) <= 1e-10
@@ -344,14 +338,14 @@ class TestNoJumpInvariance:
         code = build_code(channels, 2)
         driving = build_control_plan(channels, code).driving_terms
         ks = kraus_set(channels, code, 0.01, driving)
-        result = nojump_invariance_check(ks, code)
+        result = nojump_invariance_check(ks)
         assert result.a == pytest.approx(0.995, abs=1e-12)
         assert result.residual <= 1e-12
 
     def test_zero_channels(self):
         code = build_code(relaxation_channels(2), 2)
         ks = kraus_set([], code, 0.01)
-        result = nojump_invariance_check(ks, code)
+        result = nojump_invariance_check(ks)
         assert result.a == pytest.approx(1.0)
         assert result.residual == pytest.approx(0.0, abs=1e-15)
 
@@ -360,7 +354,7 @@ class TestNoJumpInvariance:
         code = build_code(channels, 4)
         driving = build_control_plan(channels, code).driving_terms
         ks = kraus_set(channels, code, 1e-3, driving)
-        result = nojump_invariance_check(ks, code)
+        result = nojump_invariance_check(ks)
         assert result.a == pytest.approx(1.0 - 4.0 * 1e-3 / 2.0, abs=1e-12)
         assert result.residual <= 1e-12
 
@@ -368,23 +362,7 @@ class TestNoJumpInvariance:
         channels = relaxation_channels(2)
         code = build_code(channels, 2)
         ks = kraus_set(channels, code, 0.01)
-        assert nojump_invariance_check(ks, code).residual > 1e-6
-
-    def test_refuses_a_set_built_for_another_code(self):
-        # Both codes are on four qubits, but their frames differ: the
-        # relaxation code's is the Hadamard axis, the pair's the identity.
-        channels = relaxation_channels(4)
-        code = build_code(channels, 4)
-        other = build_code(rank3_channels(4), 4)
-        ks = kraus_set(channels, code, 1e-3)
-        with pytest.raises(ValueError, match="different code"):
-            nojump_invariance_check(ks, other)
-        with pytest.raises(ValueError, match="different code"):
-            nojump_invariance_check(replace(ks, code=None), code)
-        # A code rebuilt from the same channels has the same frame.
-        driving = build_control_plan(channels, code).driving_terms
-        ks = kraus_set(channels, code, 1e-3, driving)
-        assert nojump_invariance_check(ks, build_code(channels, 4)).residual <= 1e-12
+        assert nojump_invariance_check(ks).residual > 1e-6
 
     def test_scalar_matches_total_rate_for_random_sets(self):
         dt = 1e-3
@@ -392,8 +370,8 @@ class TestNoJumpInvariance:
             code = build_code(channels, n)
             driving = build_control_plan(channels, code).driving_terms
             ks = kraus_set(channels, code, dt, driving)
-            result = nojump_invariance_check(ks, code)
-            total = sum(jump_backaction(ch).rate for ch in channels)
+            result = nojump_invariance_check(ks)
+            total = sum(ch.backaction.rate for ch in channels)
             assert result.a == pytest.approx(1.0 - total * dt / 2.0, abs=1e-12)
             assert result.residual <= 1e-12
 
@@ -406,9 +384,8 @@ class TestJumpExactness:
         for n, channels in suite:
             code = build_code(channels, n)
             plan = build_control_plan(channels, code)
-            for ch in channels:
-                corr = plan.corrections[ch]
-                if corr.null_channel:
+            for ch, corr in zip(channels, plan.corrections):
+                if ch.backaction.rate <= NULL_CHANNEL_ATOL:
                     continue
                 jump = tensor_embed(effective_jump_operator(ch), ch.qubit, n)
                 matrix = dense_correction(corr)  # build it once
@@ -451,12 +428,11 @@ class TestFrameMatchesDenseReference:
 
         projector = code.codespace.T @ code.codespace.conj()
         identity = np.eye(2**n)
-        for ch in channels:
-            corr = plan.corrections[ch]
-            ba = jump_backaction(ch)
+        for ch, corr in zip(channels, plan.corrections):
+            ba = ch.backaction
             w, _, vh = np.linalg.svd(effective_jump_operator(ch))
             u_dag = tensor_embed((w @ vh).conj().T, ch.qubit, n)
-            if corr.null_channel:  # the identity, in every frame
+            if ba.rate <= NULL_CHANNEL_ATOL:  # the identity, in every frame
                 assert np.array_equal(corr.apply(identity), identity)
                 continue
             norm = np.linalg.norm(ba.bloch)

@@ -27,6 +27,9 @@ from helpers import (
 #: Single generator -Z on one qubit: the codespace is span{|1>}.
 EXCITED_OVERRIDE = (np.array([[0.0, 0.0, -1.0]]),)
 
+#: Single generator Z on one qubit, whose frame is the computational basis.
+Z_CODE = StabilizerCode(1, [np.array([[0.0, 0.0, 1.0]])])
+
 
 class _Replay:
     """Generator stub that replays a fixed uniform array."""
@@ -227,7 +230,8 @@ class TestKernelMatchesReference:
         kraus = KrausSet(
             dt=1.0, no_jump=np.eye(2, dtype=complex),
             factors=np.array([2.0 * SIGMA_MINUS]),
-            channels=(ErrorChannel(qubit=0, operator=2.0 * SIGMA_MINUS),), n=1,
+            channels=(ErrorChannel(qubit=0, operator=2.0 * SIGMA_MINUS),),
+            code=Z_CODE, terms=(),
         )
         result = run_steps(
             psi0, kraus, None, np.full((10, 2), 0.5), np.array([0], dtype=np.int64)
@@ -442,7 +446,8 @@ class TestBlockAbort:
         factors = np.array([2.0 * SIGMA_MINUS, 0.5 * SIGMA_MINUS.T])
         kraus = KrausSet(
             dt=1.0, no_jump=np.eye(2, dtype=complex), factors=factors,
-            channels=tuple(ErrorChannel(qubit=0, operator=f) for f in factors), n=1,
+            channels=tuple(ErrorChannel(qubit=0, operator=f) for f in factors),
+            code=Z_CODE, terms=(),
         )
         uniforms = np.full((10, 4), 0.9)
         uniforms[2, [1, 3]] = 0.1

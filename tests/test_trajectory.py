@@ -13,7 +13,6 @@ from jumpqec import (
     StabilizerCode,
     StepSizeError,
     effective_jump_operator,
-    jump_backaction,
     kraus_set,
     master_equation_oracle,
     prepare,
@@ -482,7 +481,7 @@ class TestRunEnsemble:
         ch = _lowering(0, gamma=0.7)
         cfg = SimConfig(n=1, channels=(ch,), dt=0.02, duration=200.0, seed=3)
         rec, _ = run_trajectory(cfg, 0)
-        expected = jump_backaction(ch).rate * cfg.dt * cfg.steps
+        expected = ch.backaction.rate * cfg.dt * cfg.steps
         assert rec.jump_counts[-1] == pytest.approx(expected, rel=0.1)
 
     def test_protection_beats_bare_decay(self):
