@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from jumpqec import ErrorChannel, StabilizerCode, kraus_set
 from jumpqec.linalg import (
     SIGMA_X,
     SIGMA_Z,
+    bloch_matrix,
     expm1,
     on_qubit,
     tensor_embed,
@@ -71,6 +74,56 @@ class TestOnQubit:
         on_qubit(SIGMA_X, 0, m)
         on_qubit(SIGMA_X, 1, m)
         assert np.array_equal(m, before)
+
+
+hermitian_2x2 = st.lists(
+    st.floats(-3.0, 3.0, allow_nan=False), min_size=4, max_size=4
+).map(
+    lambda v: np.array(
+        [[v[0], v[2] + 1j * v[3]], [v[2] - 1j * v[3], v[1]]], dtype=complex
+    )
+)
+
+
+def _channel_with_gram(m):
+    """A channel whose ``E^dag E`` is ``m + s 1``, ``s`` making it positive.
+
+    ``E`` is the positive square root of ``m + s 1``, so the channel's
+    backaction must split off the same traceless part as ``m``.
+    """
+    w, v = np.linalg.eigh(m)
+    shift = max(0.0, -float(w[0])) + 1.0
+    root = (v * np.sqrt(w + shift)) @ v.conj().T
+    return ErrorChannel(qubit=0, operator=root), shift
+
+
+class TestTracelessDecompose:
+    """The split ``G = c 1 + m`` that :class:`ErrorChannel` derives once."""
+
+    @settings(deadline=None, max_examples=50)
+    @given(hermitian_2x2)
+    def test_reconstruction(self, m):
+        ch, shift = _channel_with_gram(m)
+        ba = ch.backaction
+        assert abs(np.trace(ba.matrix)) <= 1e-12
+        assert ba.rate == pytest.approx(np.trace(m).real / 2 + shift, abs=1e-12)
+        gram = m + shift * np.eye(2)
+        assert np.max(np.abs(ba.matrix + ba.rate * np.eye(2) - gram)) <= 1e-12
+
+
+class TestBlochDecompose:
+    """The Bloch vector of a channel's backaction, against ``bloch_matrix``."""
+
+    @settings(deadline=None, max_examples=50)
+    @given(
+        st.lists(st.floats(-2.0, 2.0, allow_nan=False), min_size=3, max_size=3)
+    )
+    def test_roundtrip_on_coefficients(self, coeffs):
+        ch, _ = _channel_with_gram(bloch_matrix(coeffs))
+        assert_allclose(ch.backaction.bloch, coeffs, atol=1e-12)
+        assert_allclose(
+            bloch_matrix(ch.backaction.bloch), ch.backaction.matrix, atol=1e-12
+        )
 
 
 def _propagator(channels, t):
