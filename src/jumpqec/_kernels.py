@@ -4,26 +4,37 @@ One engine evolves a block of ``B`` trajectories together as the columns
 of a ``(dim, B)`` state matrix.  Per step, one pass over the block
 (:func:`jump_probabilities`) reads each column's cumulative jump weights
 off its reduced 2x2 density on each qubit that carries a channel, and
-its squared norm, which renormalizes the column; no jump operator is
-applied to find them.  A column clicks when its own uniform, scaled by
-that norm, falls below its total weight; the dense no-jump operator
-moves the whole block in one product.  Only a clicked column picks its
-channel by cumulative comparison and gets a branch, the channel's 2x2
-factor applied on one qubit, followed by the channel's correction, if
-any.  A total jump probability above ``1 + PROBABILITY_SLACK`` (every
-such column clicks, as uniforms are below 1), or a collapsed norm, aborts
-the block with a negative status (the step size is too large).
+its squared norm; no jump operator is applied to find them.  A column
+clicks when its own uniform, scaled by that norm, falls below its total
+weight; the dense no-jump operator moves the whole block in one product.
+Only a clicked column picks its channel by cumulative comparison and gets
+a branch, the channel's 2x2 factor applied on one qubit, followed by the
+channel's correction, if any.  A total jump probability above ``1 +
+PROBABILITY_SLACK`` (every such column clicks, as uniforms are below 1)
+aborts the block with a negative status (the step size is too large).
+
+A step does only what decides the next one, so the block stays
+unnormalized within a chunk of ``CHUNK`` steps: the click test and the
+weights scale alike with a column's norm.  Each step writes its state
+into one slot of a ``(chunk + 1, dim, B)`` buffer; once per chunk the
+engine tests the chunk's norms for a collapsed column, which aborts like
+an overflow, renormalizes the buffer in place, takes the chunk's overlaps
+``|<psi0|psi>|`` in one product and its density sums in another, and
+starts the next chunk from the last state.  Of two failures the earlier
+step's is reported, an overflow before a collapse at the same step, with
+the lowest failing column, and the jump log stops at that step.  A block
+too wide for ``CHUNK`` steps within ``BLOCK_BYTES`` takes a shorter
+chunk, at least one step (:func:`chunk_length`).
 
 Column ``b`` reads only column ``b`` of the pre-drawn uniforms, so jump
 selections do not depend on the block size or on which trajectories
 share a block.  A block is bit-reproducible run to run; across block
 sizes the matrix products may round differently in the last bits.  The
-engine keeps each step's overlaps ``|<psi0|psi>|`` in a ``(steps + 1, B)``
-array, as large as the uniforms, and reduces them once per block to
-infidelity sums and spreads; it also returns cumulative jump totals, the
-jump log and, on request, density sums, which it adds up as it steps.
-The tests hold a per-trajectory reference for these semantics, on dense
-jump and correction matrices.
+engine keeps each step's overlaps in a ``(steps + 1, B)`` array, as large
+as the uniforms, and reduces them once per block to infidelity sums and
+spreads; it also returns cumulative jump totals, the jump log and, on
+request, density sums.  The tests hold a per-trajectory reference for
+these semantics, on dense jump and correction matrices.
 
 The engine is basis-blind: it runs in whatever frame its inputs share.
 ``trajectory.prepare`` gives it the code's eigenframe, where the
@@ -38,6 +49,7 @@ it once, so the dense product never upcasts per step.
 
 from __future__ import annotations
 
+import bisect
 from typing import NamedTuple
 
 import numpy as np
@@ -46,6 +58,17 @@ from .linalg import on_qubit
 
 #: Total jump probability may exceed 1 by at most this before aborting.
 PROBABILITY_SLACK = 1e-9
+
+#: Steps per chunk: the engine renormalizes, tests for collapse, takes
+#: overlaps and sums densities once per chunk.  ``trajectory`` rotates,
+#: propagates and compares density samples this many at a time.
+CHUNK = 16
+
+#: Bytes each of a block's arrays may take: its gathered amplitudes, its
+#: ``(steps, B)`` uniforms and ``(steps + 1, B)`` overlaps, which set the
+#: block width ``B`` (``trajectory._block_width``), and the states of a
+#: chunk, which shorten the chunk of a wide block (:func:`chunk_length`).
+BLOCK_BYTES = 8 * 2**20
 
 
 class BlockResult(NamedTuple):
@@ -132,6 +155,15 @@ def engine_arrays(psi0, kraus, corrections):
     return arrays
 
 
+def chunk_length(dim, width):
+    """Steps per chunk for a block of ``width`` columns of dimension ``dim``.
+
+    ``CHUNK``, or fewer, so that the chunk's states take at most
+    ``BLOCK_BYTES`` at 16 B per amplitude; at least one step.
+    """
+    return max(1, min(CHUNK, BLOCK_BYTES // (16 * dim * width)))
+
+
 def run_steps(psi0, kraus, corrections, uniforms, sample_idx, rho_sum=None):
     """Evolve ``uniforms.shape[1]`` trajectories from ``psi0`` as one block.
 
@@ -140,7 +172,7 @@ def run_steps(psi0, kraus, corrections, uniforms, sample_idx, rho_sum=None):
     ``uniforms`` one uniform per step and trajectory ``(steps, B)``.  When
     ``rho_sum`` is given, ``rho_sum[i]`` gains the block's summed outer
     products ``psi psi^dagger`` at grid index ``sample_idx[i]``, in that
-    frame.  A jump of channel ``k`` is followed by ``corrections[k].apply``
+    frame; the indices ascend.  A jump of channel ``k`` is followed by ``corrections[k].apply``
     unless ``corrections`` is ``None``.  The block takes the result type of
     :func:`engine_arrays`.
     """
@@ -154,49 +186,82 @@ def run_steps(psi0, kraus, corrections, uniforms, sample_idx, rho_sum=None):
     weights = jump_probabilities(factors.astype(dtype, copy=False), qubits, kraus.n)
     psi0 = psi0.astype(dtype, copy=False)
     ref = psi0.conj()
-    psi = np.repeat(psi0[:, None], width, axis=1)
-    slots = {} if rho_sum is None else {int(s): i for i, s in enumerate(sample_idx)}
+    chunk = chunk_length(psi0.shape[0], width)
+    # Slot 0 holds the chunk's normalized first state, slot j + 1 the
+    # unnormalized state after the chunk's step j.
+    buf = np.empty((chunk + 1, psi0.shape[0], width), dtype=dtype)
+    views = list(buf)
+    views[0][:] = psi0[:, None]
+    samples = [] if rho_sum is None else sample_idx.tolist()
     overlaps = np.ones((steps + 1, width))
     jump_steps, jump_columns, jump_channels = [], [], []
     failed = -1
-    if 0 in slots:
-        rho_sum[slots[0]] += psi @ psi.conj().T
-    acc, norm2 = weights(psi)
-    for s in range(steps):
-        # A column clicks when its uniform falls below its total weight; a
-        # column over the probability bound clicks too, since u < 1.
-        threshold = uniforms[s] * norm2
-        clicked = (acc[-1:] > threshold).nonzero()[1]  # empty without channels
-        nxt = no_jump @ psi
-        if clicked.size:
-            total = acc[-1, clicked] / norm2[clicked]
-            if (over := 1.0 - total < -PROBABILITY_SLACK).any():
-                failed = int(clicked[over.argmax()])
-                break
-            picked = (acc[:, clicked] <= threshold[clicked]).sum(axis=0)
-            for k in set(picked.tolist()):
-                cols = clicked[picked == k]
-                branch = on_qubit(factors[k], qubits[k], psi[:, cols])
-                if corrections is not None:
-                    branch = corrections[k].apply(branch)
-                nxt[:, cols] = branch
-            jump_steps.append(np.full(clicked.size, s))
-            jump_columns.append(clicked)
-            jump_channels.append(picked)
-        acc, norm2 = weights(nxt)
-        if not norm2.all():  # a collapsed column (norms are never negative)
-            failed = int((norm2 == 0.0).argmax())
+    if samples and samples[0] == 0:
+        rho_sum[0] += views[0] @ views[0].conj().T
+    acc, norm2 = weights(views[0])
+    for start in range(0, steps, chunk):
+        norms = []
+        for j, s in enumerate(range(start, min(start + chunk, steps))):
+            # A column clicks when its uniform falls below its total weight; a
+            # column over the probability bound clicks too, since u < 1.  The
+            # test does not depend on the column's scale.
+            threshold = uniforms[s] * norm2
+            clicks = acc[-1:] > threshold  # empty without channels
+            psi, nxt = views[j], views[j + 1]
+            np.matmul(no_jump, psi, out=nxt)
+            if np.count_nonzero(clicks):  # cheaper than nonzero() on no click
+                clicked = clicks.nonzero()[1]
+                total = acc[-1, clicked] / norm2[clicked]
+                if (over := 1.0 - total < -PROBABILITY_SLACK).any():
+                    failed, fail_step = int(clicked[over.argmax()]), s
+                    break
+                picked = (acc[:, clicked] <= threshold[clicked]).sum(axis=0)
+                for k in set(picked.tolist()):
+                    cols = clicked[picked == k]
+                    branch = on_qubit(factors[k], qubits[k], psi[:, cols])
+                    if corrections is not None:
+                        branch = corrections[k].apply(branch)
+                    nxt[:, cols] = branch
+                jump_steps.append(np.full(clicked.size, s))
+                jump_columns.append(clicked)
+                jump_channels.append(picked)
+            acc, norm2 = weights(nxt)
+            norms.append(norm2)
+        # (0, B) after an overflow on the chunk's first step.
+        norms = np.array(norms).reshape(-1, width)
+        if not norms.all():  # a collapsed column (norms are never negative)
+            collapsed = norms == 0.0
+            j = int(collapsed.any(axis=1).argmax())
+            failed, fail_step = int(collapsed[j].argmax()), start + j
+            norms = norms[:j]
+        done = norms.shape[0]
+        states = buf[1 : done + 1]
+        states *= (1.0 / np.sqrt(norms))[:, None, :]
+        np.abs(ref @ states, out=overlaps[start + 1 : start + done + 1])
+        lo = bisect.bisect_left(samples, start + 1)
+        hi = bisect.bisect_right(samples, start + done)
+        if hi > lo:
+            offsets = [i - start for i in samples[lo:hi]]
+            if offsets[-1] - offsets[0] == hi - lo - 1:  # a view, not a copy
+                sampled = buf[offsets[0] : offsets[-1] + 1]
+            else:
+                sampled = buf[offsets]
+            rho_sum[lo:hi] += sampled @ sampled.conj().swapaxes(1, 2)
+        if failed >= 0:
             break
-        psi = nxt
-        psi *= 1.0 / np.sqrt(norm2)
-        np.abs(ref @ psi, out=overlaps[s + 1])
-        if s + 1 in slots:
-            rho_sum[slots[s + 1]] += psi @ psi.conj().T
+        views[0][:] = views[done]
     jump_steps, jump_columns, jump_channels = (
         np.concatenate(log) if log else np.zeros(0, dtype=np.int64)
         for log in (jump_steps, jump_columns, jump_channels)
     )
-    status = jump_steps.size if failed < 0 else -(s + 1)
+    status = jump_steps.size
+    if failed >= 0:
+        # A collapse is found at its chunk's end: drop the jumps after it.
+        kept = jump_steps <= fail_step
+        jump_steps, jump_columns, jump_channels = (
+            log[kept] for log in (jump_steps, jump_columns, jump_channels)
+        )
+        status = -(fail_step + 1)
     counts = np.bincount(jump_steps + 1, minlength=steps + 1).cumsum()
     # In place: the reduction takes no array as large as the overlaps.
     infid = np.square(overlaps, out=overlaps)

@@ -15,8 +15,8 @@ execution order or on how trajectories are grouped into blocks, and a
 run repeats bit for bit.
 The engine keeps one overlap per step and trajectory, a ``(steps + 1, B)``
 array as large as the block's uniforms, and reduces it once per block to
-infidelity sums and spreads; jump totals and density sums are reduced as
-it steps.  The run lives in the code's eigenframe
+infidelity sums and spreads; it adds density sums once per chunk of
+steps.  The run lives in the code's eigenframe
 (:class:`.codes.StabilizerCode`), where the codespace is a parity mask:
 jumps and corrections stay one-qubit data rotated into it, and the no-jump
 operator is the one dense matrix, built there once.  It and the block are
@@ -45,6 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
+from ._kernels import CHUNK
 from .channels import ErrorChannel, KrausSet, kraus_set
 from .codes import StabilizerCode, build_code
 from .control import Correction, build_control_plan
@@ -78,12 +79,8 @@ RK4_WORK_BUDGET = 1e10
 
 #: Bytes each of a block's gathered amplitudes, its ``(steps, B)`` uniforms
 #: and its ``(steps + 1, B)`` overlaps may take; this sets the block width
-#: ``B``.
-_BLOCK_BYTES = 8 * 2**20
-
-#: Density samples per batch: the ensemble rotates its mean back, the exact
-#: oracle propagates and ``trace_distance`` compares this many at a time.
-_CHUNK = 16
+#: ``B``.  The engine bounds its chunk of states by the same amount.
+_BLOCK_BYTES = _kernels.BLOCK_BYTES
 
 #: Bytes a run holds per time step: the grid times, the engine's and the
 #: ensemble's infidelity and jump sums and record columns, and a block's
@@ -327,10 +324,14 @@ def _block_width(cfg: SimConfig, setup: SimulationSetup) -> int:
 
     Per trajectory and step the engine gathers ``dim`` amplitudes and their
     pair products for each qubit that carries a channel; it holds one
-    uniform and one overlap per step.
+    uniform and one overlap per step, and a chunk of states at 16 B per
+    amplitude.  The states count at one step a chunk: a block too wide for
+    a full chunk takes a shorter one (:func:`._kernels.chunk_length`), not
+    fewer columns.
     """
+    dim = setup.psi0.shape[0]
     charged = len({ch.qubit for ch in setup.kraus.channels})
-    column_bytes = max(24 * charged * setup.psi0.shape[0], 8 * cfg.steps)
+    column_bytes = max(24 * charged * dim, 16 * dim, 8 * cfg.steps)
     return max(1, _BLOCK_BYTES // column_bytes)
 
 
@@ -416,9 +417,9 @@ def run_ensemble(cfg: SimConfig, collect_density: bool = True) -> EnsembleResult
         return EnsembleResult(record, None, None)
     rho_sum /= n_traj  # in place, so the mean is not a second series
     if setup.code.frames is not None:  # the pair's frame is the computational basis
-        for i in range(0, rho_sum.shape[0], _CHUNK):  # small temporaries
-            rho_sum[i : i + _CHUNK] = setup.code.operator_from_frame(
-                rho_sum[i : i + _CHUNK]
+        for i in range(0, rho_sum.shape[0], CHUNK):  # small temporaries
+            rho_sum[i : i + CHUNK] = setup.code.operator_from_frame(
+                rho_sum[i : i + CHUNK]
             )
     return EnsembleResult(
         record,
@@ -430,15 +431,15 @@ def run_ensemble(cfg: SimConfig, collect_density: bool = True) -> EnsembleResult
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """Half the trace norm of ``a - b``, per pair if both are ``(..., d, d)`` stacks.
 
-    ``_CHUNK`` pairs per eigensolve keep its three temporary stacks small next
+    ``CHUNK`` pairs per eigensolve keep its three temporary stacks small next
     to the series: one over a whole series raised an n=4 peak RSS by 26 %.
     """
     a, b = np.broadcast_arrays(a, b)
     if a.ndim == 2:
         return trace_distance(a[None], b[None])[0]
     distances = []
-    for i in range(0, a.shape[0], _CHUNK):
-        diff = a[i : i + _CHUNK] - b[i : i + _CHUNK]
+    for i in range(0, a.shape[0], CHUNK):
+        diff = a[i : i + CHUNK] - b[i : i + CHUNK]
         diff = (diff + diff.conj().swapaxes(-1, -2)) / 2.0
         distances.append(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1))
     return np.concatenate(distances)
@@ -596,7 +597,7 @@ def _product_series(
     qubits, step = _propagator_increments(ks, gaps[0] * dt)
     rows = {q: row for row, q in enumerate(qubits)}
     table = [step]  # the maps commute: (1 + a)(1 + b) - 1 = a + b + a b
-    for _ in range(_CHUNK - 1):
+    for _ in range(CHUNK - 1):
         table.append(table[-1] + step + table[-1] @ step)
     table = np.stack(table, axis=1)  # (charged qubits, 16, 4, 4)
     final = None
@@ -615,8 +616,8 @@ def _product_series(
         "check the channel operators"
     )
     last = sample_indices.shape[0] - 1
-    for start in range(0, last, _CHUNK):
-        stop = min(start + _CHUNK, last)
+    for start in range(0, last, CHUNK):
+        stop = min(start + CHUNK, last)
         maps = table[:, : stop - start]
         if stop == last and final is not None:  # the shorter last gap
             maps = maps.copy()

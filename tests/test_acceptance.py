@@ -6,7 +6,7 @@ Criterion 8's step-halving clause is asserted faithfully and fails: with
 feedback active the protected infidelity sits at the rounding floor for
 every step size (the corrected dynamics has no first-order error term on
 the codespace), so the halving ratio compares rounding errors, not a
-first-order error; it reads 3.0 (3.331e-16 against 1.110e-16), outside
+first-order error; it reads 0.5 (1.110e-16 against 2.220e-16), outside
 [1.6, 2.4].
 """
 

@@ -423,6 +423,22 @@ class TestExecute:
         capsys.readouterr()
         assert man_a.config_digest != man_b.config_digest
 
+    def test_one_parser_serves_every_invocation(self, tmp_path, capsys):
+        # The parser is built once per process: an override or a usage error
+        # in one invocation leaves the next one's arguments at their defaults.
+        config = write_config(tmp_path, minimal_doc(duration=0.1))
+        out_a = str(tmp_path / "g.csv")
+        out_b = str(tmp_path / "h.csv")
+        _, man_a = execute(
+            ["simulate", "--config", config, "--output", out_a, "--seed", "9"]
+        )
+        assert execute(["simulate", "--config", config, "--bogus"])[0] == 2
+        _, man_b = execute(["simulate", "--config", config, "--output", out_b])
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        parsed = parse_config((tmp_path / "config.json").read_text())
+        assert man_b.config_digest == config_digest(parsed) != man_a.config_digest
+        assert cli._build_parser() is cli._build_parser()
+
     def test_oracle_compare(self, tmp_path, capsys):
         doc = minimal_doc(
             duration=0.4,

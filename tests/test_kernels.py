@@ -11,7 +11,7 @@ import jumpqec
 import jumpqec.trajectory as trajectory
 from jumpqec import ErrorChannel, KrausSet, SimConfig, StabilizerCode, StepSizeError
 from jumpqec import build_code, kraus_set, prepare, run_ensemble, tensor_embed
-from jumpqec._kernels import BlockResult, jump_probabilities, run_steps
+from jumpqec._kernels import CHUNK, BlockResult, jump_probabilities, run_steps
 from jumpqec.trajectory import _trajectory_uniforms
 
 from helpers import (
@@ -78,15 +78,18 @@ def _reference(setup, uniforms):
     return events, np.array(fids), np.array(states)
 
 
-def _block_matches_reference(cfg, width):
+def _block_matches_reference(cfg, width, sample_idx=None):
     """Run ``width`` trajectories as one block and check them against ``step()``.
 
     Jump events must agree exactly; infidelity sums, their squared
-    deviations and density sums within 1e-12.
+    deviations and density sums within 1e-12.  Densities are sampled at
+    ``sample_idx``, by default at grid points 0, 1, 17, 100 and the last
+    that the run reaches.
     """
     setup = prepare(cfg)
     uniforms = _uniform_block(cfg, range(width))
-    sample_idx = np.array([0, 1, 17, 100, cfg.steps], dtype=np.int64)
+    if sample_idx is None:
+        sample_idx = np.unique(np.minimum([0, 1, 17, 100, cfg.steps], cfg.steps))
     result, rho_sum = _run_block(setup, uniforms, sample_idx)
     assert result.status >= 0
     infids = []
@@ -172,6 +175,30 @@ class TestKernelMatchesReference:
         )
         assert prepare(cfg).corrections is None
         _block_matches_reference(cfg, 6)
+
+    @pytest.mark.parametrize("steps", [1, 15, 16, 17, 37])
+    def test_runs_across_chunk_boundaries_match_reference(self, steps):
+        # The engine renormalizes and takes overlaps once per chunk of
+        # CHUNK = 16 steps: runs shorter than one, of one, and ending one
+        # step into a chunk or within one.
+        assert CHUNK == 16
+        cfg = SimConfig(
+            n=2, channels=relaxation_channels(2, gamma=0.3), dt=0.05,
+            duration=steps * 0.05, seed=13,
+        )
+        assert cfg.steps == steps
+        _block_matches_reference(cfg, 64)
+
+    def test_sampled_densities_inside_and_across_chunks(self):
+        # Stride 3 puts samples at every chunk offset, and the last sample
+        # one step after the one before it.
+        cfg = SimConfig(
+            n=2, channels=relaxation_channels(2, gamma=0.3), dt=0.002,
+            duration=5.0, seed=4, feedback_enabled=False, driving_enabled=False,
+        )
+        sample_idx = prepare(cfg).sample_indices
+        assert cfg.steps == 2500 and sample_idx[1] == 3 and sample_idx[-2] == 2499
+        _block_matches_reference(cfg, 3, sample_idx)
 
     def test_block_size_independence(self):
         cfg = _bare_config()
@@ -455,3 +482,58 @@ class TestBlockAbort:
         assert result.status == -(3 + 1)
         assert result.failed_column == 1
         assert result.jump_columns.tolist() == [1, 3]
+
+
+#: Two qubits, basis index 2 q0 + q1, states in the computational basis.
+#: From |11>, "a" (qubit 1) and "b" (qubit 0) each fire with weight 1/4;
+#: after "a" the column sits in |10>, which no channel leaves and the
+#: no-jump step annihilates, so it collapses on its next step without a
+#: click.  After "b" it sits in |01>, where "c" has weight 4, so its next
+#: step overflows.
+_COLLAPSE_FACTORS = np.array([0.5 * SIGMA_MINUS, 0.5 * SIGMA_MINUS, 2.0 * SIGMA_MINUS.T])
+_COLLAPSE_KRAUS = KrausSet(
+    dt=1.0, no_jump=np.diag([1.0, 1.0, 0.0, 1.0]).astype(complex),
+    factors=_COLLAPSE_FACTORS,
+    channels=tuple(
+        ErrorChannel(qubit=q, operator=f)
+        for q, f in zip((1, 0, 0), _COLLAPSE_FACTORS)
+    ),
+    code=StabilizerCode(2, [np.tile([0.0, 0.0, 1.0], (2, 1))]), terms=(),
+)
+_COLLAPSE_PSI0 = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
+_DOWN_A, _DOWN_B = 0.1, 0.3  # uniforms that pick "a" and "b" from |11>
+
+
+class TestBlockCollapse:
+    def test_collapse_reports_its_step_and_lowest_column(self):
+        # Columns 1 and 3 fire "a" at step 2 and collapse at step 3; column
+        # 0 fires "a" at step 6, after the collapse, inside the same chunk.
+        uniforms = np.full((10, 4), 0.9)
+        uniforms[2, [1, 3]] = _DOWN_A
+        uniforms[6, 0] = _DOWN_A
+        result = run_steps(
+            _COLLAPSE_PSI0, _COLLAPSE_KRAUS, None, uniforms,
+            np.array([0], dtype=np.int64),
+        )
+        assert result.status == -(3 + 1)
+        assert result.failed_column == 1
+        assert result.jump_steps.tolist() == [2, 2]
+        assert result.jump_columns.tolist() == [1, 3]
+        assert result.jump_channels.tolist() == [0, 0]
+
+    def test_collapse_wins_over_a_later_overflow_in_its_chunk(self):
+        # Column 2 collapses at step 3; column 0 fires "b" at step 4 and
+        # would overflow at step 5.  The earlier collapse is reported, and
+        # the log stops at its step.
+        uniforms = np.full((10, 4), 0.9)
+        uniforms[2, 2] = _DOWN_A
+        uniforms[4, 0] = _DOWN_B
+        result = run_steps(
+            _COLLAPSE_PSI0, _COLLAPSE_KRAUS, None, uniforms,
+            np.array([0], dtype=np.int64),
+        )
+        assert result.status == -(3 + 1)
+        assert result.failed_column == 2
+        assert list(zip(result.jump_steps.tolist(), result.jump_columns.tolist(),
+                        result.jump_channels.tolist())) == [(2, 2, 0)]
+        assert result.jump_counts[-1] == 1

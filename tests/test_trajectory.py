@@ -405,6 +405,30 @@ class TestRunEnsemble:
         assert_allclose(record.mean_fidelity, fids.mean(axis=0), rtol=0, atol=1e-12)
         assert (fids.std(axis=0).max() > 1e-3) is not protected
 
+    @pytest.mark.parametrize(
+        "n, channels, duration, trajectories, width, chunk",
+        [
+            (2, relaxation_channels(2, gamma=0.5), 3.0, 200, 349, 16),  # README
+            (8, relaxation_channels(8, gamma=0.5), 1.0, 4, 170, 16),
+            (4, rank3_channels(4), 1.0, 100, 1048, 16),
+            (11, relaxation_channels(1, gamma=0.5), 1.0, 170, 170, 1),
+        ],
+        ids=["readme", "n8", "rank3", "n11-one-channel"],
+    )
+    def test_width_rule_shortens_the_chunk_not_the_block(
+        self, n, channels, duration, trajectories, width, chunk
+    ):
+        # The engine's chunk of states counts against the block budget at
+        # one step: a block too wide for CHUNK steps keeps its columns.
+        cfg = SimConfig(
+            n=n, channels=channels, dt=1e-3, duration=duration,
+            trajectories=trajectories,
+        )
+        setup = prepare(cfg)
+        block = min(trajectory._block_width(cfg, setup), trajectories)
+        assert trajectory._block_width(cfg, setup) == width
+        assert trajectory._kernels.chunk_length(2**n, block) == chunk
+
     def test_repeat_runs_bit_identical(self):
         cfg = SimConfig(
             n=2, channels=relaxation_channels(2, gamma=0.3), dt=0.01,
