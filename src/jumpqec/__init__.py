@@ -26,7 +26,6 @@ from .codes import (
     build_code,
     codespace_basis,
     null_space_involution,
-    sector_assignment,
     verify_correctability,
 )
 from .control import (
@@ -71,7 +70,6 @@ __all__ = [
     "NoJumpInvariance",
     "build_control_plan",
     "nojump_invariance_check",
-    "sector_assignment",
     "bloch_matrix",
     "tensor_embed",
     "EnsembleResult",

@@ -40,11 +40,11 @@ The engine is basis-blind: it runs in whatever frame its inputs share.
 ``trajectory.prepare`` gives it the code's eigenframe, where the
 corrections project through the code without any codespace rows.  One
 path serves both dtypes: the block takes the result type of the arrays
-the engine reads (:func:`engine_arrays`), float64 exactly when every 2x2
-datum and the initial coefficients are real.  ``kraus_set`` builds the
-no-jump operator in the type of its own data, which is the block's type
-unless a complex initial vector meets real channels; then the block casts
-it once, so the dense product never upcasts per step.
+the engine reads, float64 exactly when every 2x2 datum and the initial
+coefficients are real.  ``kraus_set`` builds the no-jump operator in the
+type of its own data, which is the block's type unless a complex initial
+vector meets real channels; then the block casts it once, so the dense
+product never upcasts per step.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ CHUNK = 16
 
 #: Bytes each of a block's arrays may take: its gathered amplitudes, its
 #: ``(steps, B)`` uniforms and ``(steps + 1, B)`` overlaps, which set the
-#: block width ``B`` (``trajectory._block_width``), and the states of a
-#: chunk, which shorten the chunk of a wide block (:func:`chunk_length`).
+#: block width ``B`` (:func:`block_width`), and the states of a chunk,
+#: which shorten the chunk of a wide block (:func:`chunk_length`).
 BLOCK_BYTES = 8 * 2**20
 
 
@@ -81,7 +81,9 @@ class BlockResult(NamedTuple):
     deviations from the block's mean, so that small spreads keep their
     digits; ``jump_counts`` is the block's cumulative jump total.  The jump
     log lists each jump's step, column and channel, ordered by step, then
-    column.
+    column.  ``failure`` names what aborted the block: ``"overflow"``, a
+    total jump probability above 1, or ``"collapse"``, a column the no-jump
+    step annihilated; ``None`` when nothing did.
     """
 
     status: int
@@ -92,6 +94,7 @@ class BlockResult(NamedTuple):
     jump_steps: np.ndarray
     jump_columns: np.ndarray
     jump_channels: np.ndarray
+    failure: str | None
 
 
 def jump_probabilities(factors, qubits, n):
@@ -143,16 +146,19 @@ def jump_probabilities(factors, qubits, n):
     return weights
 
 
-def engine_arrays(psi0, kraus, corrections):
-    """Every array :func:`run_steps` reads, as one list.
+def block_width(kraus, steps):
+    """Columns per block of ``steps`` steps on ``kraus``, at least one.
 
-    The initial vector, the Kraus set's ``no_jump`` and ``factors``, and each
-    correction's ``u_dag`` and ``axis``.
+    Each of these stays within ``BLOCK_BYTES``: the amplitudes and pair
+    products :func:`jump_probabilities` gathers, 24 B per amplitude for
+    each qubit that carries a channel; one state at 16 B per amplitude; and
+    one uniform and one overlap per step.  The states count at one step a
+    chunk: a block too wide for a full chunk takes a shorter one
+    (:func:`chunk_length`), not fewer columns.
     """
-    arrays = [psi0, kraus.no_jump, kraus.factors]
-    for c in corrections or ():
-        arrays += [c.u_dag, c.axis]
-    return arrays
+    dim = 2**kraus.n
+    charged = len({ch.qubit for ch in kraus.channels})
+    return max(1, BLOCK_BYTES // max(24 * charged * dim, 16 * dim, 8 * steps))
 
 
 def chunk_length(dim, width):
@@ -174,10 +180,14 @@ def run_steps(psi0, kraus, corrections, uniforms, sample_idx, rho_sum=None):
     products ``psi psi^dagger`` at grid index ``sample_idx[i]``, in that
     frame; the indices ascend.  A jump of channel ``k`` is followed by ``corrections[k].apply``
     unless ``corrections`` is ``None``.  The block takes the result type of
-    :func:`engine_arrays`.
+    ``psi0``, the Kraus set's ``no_jump`` and ``factors``, and each
+    correction's ``u_dag`` and ``axis``.
     """
     steps, width = uniforms.shape
-    dtype = np.result_type(*engine_arrays(psi0, kraus, corrections))
+    arrays = [psi0, kraus.no_jump, kraus.factors]
+    for c in corrections or ():
+        arrays += [c.u_dag, c.axis]
+    dtype = np.result_type(*arrays)
     factors = kraus.factors
     # A no-op unless the Kraus set is real and another input complex.
     no_jump = kraus.no_jump.astype(dtype, copy=False)
@@ -195,7 +205,7 @@ def run_steps(psi0, kraus, corrections, uniforms, sample_idx, rho_sum=None):
     samples = [] if rho_sum is None else sample_idx.tolist()
     overlaps = np.ones((steps + 1, width))
     jump_steps, jump_columns, jump_channels = [], [], []
-    failed = -1
+    failed, failure = -1, None
     if samples and samples[0] == 0:
         rho_sum[0] += views[0] @ views[0].conj().T
     acc, norm2 = weights(views[0])
@@ -214,6 +224,7 @@ def run_steps(psi0, kraus, corrections, uniforms, sample_idx, rho_sum=None):
                 total = acc[-1, clicked] / norm2[clicked]
                 if (over := 1.0 - total < -PROBABILITY_SLACK).any():
                     failed, fail_step = int(clicked[over.argmax()]), s
+                    failure = "overflow"
                     break
                 picked = (acc[:, clicked] <= threshold[clicked]).sum(axis=0)
                 for k in set(picked.tolist()):
@@ -233,6 +244,7 @@ def run_steps(psi0, kraus, corrections, uniforms, sample_idx, rho_sum=None):
             collapsed = norms == 0.0
             j = int(collapsed.any(axis=1).argmax())
             failed, fail_step = int(collapsed[j].argmax()), start + j
+            failure = "collapse"
             norms = norms[:j]
         done = norms.shape[0]
         states = buf[1 : done + 1]
@@ -271,5 +283,5 @@ def run_steps(psi0, kraus, corrections, uniforms, sample_idx, rho_sum=None):
     infid_m2 = np.square(infid, out=infid).sum(axis=1)
     return BlockResult(
         status, failed, infid_sum, infid_m2, counts,
-        jump_steps, jump_columns, jump_channels,
+        jump_steps, jump_columns, jump_channels, failure,
     )

@@ -34,7 +34,12 @@ import numpy as np
 
 from . import __version__
 from .channels import ErrorChannel, kraus_set
-from .codes import CodeSynthesisError, verify_correctability
+from .codes import (
+    CORRECTABILITY_ATOL,
+    PAIR_SECTORS,
+    CodeSynthesisError,
+    verify_correctability,
+)
 from .control import (
     CorrectabilityError,
     _driving_terms,
@@ -362,7 +367,7 @@ def _cmd_synthesize(cfg: SimConfig) -> tuple[int, Iterable[str]]:
             {"pauli": label, "re": value.real, "im": value.imag}
             for label, value in terms
         ],
-        "sector_map": plan.sector_map,
+        "sector_map": PAIR_SECTORS if len(code.generators) == 2 else None,
         "config_digest": config_digest(cfg),
         "artifact_version": __version__,
     }
@@ -375,7 +380,7 @@ def _cmd_verify(cfg: SimConfig) -> tuple[int, Iterable[str]]:
     checks = {
         "correctability": {
             "max_residual": correct.max_residual,
-            "threshold": correct.threshold,
+            "threshold": CORRECTABILITY_ATOL,
             "per_channel": [
                 {"label": label, "residual": residual}
                 for label, residual in zip(correct.labels, correct.residuals)

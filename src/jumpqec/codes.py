@@ -10,9 +10,10 @@ builds their codespaces, and only theirs, in closed form:
   logical qubits: the even-parity states rotated by each qubit's eigenframe.
 * Otherwise (some qubit carries a full rank-3 constraint set) the
   generalized erasure pair ``X^n, Z^n`` is used: each Pauli axis
-  anticommutes with one of the two generators no matter what the
-  backaction is.  This requires an even register and encodes ``n - 2``
-  logical qubits in GHZ-type states ``(|j> + |jbar>) / sqrt(2)``.
+  anticommutes with one of the two generators (``PAIR_SECTORS``) no
+  matter what the backaction is.  This requires an even register and
+  encodes ``n - 2`` logical qubits in GHZ-type states
+  ``(|j> + |jbar>) / sqrt(2)``.
 
 Correctability of a code against a channel is the vanishing, on the
 codespace, of every matrix element of the channel's traceless backaction
@@ -39,7 +40,6 @@ __all__ = [
     "null_space_involution",
     "codespace_basis",
     "build_code",
-    "sector_assignment",
     "anticommuting_terms",
     "verify_correctability",
 ]
@@ -51,6 +51,11 @@ RANK_RTOL = 1e-9
 CORRECTABILITY_ATOL = 1e-10
 
 _AXIS_PAULI = dict(zip("xyz", PAULIS))
+
+#: The generator of ``(X^n, Z^n)`` that anticommutes with ``sigma_axis`` on
+#: every qubit: ``Z^n`` for x, ``X^n`` for z, and ``X^n`` for y, which
+#: anticommutes with both.
+PAIR_SECTORS = {"x": 1, "y": 0, "z": 0}
 
 
 class CodeSynthesisError(Exception):
@@ -234,8 +239,7 @@ def null_space_involution(constraints: list[np.ndarray]) -> np.ndarray:
         null_basis = np.eye(3)
     else:
         _, svals, vt = np.linalg.svd(rows)
-        cutoff = RANK_RTOL * (svals[0] if svals.size else 0.0)
-        rank = int(np.sum(svals > cutoff))
+        rank = int(np.sum(svals > RANK_RTOL * svals[0]))
         if rank >= 3:
             raise RankThreeError(
                 "constraint Bloch vectors span rank 3; no single-qubit "
@@ -356,24 +360,6 @@ def build_code(
     return StabilizerCode(n, generators)
 
 
-def sector_assignment(
-    axis: str, generators: tuple[np.ndarray, ...] | list[np.ndarray]
-) -> int:
-    """Index of the generator that anticommutes with ``sigma_axis`` everywhere.
-
-    Only defined for the generator pair ``(X^n, Z^n)`` in that order:
-    the x axis maps to ``Z^n``, the z axis to ``X^n``, and the y axis
-    (which anticommutes with both) is fixed to ``X^n`` for determinism.
-    """
-    if axis not in _AXIS_PAULI:
-        raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
-    if not _is_erasure_pair(generators):
-        raise ValueError(
-            "sector assignment applies only to the (X^n, Z^n) generator pair"
-        )
-    return {"x": 1, "y": 0, "z": 0}[axis]
-
-
 def anticommuting_terms(
     ch: ErrorChannel, code: StabilizerCode
 ) -> list[tuple[np.ndarray, int]]:
@@ -381,15 +367,15 @@ def anticommuting_terms(
 
     Terms are 2x2 factors at the channel's qubit, paired with an index into
     ``code.generators``.  With one generator the whole traceless backaction
-    pairs with generator 0.  Otherwise each nonzero Bloch component gives
-    one term ``d_l sigma_l``, paired by :func:`sector_assignment` (which
-    raises ``ValueError`` unless the generators are ``(X^n, Z^n)``).
+    pairs with generator 0.  On ``(X^n, Z^n)``, the only pair a code holds,
+    each nonzero Bloch component gives one term ``d_l sigma_l``, paired by
+    ``PAIR_SECTORS``.
     """
     ba = ch.backaction
     if len(code.generators) == 1:
         return [(ba.matrix, 0)]
     return [
-        (component * _AXIS_PAULI[axis], sector_assignment(axis, code.generators))
+        (component * _AXIS_PAULI[axis], PAIR_SECTORS[axis])
         for component, axis in zip(ba.bloch, "xyz")
         if component != 0.0
     ]
@@ -401,7 +387,6 @@ class CorrectabilityReport:
 
     residuals: tuple[float, ...]
     labels: tuple[str | int | None, ...]
-    threshold: float = CORRECTABILITY_ATOL
 
     @property
     def max_residual(self) -> float:
@@ -409,7 +394,7 @@ class CorrectabilityReport:
 
     @property
     def passed(self) -> bool:
-        return all(r <= self.threshold for r in self.residuals)
+        return all(r <= CORRECTABILITY_ATOL for r in self.residuals)
 
 
 def verify_correctability(

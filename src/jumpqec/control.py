@@ -28,7 +28,6 @@ from .codes import (
     CorrectabilityReport,
     StabilizerCode,
     anticommuting_terms,
-    sector_assignment,
     verify_correctability,
 )
 from .linalg import bloch_matrix, on_qubit
@@ -94,14 +93,10 @@ class ControlPlan:
             :func:`.kraus_set` appends to its own (see :func:`_driving_terms`).
         corrections: one :class:`Correction` per channel, in the order the
             channels were given.
-        sector_map: axis letter -> generator index used to cancel that
-            Pauli axis; the assignment is the same for every channel.
-            ``None`` on the single-generator branch.
     """
 
     driving_terms: tuple[tuple[int, np.ndarray, int | None], ...]
     corrections: tuple[Correction, ...]
-    sector_map: dict[str, int] | None
 
 
 class NoJumpInvariance(NamedTuple):
@@ -185,17 +180,15 @@ def _correction(ch: ErrorChannel, code: StabilizerCode) -> Correction:
 def build_control_plan(
     channels: tuple[ErrorChannel, ...] | list[ErrorChannel], code: StabilizerCode
 ) -> ControlPlan:
-    """Assemble driving Hamiltonian, corrections, and sector map in one pass.
+    """Assemble the driving Hamiltonian and the corrections in one pass.
 
-    Correctability is verified once for the whole channel set.
+    Correctability is verified once for the whole channel set.  The driving
+    terms pair each backaction term with its generator by
+    :func:`.codes.anticommuting_terms`.
     """
     _require_correctable(code, channels)
     corrections = tuple(_correction(ch, code) for ch in channels)
-    if len(code.generators) == 2:
-        sector_map = {ax: sector_assignment(ax, code.generators) for ax in "xyz"}
-    else:
-        sector_map = None
-    return ControlPlan(_driving_terms(channels, code), corrections, sector_map)
+    return ControlPlan(_driving_terms(channels, code), corrections)
 
 
 def nojump_invariance_check(ks: KrausSet) -> NoJumpInvariance:
@@ -214,5 +207,5 @@ def nojump_invariance_check(ks: KrausSet) -> NoJumpInvariance:
     a = 1.0 - total_rate * ks.dt / 2.0
     basis = code.encode(np.eye(2**code.logical_count))
     deviation = ks.no_jump @ basis - a * basis
-    residual = float(np.max(np.linalg.norm(deviation, axis=0))) if basis.size else 0.0
+    residual = float(np.max(np.linalg.norm(deviation, axis=0)))
     return NoJumpInvariance(a=a, residual=residual)

@@ -77,11 +77,6 @@ DENSITY_BUDGET_BYTES = 2 * 2**30
 #: n = 6 and 8 (2 vCPUs, OpenBLAS).
 RK4_WORK_BUDGET = 1e10
 
-#: Bytes each of a block's gathered amplitudes, its ``(steps, B)`` uniforms
-#: and its ``(steps + 1, B)`` overlaps may take; this sets the block width
-#: ``B``.  The engine bounds its chunk of states by the same amount.
-_BLOCK_BYTES = _kernels.BLOCK_BYTES
-
 #: Bytes a run holds per time step: the grid times, the engine's and the
 #: ensemble's infidelity and jump sums and record columns, and a block's
 #: uniforms and overlaps.  CSV lines are written as formatted, no longer held
@@ -319,22 +314,6 @@ def _trajectory_uniforms(cfg: SimConfig, trajectory_index: int) -> np.ndarray:
     return np.random.Generator(bits).random(cfg.steps)
 
 
-def _block_width(cfg: SimConfig, setup: SimulationSetup) -> int:
-    """Trajectories per block: amplitude pairs, uniforms and overlaps stay bounded.
-
-    Per trajectory and step the engine gathers ``dim`` amplitudes and their
-    pair products for each qubit that carries a channel; it holds one
-    uniform and one overlap per step, and a chunk of states at 16 B per
-    amplitude.  The states count at one step a chunk: a block too wide for
-    a full chunk takes a shorter one (:func:`._kernels.chunk_length`), not
-    fewer columns.
-    """
-    dim = setup.psi0.shape[0]
-    charged = len({ch.qubit for ch in setup.kraus.channels})
-    column_bytes = max(24 * charged * dim, 16 * dim, 8 * cfg.steps)
-    return max(1, _BLOCK_BYTES // column_bytes)
-
-
 def _run_block(
     cfg: SimConfig,
     setup: SimulationSetup,
@@ -352,9 +331,12 @@ def _run_block(
     )
     if result.status < 0:
         bad = -result.status - 1
+        what = {
+            "overflow": "total jump probability exceeded 1",
+            "collapse": "the no-jump step annihilated the state",
+        }[result.failure]
         raise StepSizeError(
-            f"total jump probability exceeded 1 at step {bad} "
-            f"(t={bad * cfg.dt:.6g}) in trajectory "
+            f"{what} at step {bad} (t={bad * cfg.dt:.6g}) in trajectory "
             f"{indices[result.failed_column]}; decrease dt"
         )
     return result
@@ -397,7 +379,7 @@ def run_ensemble(cfg: SimConfig, collect_density: bool = True) -> EnsembleResult
             (setup.sample_indices.shape[0], dim, dim), dtype=np.complex128
         )
     n_traj = cfg.trajectories
-    width = _block_width(cfg, setup)
+    width = _kernels.block_width(setup.kraus, steps)
     for start in range(0, n_traj, width):
         indices = range(start, min(start + width, n_traj))
         block = _run_block(cfg, setup, indices, rho_sum)

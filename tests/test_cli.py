@@ -234,15 +234,20 @@ class TestPauliCoefficients:
     )
     def test_listing_rebuilds_the_driving_hamiltonian(self, n, channels, capsys):
         # synthesize lists the Pauli coefficients of the plan's frame terms;
-        # they are those of the textbook driving Hamiltonian.
+        # they are those of the textbook driving Hamiltonian.  The sector map
+        # is the pair's, and null for one generator.
         cfg = SimConfig(n=n, channels=channels, dt=1e-3, duration=1e-3)
         _, chunks = cli._cmd_synthesize(cfg)
         capsys.readouterr()
+        report = json.loads("".join(chunks))
         listed = [
             (term["pauli"], complex(term["re"], term["im"]))
-            for term in json.loads("".join(chunks))["hamiltonian"]
+            for term in report["hamiltonian"]
         ]
-        ham = dense_driving_hamiltonian(channels, build_code(channels, n))
+        code = build_code(channels, n)
+        pair = len(code.generators) == 2
+        assert report["sector_map"] == ({"x": 1, "y": 0, "z": 0} if pair else None)
+        ham = dense_driving_hamiltonian(channels, code)
         expected = pauli_coefficients(ham)
         assert listed
         assert [label for label, _ in listed] == [label for label, _ in expected]

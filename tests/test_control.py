@@ -15,8 +15,8 @@ from jumpqec import (
     effective_jump_operator,
     kraus_set,
     nojump_invariance_check,
-    sector_assignment,
 )
+from jumpqec.codes import PAIR_SECTORS
 from jumpqec.control import NULL_CHANNEL_ATOL, _driving_terms
 from jumpqec.linalg import (
     SIGMA_X,
@@ -46,21 +46,14 @@ ERASURE_PAIR = (
 
 class TestSectorAssignment:
     def test_axis_mapping(self):
-        assert sector_assignment("x", ERASURE_PAIR) == 1
-        assert sector_assignment("z", ERASURE_PAIR) == 0
-        assert sector_assignment("y", ERASURE_PAIR) == 0
-
-    def test_rejects_single_generator(self):
-        with pytest.raises(ValueError):
-            sector_assignment("x", (np.tile([1.0, 0, 0], (3, 1)),))
-
-    def test_rejects_swapped_pair(self):
-        with pytest.raises(ValueError):
-            sector_assignment("x", (ERASURE_PAIR[1], ERASURE_PAIR[0]))
-
-    def test_rejects_unknown_axis(self):
-        with pytest.raises(ValueError):
-            sector_assignment("w", ERASURE_PAIR)
+        # PAIR_SECTORS[axis] names the generator of (X^n, Z^n) whose factor
+        # anticommutes with sigma_axis on every qubit.
+        generators = build_code(rank3_channels(4), 4).generators
+        assert set(PAIR_SECTORS) == {"x", "y", "z"}
+        for axis, pauli in zip("xyz", (SIGMA_X, SIGMA_Y, SIGMA_Z)):
+            for row in generators[PAIR_SECTORS[axis]]:
+                factor = bloch_matrix(row)
+                assert max_abs(pauli @ factor + factor @ pauli) == 0.0
 
 
 def _dense_frame_driving(channels, code):
@@ -312,15 +305,25 @@ class TestCorrectionApply:
 
 class TestControlPlan:
     def test_single_generator_plan_has_no_sector_map(self):
+        # Each channel's whole backaction pairs with the one generator.
         channels = relaxation_channels(3)
         plan = build_control_plan(channels, build_code(channels, 3))
-        assert plan.sector_map is None
+        assert [g for _, _, g in plan.driving_terms] == [0, None] * 3
+        assert not hasattr(plan, "sector_map")
         assert [c.qubit for c in plan.corrections] == [ch.qubit for ch in channels]
 
     def test_generator_pair_plan_sector_map(self):
+        # Each rank-3 channel's backaction lies along one axis, and its
+        # driving term sits on that axis's generator, then its offset term.
         channels = rank3_channels(4)
         plan = build_control_plan(channels, build_code(channels, 4))
-        assert plan.sector_map == {"x": 1, "y": 0, "z": 0}
+        expected = [
+            index
+            for ch in channels
+            for index in (PAIR_SECTORS[ch.label[0]], None)
+        ]
+        assert [g for _, _, g in plan.driving_terms] == expected
+        assert set(expected) == {0, 1, None}
 
     def test_corrections_are_unitary(self):
         for n, channels in random_suite(seed=41, count=10):

@@ -246,7 +246,7 @@ class TestKernelMatchesReference:
             sample_idx,
             rho_sum,
         )
-        assert result.status == 0
+        assert result.status == 0 and result.failure is None
         assert np.all(result.infid_sum == 0.0)
         assert np.all(result.jump_counts == 0)
         assert result.jump_steps.size == 0
@@ -481,6 +481,7 @@ class TestBlockAbort:
         result = run_steps(psi0, kraus, None, uniforms, np.array([0], dtype=np.int64))
         assert result.status == -(3 + 1)
         assert result.failed_column == 1
+        assert result.failure == "overflow"
         assert result.jump_columns.tolist() == [1, 3]
 
 
@@ -517,6 +518,7 @@ class TestBlockCollapse:
         )
         assert result.status == -(3 + 1)
         assert result.failed_column == 1
+        assert result.failure == "collapse"
         assert result.jump_steps.tolist() == [2, 2]
         assert result.jump_columns.tolist() == [1, 3]
         assert result.jump_channels.tolist() == [0, 0]
@@ -534,6 +536,37 @@ class TestBlockCollapse:
         )
         assert result.status == -(3 + 1)
         assert result.failed_column == 2
+        assert result.failure == "collapse"
         assert list(zip(result.jump_steps.tolist(), result.jump_columns.tolist(),
                         result.jump_channels.tolist())) == [(2, 2, 0)]
         assert result.jump_counts[-1] == 1
+
+    @pytest.mark.parametrize(
+        "down, what",
+        [
+            (_DOWN_A, "the no-jump step annihilated the state"),
+            (_DOWN_B, "total jump probability exceeded 1"),
+        ],
+        ids=["collapse", "overflow"],
+    )
+    def test_run_block_names_the_failure(self, monkeypatch, down, what):
+        # Trajectory 1 jumps at step 2, then collapses or overflows at step 3.
+        cfg = SimConfig(
+            n=2, channels=_COLLAPSE_KRAUS.channels, dt=1.0, duration=10.0,
+            trajectories=4, feedback_enabled=False, driving_enabled=False,
+        )
+        setup = trajectory.SimulationSetup(
+            kraus=_COLLAPSE_KRAUS, corrections=None, psi0=_COLLAPSE_PSI0,
+            times=np.arange(11.0), sample_indices=np.array([0], dtype=np.int64),
+        )
+
+        def uniforms(cfg, index):
+            draws = np.full(cfg.steps, 0.9)
+            if index == 1:
+                draws[2] = down
+            return draws
+
+        monkeypatch.setattr(trajectory, "_trajectory_uniforms", uniforms)
+        message = rf"^{what} at step 3 \(t=3\) in trajectory 1; decrease dt$"
+        with pytest.raises(StepSizeError, match=message):
+            trajectory._run_block(cfg, setup, range(4))

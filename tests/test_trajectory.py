@@ -20,7 +20,7 @@ from jumpqec import (
     tensor_embed,
     trace_distance,
 )
-from jumpqec import codes, linalg, trajectory
+from jumpqec import _kernels, codes, linalg, trajectory
 from jumpqec.linalg import expm1, max_abs
 from jumpqec.trajectory import _run_block, simulation_code
 
@@ -389,14 +389,14 @@ class TestRunEnsemble:
     def test_std_matches_two_pass_spread(self, monkeypatch, protected):
         # Blocks of three pool their spreads; protected infidelities sit at
         # the rounding floor, where E[F^2] - E[F]^2 read 2e-8.
-        monkeypatch.setattr(trajectory, "_BLOCK_BYTES", 12_000)
+        monkeypatch.setattr(_kernels, "BLOCK_BYTES", 12_000)
         cfg = SimConfig(
             n=2, channels=relaxation_channels(2, gamma=0.5), dt=1e-3,
             duration=0.5, seed=3, trajectories=10,
             feedback_enabled=protected, driving_enabled=protected,
         )
         setup = prepare(cfg)
-        assert trajectory._block_width(cfg, setup) == 3
+        assert _kernels.block_width(setup.kraus, cfg.steps) == 3
         fids = np.array([
             run_trajectory(cfg, i, setup)[0].mean_fidelity for i in range(10)
         ])
@@ -425,9 +425,9 @@ class TestRunEnsemble:
             trajectories=trajectories,
         )
         setup = prepare(cfg)
-        block = min(trajectory._block_width(cfg, setup), trajectories)
-        assert trajectory._block_width(cfg, setup) == width
-        assert trajectory._kernels.chunk_length(2**n, block) == chunk
+        block = min(_kernels.block_width(setup.kraus, cfg.steps), trajectories)
+        assert _kernels.block_width(setup.kraus, cfg.steps) == width
+        assert _kernels.chunk_length(2**n, block) == chunk
 
     def test_repeat_runs_bit_identical(self):
         cfg = SimConfig(
