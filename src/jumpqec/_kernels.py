@@ -11,7 +11,7 @@ Only a clicked column picks its channel by cumulative comparison and gets
 a branch, the channel's 2x2 factor applied on one qubit, followed by the
 channel's correction, if any.  A total jump probability above ``1 +
 PROBABILITY_SLACK`` (every such column clicks, as uniforms are below 1)
-aborts the block with a negative status (the step size is too large).
+aborts the block: the step size is too large.
 
 A step does only what decides the next one, so the block stays
 unnormalized within a chunk of ``CHUNK`` steps: the click test and the
@@ -20,11 +20,12 @@ into one slot of a ``(chunk + 1, dim, B)`` buffer; once per chunk the
 engine tests the chunk's norms for a collapsed column, which aborts like
 an overflow, renormalizes the buffer in place, takes the chunk's overlaps
 ``|<psi0|psi>|`` in one product and its density sums in another, and
-starts the next chunk from the last state.  Of two failures the earlier
-step's is reported, an overflow before a collapse at the same step, with
-the lowest failing column, and the jump log stops at that step.  A block
-too wide for ``CHUNK`` steps within ``BLOCK_BYTES`` takes a shorter
-chunk, at least one step (:func:`chunk_length`).
+starts the next chunk from the last state.  A block either finishes or
+raises :class:`StepFailure` at the end of the chunk that failed, naming
+the earlier step of two failures, an overflow before a collapse at the
+same step, and its lowest failing column.  A block too wide for
+``CHUNK`` steps within ``BLOCK_BYTES`` takes a shorter chunk, at least
+one step (:func:`chunk_length`).
 
 Column ``b`` reads only column ``b`` of the pre-drawn uniforms, so jump
 selections do not depend on the block size or on which trajectories
@@ -71,30 +72,36 @@ CHUNK = 16
 BLOCK_BYTES = 8 * 2**20
 
 
-class BlockResult(NamedTuple):
-    """What :func:`run_steps` reduces from one block of trajectories.
+class StepFailure(Exception):
+    """Step ``step`` of column ``column`` failed; ``kind`` says how.
 
-    ``status`` is the block's jump total, or ``-(step + 1)`` when step
-    ``step`` aborted; ``failed_column`` is then the lowest column that
-    failed, and -1 otherwise.  At every grid point, ``infid_sum`` sums the
-    columns' infidelities ``1 - F`` and ``infid_m2`` their squared
-    deviations from the block's mean, so that small spreads keep their
-    digits; ``jump_counts`` is the block's cumulative jump total.  The jump
-    log lists each jump's step, column and channel, ordered by step, then
-    column.  ``failure`` names what aborted the block: ``"overflow"``, a
-    total jump probability above 1, or ``"collapse"``, a column the no-jump
-    step annihilated; ``None`` when nothing did.
+    ``"overflow"``: a total jump probability above 1; ``"collapse"``: the
+    no-jump step annihilated the column.
+    """
+
+    def __init__(self, kind: str, step: int, column: int):
+        super().__init__(kind, step, column)
+        self.kind, self.step, self.column = kind, step, column
+
+
+class BlockResult(NamedTuple):
+    """What :func:`run_steps` reduces from one finished block of trajectories.
+
+    ``status`` is the block's jump total.  At every grid point,
+    ``infid_sum`` sums the columns' infidelities ``1 - F`` and ``infid_m2``
+    their squared deviations from the block's mean, so that small spreads
+    keep their digits; ``jump_counts`` is the block's cumulative jump
+    total.  The jump log lists each jump's step, column and channel,
+    ordered by step, then column.
     """
 
     status: int
-    failed_column: int
     infid_sum: np.ndarray
     infid_m2: np.ndarray
     jump_counts: np.ndarray
     jump_steps: np.ndarray
     jump_columns: np.ndarray
     jump_channels: np.ndarray
-    failure: str | None
 
 
 def jump_probabilities(factors, qubits, n):
@@ -178,10 +185,11 @@ def run_steps(psi0, kraus, corrections, uniforms, sample_idx, rho_sum=None):
     ``uniforms`` one uniform per step and trajectory ``(steps, B)``.  When
     ``rho_sum`` is given, ``rho_sum[i]`` gains the block's summed outer
     products ``psi psi^dagger`` at grid index ``sample_idx[i]``, in that
-    frame; the indices ascend.  A jump of channel ``k`` is followed by ``corrections[k].apply``
-    unless ``corrections`` is ``None``.  The block takes the result type of
-    ``psi0``, the Kraus set's ``no_jump`` and ``factors``, and each
-    correction's ``u_dag`` and ``axis``.
+    frame; the indices ascend.  A jump of channel ``k`` is followed by
+    ``corrections[k].apply`` unless ``corrections`` is ``None``.  The block
+    takes the result type of ``psi0``, the Kraus set's ``no_jump`` and
+    ``factors``, and each correction's ``u_dag`` and ``axis``.  A failed
+    step raises :class:`StepFailure` (see the module docstring).
     """
     steps, width = uniforms.shape
     arrays = [psi0, kraus.no_jump, kraus.factors]
@@ -205,12 +213,11 @@ def run_steps(psi0, kraus, corrections, uniforms, sample_idx, rho_sum=None):
     samples = [] if rho_sum is None else sample_idx.tolist()
     overlaps = np.ones((steps + 1, width))
     jump_steps, jump_columns, jump_channels = [], [], []
-    failed, failure = -1, None
     if samples and samples[0] == 0:
         rho_sum[0] += views[0] @ views[0].conj().T
     acc, norm2 = weights(views[0])
     for start in range(0, steps, chunk):
-        norms = []
+        norms, overflow = [], None
         for j, s in enumerate(range(start, min(start + chunk, steps))):
             # A column clicks when its uniform falls below its total weight; a
             # column over the probability bound clicks too, since u < 1.  The
@@ -223,8 +230,7 @@ def run_steps(psi0, kraus, corrections, uniforms, sample_idx, rho_sum=None):
                 clicked = clicks.nonzero()[1]
                 total = acc[-1, clicked] / norm2[clicked]
                 if (over := 1.0 - total < -PROBABILITY_SLACK).any():
-                    failed, fail_step = int(clicked[over.argmax()]), s
-                    failure = "overflow"
+                    overflow = StepFailure("overflow", s, int(clicked[over.argmax()]))
                     break
                 picked = (acc[:, clicked] <= threshold[clicked]).sum(axis=0)
                 for k in set(picked.tolist()):
@@ -238,14 +244,13 @@ def run_steps(psi0, kraus, corrections, uniforms, sample_idx, rho_sum=None):
                 jump_channels.append(picked)
             acc, norm2 = weights(nxt)
             norms.append(norm2)
-        # (0, B) after an overflow on the chunk's first step.
-        norms = np.array(norms).reshape(-1, width)
+        norms = np.array(norms).reshape(-1, width)  # (0, B) on a first-step overflow
         if not norms.all():  # a collapsed column (norms are never negative)
             collapsed = norms == 0.0
             j = int(collapsed.any(axis=1).argmax())
-            failed, fail_step = int(collapsed[j].argmax()), start + j
-            failure = "collapse"
-            norms = norms[:j]
+            raise StepFailure("collapse", start + j, int(collapsed[j].argmax()))
+        if overflow is not None:
+            raise overflow
         done = norms.shape[0]
         states = buf[1 : done + 1]
         states *= (1.0 / np.sqrt(norms))[:, None, :]
@@ -259,21 +264,11 @@ def run_steps(psi0, kraus, corrections, uniforms, sample_idx, rho_sum=None):
             else:
                 sampled = buf[offsets]
             rho_sum[lo:hi] += sampled @ sampled.conj().swapaxes(1, 2)
-        if failed >= 0:
-            break
         views[0][:] = views[done]
     jump_steps, jump_columns, jump_channels = (
         np.concatenate(log) if log else np.zeros(0, dtype=np.int64)
         for log in (jump_steps, jump_columns, jump_channels)
     )
-    status = jump_steps.size
-    if failed >= 0:
-        # A collapse is found at its chunk's end: drop the jumps after it.
-        kept = jump_steps <= fail_step
-        jump_steps, jump_columns, jump_channels = (
-            log[kept] for log in (jump_steps, jump_columns, jump_channels)
-        )
-        status = -(fail_step + 1)
     counts = np.bincount(jump_steps + 1, minlength=steps + 1).cumsum()
     # In place: the reduction takes no array as large as the overlaps.
     infid = np.square(overlaps, out=overlaps)
@@ -282,6 +277,6 @@ def run_steps(psi0, kraus, corrections, uniforms, sample_idx, rho_sum=None):
     infid -= infid_sum[:, None] / width
     infid_m2 = np.square(infid, out=infid).sum(axis=1)
     return BlockResult(
-        status, failed, infid_sum, infid_m2, counts,
-        jump_steps, jump_columns, jump_channels, failure,
+        jump_steps.size, infid_sum, infid_m2, counts,
+        jump_steps, jump_columns, jump_channels,
     )

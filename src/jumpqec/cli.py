@@ -545,6 +545,9 @@ def execute(argv: list[str]) -> tuple[int, RunManifest | None]:
         return 2, None
 
     output = args.output or _DEFAULT_OUTPUT[args.command]
+    if os.path.isdir(output):
+        print(f"error: output path {output!r} is a directory", file=sys.stderr)
+        return 2, None
     if os.path.exists(output) and not args.force:
         print(f"error: output file {output!r} exists; pass --force to overwrite",
               file=sys.stderr)

@@ -222,8 +222,8 @@ def null_space_involution(constraints: list[np.ndarray]) -> np.ndarray:
     The corresponding involution ``n_hat . sigma`` then anticommutes with
     every constraint's ``d . sigma``.  Selection is deterministic: among
     the null directions, take the normalized projection of the earliest
-    coordinate axis with a nonzero projection, sign-fixed so the first
-    nonzero component is positive.
+    coordinate axis with a nonzero projection.  Its first component above
+    1e-9 is its own axis's, which is positive.
 
     Raises :class:`RankThreeError` when the constraints have numerical
     rank 3 (singular values below ``RANK_RTOL`` times the largest count
@@ -247,20 +247,13 @@ def null_space_involution(constraints: list[np.ndarray]) -> np.ndarray:
             )
         null_basis = vt[rank:].T  # columns: orthonormal basis of the null space
 
-    for axis in range(3):
-        # Projection of the axis unit vector onto the null space; its norm
-        # is maximal among unit null vectors' |axis| components.
-        proj = null_basis @ null_basis[axis, :]
-        norm = float(np.linalg.norm(proj))
-        if norm > 1e-9:
-            vec = proj / norm
-            for comp in vec:
-                if abs(comp) > 1e-9:
-                    if comp < 0:
-                        vec = -vec
-                    break
-            return vec
-    raise RankThreeError("null space is numerically empty")  # pragma: no cover
+    # Projections of the axis unit vectors onto the null space: the axis
+    # component of one is its squared norm, and no earlier component exceeds
+    # the earlier projections' norms.  Those squared norms sum to the null
+    # space's dimension, at least 1, so one norm is at least 3**-0.5.
+    projections = (null_basis @ row for row in null_basis)
+    proj = next(p for p in projections if np.linalg.norm(p) > 1e-9)
+    return proj / np.linalg.norm(proj)
 
 
 def codespace_basis(

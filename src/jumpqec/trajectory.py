@@ -195,7 +195,8 @@ class EnsembleResult(NamedTuple):
 class SimulationSetup:
     """Synthesis products shared by all trajectories of one config.
 
-    Every array the engine reads is in the eigenframe of ``code``:
+    The time grid is not one of them: it is the config's (``cfg.steps``
+    steps of ``cfg.dt``).  Every array the engine reads is in the eigenframe of ``code``:
     ``kraus.no_jump`` and ``kraus.factors``, ``psi0``, and each correction's
     ``u_dag`` and ``axis``.  ``kraus.no_jump`` has the result type of the
     Kraus set's own 2x2 data; the engine evolves in the result type of all
@@ -207,8 +208,6 @@ class SimulationSetup:
     corrections: tuple[Correction, ...] | None
     #: The initial vector in the frame.
     psi0: np.ndarray
-    times: np.ndarray
-    sample_indices: np.ndarray
 
     @property
     def code(self) -> StabilizerCode:
@@ -288,7 +287,7 @@ def prepare(cfg: SimConfig) -> SimulationSetup:
     built in the code's eigenframe from one-qubit data: the initial vector
     is a scatter of its coefficients, jumps and corrections stay 2x2 data,
     and the no-jump operator is the one dense array, built once (see
-    :class:`SimulationSetup`).
+    :class:`SimulationSetup`).  The time grid stays with ``cfg``.
     """
     _require_step_budget(cfg)
     code = simulation_code(cfg)
@@ -299,14 +298,7 @@ def prepare(cfg: SimConfig) -> SimulationSetup:
     psi0 = _initial_vector(cfg, code)
     driving = plan.driving_terms if cfg.driving_enabled else ()
     ks = kraus_set(cfg.channels, code, cfg.dt, driving)
-    steps = cfg.steps
-    return SimulationSetup(
-        kraus=ks,
-        corrections=corrections,
-        psi0=psi0,
-        times=np.arange(steps + 1) * cfg.dt,
-        sample_indices=density_sample_indices(steps),
-    )
+    return SimulationSetup(kraus=ks, corrections=corrections, psi0=psi0)
 
 
 def _trajectory_uniforms(cfg: SimConfig, trajectory_index: int) -> np.ndarray:
@@ -318,28 +310,27 @@ def _run_block(
     cfg: SimConfig,
     setup: SimulationSetup,
     indices: range,
+    sample_indices: np.ndarray,
     rho_sum: np.ndarray | None = None,
 ) -> _kernels.BlockResult:
+    """Run trajectories ``indices`` as one block; a failed step raises
+    :class:`StepSizeError`, naming its trajectory."""
     uniforms = np.stack([_trajectory_uniforms(cfg, i) for i in indices], axis=1)
-    result = _kernels.run_steps(
-        setup.psi0,
-        setup.kraus,
-        setup.corrections,
-        uniforms,
-        setup.sample_indices,
-        rho_sum,
-    )
-    if result.status < 0:
-        bad = -result.status - 1
+    try:
+        return _kernels.run_steps(
+            setup.psi0, setup.kraus, setup.corrections, uniforms, sample_indices,
+            rho_sum,
+        )
+    except _kernels.StepFailure as failure:
         what = {
             "overflow": "total jump probability exceeded 1",
             "collapse": "the no-jump step annihilated the state",
-        }[result.failure]
+        }[failure.kind]
+        step = failure.step
         raise StepSizeError(
-            f"{what} at step {bad} (t={bad * cfg.dt:.6g}) in trajectory "
-            f"{indices[result.failed_column]}; decrease dt"
-        )
-    return result
+            f"{what} at step {step} (t={step * cfg.dt:.6g}) in trajectory "
+            f"{indices[failure.column]}; decrease dt"
+        ) from None
 
 
 def _require_density_budget(cfg: SimConfig, samples: int) -> None:
@@ -362,12 +353,15 @@ def run_ensemble(cfg: SimConfig, collect_density: bool = True) -> EnsembleResult
     ``collect_density=False`` to skip it for large registers.  The engine
     sums it in the code's eigenframe, and each sample is rotated back to
     the computational basis, ``2n`` one-qubit products per sample (none for
-    the pair).  A series over ``DENSITY_BUDGET_BYTES`` raises
-    ``ValueError`` before any setup.
+    the pair).  The record's times are ``arange(steps + 1) * dt`` and the
+    density times ``sample_indices * dt``, the oracle's grid.  A series
+    over ``DENSITY_BUDGET_BYTES`` raises ``ValueError`` before any setup; a
+    step too large for its trajectory raises :class:`StepSizeError`.
     """
     steps = cfg.steps
+    sample_indices = density_sample_indices(steps)
     if collect_density:
-        _require_density_budget(cfg, len(density_sample_indices(steps)))
+        _require_density_budget(cfg, sample_indices.shape[0])
     setup = prepare(cfg)
     dim = setup.psi0.shape[0]
     infid_sum = np.zeros(steps + 1)
@@ -375,14 +369,12 @@ def run_ensemble(cfg: SimConfig, collect_density: bool = True) -> EnsembleResult
     jump_sum = np.zeros(steps + 1, dtype=np.int64)
     rho_sum = None
     if collect_density:
-        rho_sum = np.zeros(
-            (setup.sample_indices.shape[0], dim, dim), dtype=np.complex128
-        )
+        rho_sum = np.zeros((sample_indices.shape[0], dim, dim), dtype=np.complex128)
     n_traj = cfg.trajectories
     width = _kernels.block_width(setup.kraus, steps)
     for start in range(0, n_traj, width):
         indices = range(start, min(start + width, n_traj))
-        block = _run_block(cfg, setup, indices, rho_sum)
+        block = _run_block(cfg, setup, indices, sample_indices, rho_sum)
         if start:  # pool the blocks' squared deviations (Chan et al.)
             gap = block.infid_sum / len(indices) - infid_sum / start
             infid_m2 += gap * gap * (start * len(indices) / indices.stop)
@@ -390,7 +382,7 @@ def run_ensemble(cfg: SimConfig, collect_density: bool = True) -> EnsembleResult
         infid_m2 += block.infid_m2
         jump_sum += block.jump_counts
     record = FidelityRecord(
-        times=setup.times,
+        times=np.arange(steps + 1) * cfg.dt,
         mean_fidelity=np.clip(1.0 - infid_sum / n_traj, 0.0, 1.0),
         std_fidelity=np.sqrt(infid_m2 / n_traj),
         jump_counts=jump_sum,
@@ -398,16 +390,9 @@ def run_ensemble(cfg: SimConfig, collect_density: bool = True) -> EnsembleResult
     if rho_sum is None:
         return EnsembleResult(record, None, None)
     rho_sum /= n_traj  # in place, so the mean is not a second series
-    if setup.code.frames is not None:  # the pair's frame is the computational basis
-        for i in range(0, rho_sum.shape[0], CHUNK):  # small temporaries
-            rho_sum[i : i + CHUNK] = setup.code.operator_from_frame(
-                rho_sum[i : i + CHUNK]
-            )
-    return EnsembleResult(
-        record,
-        setup.times[setup.sample_indices],
-        rho_sum,
-    )
+    for i in range(0, rho_sum.shape[0], CHUNK):  # small temporaries
+        rho_sum[i : i + CHUNK] = setup.code.operator_from_frame(rho_sum[i : i + CHUNK])
+    return EnsembleResult(record, sample_indices * cfg.dt, rho_sum)
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:

@@ -30,7 +30,7 @@ from jumpqec.codes import anticommuting_terms
 from jumpqec.linalg import (
     IDENTITY, PAULIS, bloch_matrix, max_abs, on_qubit, tensor_embed,
 )
-from jumpqec.trajectory import _run_block
+from jumpqec.trajectory import _run_block, density_sample_indices
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -350,13 +350,16 @@ def run_trajectory(cfg, trajectory_index, setup=None):
     """
     if setup is None:
         setup = prepare(cfg)
-    result = _run_block(cfg, setup, range(trajectory_index, trajectory_index + 1))
+    result = _run_block(
+        cfg, setup, range(trajectory_index, trajectory_index + 1),
+        density_sample_indices(cfg.steps),
+    )
     log = [
         (float((s + 1) * cfg.dt), setup.kraus.channels[k])
         for s, k in zip(result.jump_steps, result.jump_channels)
     ]
     record = FidelityRecord(
-        times=setup.times,
+        times=np.arange(cfg.steps + 1) * cfg.dt,
         mean_fidelity=1.0 - result.infid_sum,
         std_fidelity=np.zeros_like(result.infid_sum),
         jump_counts=result.jump_counts,

@@ -1,7 +1,11 @@
+import builtins
+import errno
 import itertools
 import json
+import os
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -428,6 +432,36 @@ class TestExecute:
         capsys.readouterr()
         assert man_a.config_digest != man_b.config_digest
 
+    def test_trajectories_override_sets_the_ensemble(self, tmp_path, capsys):
+        config = write_config(tmp_path, minimal_doc(duration=0.1))
+        out = str(tmp_path / "t.csv")
+        code, manifest = execute(
+            ["simulate", "--config", config, "--output", out, "--trajectories", "3"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.startswith("3 trajectories, 10 steps:")
+        parsed = parse_config((tmp_path / "config.json").read_text())
+        assert manifest.config_digest == config_digest(replace(parsed, trajectories=3))
+
+    @pytest.mark.parametrize(
+        "initial_state, message",
+        [
+            (1, "initial_state index 1 outside the 1-dimensional codespace"),
+            ([[1, 0], [0, 0]], "initial_state needs 1 codespace coefficients, got 2"),
+            ([[0, 0]], "initial_state coefficients have zero norm"),
+        ],
+        ids=["index", "count", "zero-norm"],
+    )
+    def test_initial_state_outside_the_codespace_exits_2(
+        self, tmp_path, capsys, initial_state, message
+    ):
+        config = write_config(tmp_path, minimal_doc(initial_state=initial_state))
+        out = tmp_path / "s.csv"
+        code, manifest = execute(["simulate", "--config", config, "--output", str(out)])
+        assert code == 2 and manifest is None
+        assert f"error: ValueError: {message}\n" == capsys.readouterr().err
+        assert not out.exists()
+
     def test_one_parser_serves_every_invocation(self, tmp_path, capsys):
         # The parser is built once per process: an override or a usage error
         # in one invocation leaves the next one's arguments at their defaults.
@@ -803,20 +837,39 @@ class TestOutputFile:
         assert not out.parent.exists()
 
     @pytest.mark.parametrize("command", COMMANDS)
-    def test_write_error_exits_2(self, tmp_path, capsys, command):
-        # The write follows the work, so this one runs a small config through.
-        doc = minimal_doc(duration=0.02, trajectories=2, feedback=False)
-        config = write_config(tmp_path, doc)
+    def test_directory_output_is_refused_before_any_work(
+        self, tmp_path, capsys, no_work, command
+    ):
+        config = write_config(tmp_path, minimal_doc(feedback=False))
         out = tmp_path / "a_directory"
         out.mkdir()
-        with pytest.raises(OSError) as raised:
-            open(out, "w")
         code, manifest = execute(
             [command, "--config", config, "--output", str(out), "--force"]
         )
         assert code == 2 and manifest is None
         err = capsys.readouterr().err
-        assert str(raised.value) in err and "Traceback" not in err
+        assert "is a directory" in err and "Traceback" not in err
+        assert out.is_dir() and not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_write_error_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        # The write follows the work, so this one runs a small config through;
+        # opening the output for writing fails as on a full disk.
+        doc = minimal_doc(duration=0.02, trajectories=2, feedback=False)
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(out))
+
+        def open_for_reading(path, mode="r", *args, **kwargs):
+            if "w" in mode:
+                raise full
+            return builtins.open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", open_for_reading, raising=False)
+        code, manifest = execute([command, "--config", config, "--output", str(out)])
+        assert code == 2 and manifest is None
+        err = capsys.readouterr().err
+        assert str(full) in err and "Traceback" not in err
 
 
 class TestNoDenseGenerators:

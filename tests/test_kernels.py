@@ -11,8 +11,14 @@ import jumpqec
 import jumpqec.trajectory as trajectory
 from jumpqec import ErrorChannel, KrausSet, SimConfig, StabilizerCode, StepSizeError
 from jumpqec import build_code, kraus_set, prepare, run_ensemble, tensor_embed
-from jumpqec._kernels import CHUNK, BlockResult, jump_probabilities, run_steps
-from jumpqec.trajectory import _trajectory_uniforms
+from jumpqec._kernels import (
+    CHUNK,
+    BlockResult,
+    StepFailure,
+    jump_probabilities,
+    run_steps,
+)
+from jumpqec.trajectory import _trajectory_uniforms, density_sample_indices
 
 from helpers import (
     SIGMA_MINUS,
@@ -91,7 +97,6 @@ def _block_matches_reference(cfg, width, sample_idx=None):
     if sample_idx is None:
         sample_idx = np.unique(np.minimum([0, 1, 17, 100, cfg.steps], cfg.steps))
     result, rho_sum = _run_block(setup, uniforms, sample_idx)
-    assert result.status >= 0
     infids = []
     rho_ref = np.zeros_like(rho_sum)
     total = 0
@@ -117,6 +122,13 @@ def _column_log(result, column):
                     result.jump_channels[picked].tolist()))
 
 
+def _failure(psi0, kraus, uniforms):
+    """The ``(kind, step, column)`` a block of ``uniforms`` fails with."""
+    with pytest.raises(StepFailure) as failed:
+        run_steps(psi0, kraus, None, uniforms, np.array([0], dtype=np.int64))
+    return failed.value.kind, failed.value.step, failed.value.column
+
+
 class TestKernelMatchesReference:
     def test_states_and_events(self):
         cfg = SimConfig(
@@ -127,7 +139,6 @@ class TestKernelMatchesReference:
         uniforms = _trajectory_uniforms(cfg, 0)
         sample_idx = np.arange(cfg.steps + 1, dtype=np.int64)
         result, rho_sum = _run_block(setup, uniforms[:, None], sample_idx)
-        assert result.status >= 0
         ref_events, ref_fid, ref_states = _reference(setup, uniforms)
         assert _column_log(result, 0) == ref_events
         assert result.status == len(ref_events) == result.jump_counts[-1]
@@ -196,7 +207,7 @@ class TestKernelMatchesReference:
             n=2, channels=relaxation_channels(2, gamma=0.3), dt=0.002,
             duration=5.0, seed=4, feedback_enabled=False, driving_enabled=False,
         )
-        sample_idx = prepare(cfg).sample_indices
+        sample_idx = density_sample_indices(cfg.steps)
         assert cfg.steps == 2500 and sample_idx[1] == 3 and sample_idx[-2] == 2499
         _block_matches_reference(cfg, 3, sample_idx)
 
@@ -204,7 +215,7 @@ class TestKernelMatchesReference:
         cfg = _bare_config()
         setup = prepare(cfg)
         uniforms = _uniform_block(cfg, range(8))
-        sample_idx = setup.sample_indices
+        sample_idx = density_sample_indices(cfg.steps)
         runs = []
         for width in (8, 4, 1):
             log = []
@@ -214,7 +225,6 @@ class TestKernelMatchesReference:
                 result, rho_sum = _run_block(
                     setup, uniforms[:, start:start + width], sample_idx
                 )
-                assert result.status >= 0
                 log += [
                     (start + b, event)
                     for b in range(width)
@@ -246,13 +256,13 @@ class TestKernelMatchesReference:
             sample_idx,
             rho_sum,
         )
-        assert result.status == 0 and result.failure is None
+        assert result.status == 0
         assert np.all(result.infid_sum == 0.0)
         assert np.all(result.jump_counts == 0)
         assert result.jump_steps.size == 0
         assert_allclose(rho_sum[1], 3.0 * np.outer(psi0, psi0.conj()), atol=1e-15)
 
-    def test_overflow_status_flags_first_step(self):
+    def test_overflow_flags_first_step(self):
         psi0 = np.array([0.0, 1.0], dtype=complex)
         kraus = KrausSet(
             dt=1.0, no_jump=np.eye(2, dtype=complex),
@@ -260,11 +270,7 @@ class TestKernelMatchesReference:
             channels=(ErrorChannel(qubit=0, operator=2.0 * SIGMA_MINUS),),
             code=Z_CODE, terms=(),
         )
-        result = run_steps(
-            psi0, kraus, None, np.full((10, 2), 0.5), np.array([0], dtype=np.int64)
-        )
-        assert result.status == -1
-        assert result.failed_column == 0
+        assert _failure(psi0, kraus, np.full((10, 2), 0.5)) == ("overflow", 0, 0)
 
     def test_snapshot_grid_positions(self):
         cfg = SimConfig(
@@ -275,7 +281,6 @@ class TestKernelMatchesReference:
         uniforms = _uniform_block(cfg, range(3))
         sample_idx = np.array([0, 3, 7], dtype=np.int64)
         result, rho_sum = _run_block(setup, uniforms, sample_idx)
-        assert result.status >= 0
         assert rho_sum.shape == (3, 4, 4)
         assert_allclose(
             rho_sum[0], 3.0 * np.outer(setup.psi0, setup.psi0.conj()), atol=1e-15
@@ -329,8 +334,9 @@ class TestRealArithmetic:
         setup = prepare(cfg)
         assert setup.kraus.no_jump.dtype == np.float64
         uniforms = _uniform_block(cfg, range(cfg.trajectories))
-        real, rho_real = _run_block(setup, uniforms, setup.sample_indices)
-        full, rho_full = _run_block(_as_complex(setup), uniforms, setup.sample_indices)
+        sample_idx = density_sample_indices(cfg.steps)
+        real, rho_real = _run_block(setup, uniforms, sample_idx)
+        full, rho_full = _run_block(_as_complex(setup), uniforms, sample_idx)
         assert real.status == full.status > 0
         for name in ("jump_steps", "jump_columns", "jump_channels", "jump_counts"):
             assert np.array_equal(getattr(real, name), getattr(full, name))
@@ -359,8 +365,9 @@ class TestRealArithmetic:
             assert setup.kraus.no_jump.dtype == no_jump_dtype
         setup = prepare(phased)
         uniforms = _uniform_block(phased, range(phased.trajectories))
-        mixed, rho_mixed = _run_block(setup, uniforms, setup.sample_indices)
-        full, rho_full = _run_block(_as_complex(setup), uniforms, setup.sample_indices)
+        sample_idx = density_sample_indices(phased.steps)
+        mixed, rho_mixed = _run_block(setup, uniforms, sample_idx)
+        full, rho_full = _run_block(_as_complex(setup), uniforms, sample_idx)
         assert mixed.status == full.status > 0
         assert np.array_equal(mixed.jump_steps, full.jump_steps)
         width = phased.trajectories
@@ -478,11 +485,7 @@ class TestBlockAbort:
         )
         uniforms = np.full((10, 4), 0.9)
         uniforms[2, [1, 3]] = 0.1
-        result = run_steps(psi0, kraus, None, uniforms, np.array([0], dtype=np.int64))
-        assert result.status == -(3 + 1)
-        assert result.failed_column == 1
-        assert result.failure == "overflow"
-        assert result.jump_columns.tolist() == [1, 3]
+        assert _failure(psi0, kraus, uniforms) == ("overflow", 3, 1)
 
 
 #: Two qubits, basis index 2 q0 + q1, states in the computational basis.
@@ -512,34 +515,15 @@ class TestBlockCollapse:
         uniforms = np.full((10, 4), 0.9)
         uniforms[2, [1, 3]] = _DOWN_A
         uniforms[6, 0] = _DOWN_A
-        result = run_steps(
-            _COLLAPSE_PSI0, _COLLAPSE_KRAUS, None, uniforms,
-            np.array([0], dtype=np.int64),
-        )
-        assert result.status == -(3 + 1)
-        assert result.failed_column == 1
-        assert result.failure == "collapse"
-        assert result.jump_steps.tolist() == [2, 2]
-        assert result.jump_columns.tolist() == [1, 3]
-        assert result.jump_channels.tolist() == [0, 0]
+        assert _failure(_COLLAPSE_PSI0, _COLLAPSE_KRAUS, uniforms) == ("collapse", 3, 1)
 
     def test_collapse_wins_over_a_later_overflow_in_its_chunk(self):
         # Column 2 collapses at step 3; column 0 fires "b" at step 4 and
-        # would overflow at step 5.  The earlier collapse is reported, and
-        # the log stops at its step.
+        # would overflow at step 5.  The earlier collapse is reported.
         uniforms = np.full((10, 4), 0.9)
         uniforms[2, 2] = _DOWN_A
         uniforms[4, 0] = _DOWN_B
-        result = run_steps(
-            _COLLAPSE_PSI0, _COLLAPSE_KRAUS, None, uniforms,
-            np.array([0], dtype=np.int64),
-        )
-        assert result.status == -(3 + 1)
-        assert result.failed_column == 2
-        assert result.failure == "collapse"
-        assert list(zip(result.jump_steps.tolist(), result.jump_columns.tolist(),
-                        result.jump_channels.tolist())) == [(2, 2, 0)]
-        assert result.jump_counts[-1] == 1
+        assert _failure(_COLLAPSE_PSI0, _COLLAPSE_KRAUS, uniforms) == ("collapse", 3, 2)
 
     @pytest.mark.parametrize(
         "down, what",
@@ -556,8 +540,7 @@ class TestBlockCollapse:
             trajectories=4, feedback_enabled=False, driving_enabled=False,
         )
         setup = trajectory.SimulationSetup(
-            kraus=_COLLAPSE_KRAUS, corrections=None, psi0=_COLLAPSE_PSI0,
-            times=np.arange(11.0), sample_indices=np.array([0], dtype=np.int64),
+            kraus=_COLLAPSE_KRAUS, corrections=None, psi0=_COLLAPSE_PSI0
         )
 
         def uniforms(cfg, index):
@@ -569,4 +552,4 @@ class TestBlockCollapse:
         monkeypatch.setattr(trajectory, "_trajectory_uniforms", uniforms)
         message = rf"^{what} at step 3 \(t=3\) in trajectory 1; decrease dt$"
         with pytest.raises(StepSizeError, match=message):
-            trajectory._run_block(cfg, setup, range(4))
+            trajectory._run_block(cfg, setup, range(4), np.array([0], dtype=np.int64))

@@ -5,6 +5,7 @@ example or the benchmark harness reads it; the dense references that only
 the tests use live in ``tests/helpers.py``.
 """
 
+import dataclasses
 import importlib
 
 import pytest
@@ -67,6 +68,8 @@ REMOVED = [
     (control.Correction, "null_channel"),
     (control.ControlPlan, "sector_map"),
     (_kernels, "engine_arrays"),
+    (_kernels.BlockResult, "failed_column"),
+    (_kernels.BlockResult, "failure"),
     (trajectory, "_block_width"),
     (trajectory, "_BLOCK_BYTES"),
     (linalg, "is_unitary"),
@@ -108,3 +111,9 @@ def test_every_exported_name_resolves(module):
 def test_names_no_caller_reads_are_gone(owner, name):
     assert not hasattr(owner, name)
     assert not hasattr(jumpqec, name)
+
+
+def test_setup_holds_no_time_grid():
+    # The grid is the config's: ``run_ensemble`` derives it once.
+    fields = {field.name for field in dataclasses.fields(trajectory.SimulationSetup)}
+    assert fields == {"kraus", "corrections", "psi0"}

@@ -342,7 +342,8 @@ class TestRunTrajectory:
             duration=3.0, seed=7, trajectories=200,
         )
         setup = prepare(cfg)
-        block = _run_block(cfg, setup, range(cfg.trajectories))
+        grid = trajectory.density_sample_indices(cfg.steps)
+        block = _run_block(cfg, setup, range(cfg.trajectories), grid)
         totals = np.bincount(block.jump_channels, minlength=len(cfg.channels))
         for k, ch in enumerate(cfg.channels):
             jump = tensor_embed(effective_jump_operator(ch), ch.qubit, cfg.n)
