@@ -394,20 +394,25 @@ def verify_correctability(
     code: StabilizerCode,
     channels: list[ErrorChannel] | tuple[ErrorChannel, ...],
 ) -> CorrectabilityReport:
-    """Largest ``|<psi_i| D |psi_k>|`` on the codespace, for every channel.
+    """Largest ``|<psi_i| D |psi_k>|`` on the codespace, for every channel,
+    over ``max(1, |d|)``.
 
     ``D = d . sigma`` is the backaction at the channel's qubit ``q``.  On one
     generator it is ``|d . n_q|``: ``d``'s part across ``n_q`` anticommutes
     with the generator, and ``s_q = n_q . sigma`` is +-1 on each codespace
-    basis state.  On ``(X^n, Z^n)`` every single-qubit Pauli maps the
-    codespace to its orthogonal complement, so it is 0.
+    basis state.  Its rounding grows with ``|d|``, so a backaction longer
+    than 1 is judged relative to its length; a shorter one, as is.  On
+    ``(X^n, Z^n)`` every single-qubit Pauli maps the codespace to its
+    orthogonal complement, so it is 0.
     """
     single = len(code.generators) == 1
     residuals = []
     for ch in channels:
         if not 0 <= ch.qubit < code.n:
             raise ValueError(f"channel qubit {ch.qubit} out of range for n={code.n}")
+        bloch = ch.backaction.bloch
+        scale = max(1.0, float(np.linalg.norm(bloch)))
         axis = code.generators[0][ch.qubit]
-        residuals.append(abs(float(ch.backaction.bloch @ axis)) if single else 0.0)
+        residuals.append(abs(float(bloch @ axis)) / scale if single else 0.0)
     labels = tuple(ch.label for ch in channels)
     return CorrectabilityReport(residuals=tuple(residuals), labels=labels)

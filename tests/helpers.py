@@ -134,11 +134,12 @@ def random_suite(seed, count):
 
 
 def dense_correctability_residuals(code, channels):
-    """Largest ``|<psi_i| T |psi_k>|`` per channel, from the codespace rows.
+    """Largest ``|<psi_i| T |psi_k>|`` per channel over ``max(1, |d|)``,
+    from the codespace rows.
 
     The reference for :func:`jumpqec.verify_correctability`: ``T`` is the
-    channel's traceless backaction at its qubit and, on the ``(X^n, Z^n)``
-    pair, also each of its Pauli-axis terms on its own.
+    channel's traceless backaction ``d . sigma`` at its qubit and, on the
+    ``(X^n, Z^n)`` pair, also each of its Pauli-axis terms on its own.
     """
     bra, ket = code.codespace.conj(), np.ascontiguousarray(code.codespace.T)
     residuals = []
@@ -147,7 +148,8 @@ def dense_correctability_residuals(code, channels):
         terms = [ba.matrix]
         if len(code.generators) == 2:
             terms += [d * pauli for d, pauli in zip(ba.bloch, PAULIS)]
-        residuals.append(max(max_abs(bra @ on_qubit(t, ch.qubit, ket)) for t in terms))
+        largest = max(max_abs(bra @ on_qubit(t, ch.qubit, ket)) for t in terms)
+        residuals.append(largest / max(1.0, np.linalg.norm(ba.bloch)))
     return residuals
 
 

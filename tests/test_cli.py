@@ -87,11 +87,16 @@ class TestParseConfig:
     def test_unknown_top_level_field(self):
         with pytest.raises(ConfigError, match="'fidelity'"):
             parse_config(json.dumps(minimal_doc(fidelity=1)))
+        with pytest.raises(ConfigError, match="^config: top level must be an object$"):
+            parse_config(json.dumps([minimal_doc()]))
 
     def test_unknown_channel_field(self):
         doc = minimal_doc()
         doc["channels"][0]["rate"] = 2.0
         with pytest.raises(ConfigError, match=r"channels\[0\].*'rate'"):
+            parse_config(json.dumps(doc))
+        doc = minimal_doc(channels=[[0, SIGMA_MINUS_JSON]])
+        with pytest.raises(ConfigError, match=r"^channels\[0\]: must be an object$"):
             parse_config(json.dumps(doc))
 
     def test_malformed_json_location(self):
@@ -105,10 +110,15 @@ class TestParseConfig:
             parse_config(json.dumps(doc))
 
     def test_bad_operator_shape(self):
-        doc = minimal_doc()
-        doc["channels"][0]["E"] = [[[0, 0], [1, 0]]]
-        with pytest.raises(ConfigError, match=r"channels\[0\]\.E"):
-            parse_config(json.dumps(doc))
+        # One row, then a row that is not a list.
+        for operator in ([[[0, 0], [1, 0]]], [[[0, 0], [1, 0]], "row"]):
+            doc = minimal_doc()
+            doc["channels"][0]["E"] = operator
+            with pytest.raises(
+                ConfigError,
+                match=r"^channels\[0\]\.E: must be a 2x2 array of \[re, im\] pairs$",
+            ):
+                parse_config(json.dumps(doc))
 
     def test_bad_complex_entry(self):
         doc = minimal_doc()
@@ -125,6 +135,8 @@ class TestParseConfig:
     def test_boolean_is_not_a_number(self):
         with pytest.raises(ConfigError, match="boolean"):
             parse_config(json.dumps(minimal_doc(dt=True)))
+        with pytest.raises(ConfigError, match="^config: field 'n' has the wrong type$"):
+            parse_config(json.dumps(minimal_doc(n="2")))
 
     def test_initial_state_pairs(self):
         doc = minimal_doc(n=2, initial_state=[[1, 0], [0, 1]])
@@ -144,6 +156,12 @@ class TestParseConfig:
         doc["channels"] = []
         with pytest.raises(ConfigError, match=r"code_override\[0\]"):
             parse_config(json.dumps(doc))
+        for row in ([0, 1], [0, True, 0], "xyz"):
+            doc["code_override"] = [[[0, 0, 1], row]]
+            with pytest.raises(
+                ConfigError, match=r"^code_override\[0\]\[1\]: needs an \[x, y, z\] triple$"
+            ):
+                parse_config(json.dumps(doc))
 
     def test_code_override_parsed(self):
         doc = minimal_doc(n=2, code_override=[[[0, 0, 1], [0, 0, 1]]])
@@ -277,6 +295,12 @@ README_DOC = minimal_doc(
 )
 
 
+#: Dephasing at rate 0 has no backaction: no driving, and a pass without it.
+DEPHASING_DOC = minimal_doc(n=2, channels=[
+    {"qubit": q, "E": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]} for q in range(2)
+])
+
+
 def tilted_readme_doc(eps):
     """README-shaped config overriding its synthesized code, with qubit 0's
     axis tilted by ``eps`` radians toward that qubit's backaction axis."""
@@ -304,6 +328,12 @@ class TestExecute:
         assert manifest.outputs == (out,)
         assert manifest.config_digest == report["config_digest"]
 
+        config = write_config(tmp_path, DEPHASING_DOC, "dephasing.json")
+        code, _ = execute(["synthesize", "--config", config, "--output", out, "--force"])
+        assert code == 0
+        assert "\ndriving Hamiltonian: 0\n" in capsys.readouterr().out
+        assert json.loads((tmp_path / "synth.json").read_text())["hamiltonian"] == []
+
     def test_verify_pass(self, tmp_path, capsys):
         config = write_config(tmp_path, rank3_doc(4))
         out = str(tmp_path / "verify.json")
@@ -326,11 +356,7 @@ class TestExecute:
         "doc, flags",
         [
             (rank3_doc(4), []),
-            # Dephasing has no backaction, so it passes without driving.
-            (minimal_doc(n=2, channels=[
-                {"qubit": q, "E": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]}
-                for q in range(2)
-            ]), ["--no-driving"]),
+            (DEPHASING_DOC, ["--no-driving"]),
         ],
         ids=["driven", "undriven"],
     )
@@ -442,6 +468,20 @@ class TestExecute:
         assert capsys.readouterr().out.startswith("3 trajectories, 10 steps:")
         parsed = parse_config((tmp_path / "config.json").read_text())
         assert manifest.config_digest == config_digest(replace(parsed, trajectories=3))
+        # Every other override flag sets its own field, and only that one.
+        for flags, field, value in [
+            (["--seed", "9"], "seed", 9),
+            (["--dt", "0.025"], "dt", 0.025),
+            (["--no-feedback"], "feedback_enabled", False),
+            (["--no-driving"], "driving_enabled", False),
+        ]:
+            code, manifest = execute(
+                ["simulate", "--config", config, "--output", out, "--force", *flags]
+            )
+            assert code == 0, flags
+            expected = config_digest(replace(parsed, **{field: value}))
+            assert manifest.config_digest == expected, flags
+        capsys.readouterr()
 
     @pytest.mark.parametrize(
         "initial_state, message",
@@ -768,6 +808,23 @@ class TestChannelBackaction:
         out = str(tmp_path / "out")
         code, _ = execute([command, "--config", config, "--output", out])
         assert code == 0, capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["synthesize", "verify", "simulate"])
+    def test_si_rate_code_passes_its_own_check(self, tmp_path, capsys, command):
+        # Rates near 1e6 per second: the synthesized code's residual is
+        # rounding in proportion to the backaction's size, and passes.
+        doc = minimal_doc(n=2, dt=1e-8, duration=1e-6, channels=[
+            {"qubit": q, "E": [[[0, 0], [3000, 0]], [[0, 0], [0, 0]]], "gamma": 900}
+            for q in range(2)
+        ])
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        code, _ = execute([command, "--config", config, "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        if command == "verify":
+            checks = json.loads(out.read_text())["checks"]
+            assert checks["correctability"]["max_residual"] <= 1e-14
 
     def test_overflowing_channel_exits_2_naming_it(self, tmp_path, capsys):
         doc = minimal_doc(channels=[
