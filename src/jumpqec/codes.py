@@ -376,7 +376,8 @@ def anticommuting_terms(
 
 @dataclass(frozen=True, eq=False)
 class CorrectabilityReport:
-    """Per-channel maxima of codespace backaction matrix elements."""
+    """Per-channel maxima of codespace backaction matrix elements, each over
+    ``max(1, |d|)`` (:func:`verify_correctability`)."""
 
     residuals: tuple[float, ...]
     labels: tuple[str | int | None, ...]

@@ -1,4 +1,5 @@
 import builtins
+import dataclasses
 import errno
 import itertools
 import json
@@ -77,6 +78,13 @@ class TestParseConfig:
         ch = cfg.channels[0]
         assert ch.label == 0 and ch.gamma == 0.0 and ch.phi == 0.0
         assert_allclose(ch.operator, [[0, 1], [0, 0]])
+
+    def test_every_simconfig_field_has_one_key(self):
+        # The table is the format: each field is read from, and written to,
+        # exactly one key, and exactly the fields without defaults are required.
+        fields = [field for field, _ in cli._FIELDS.values()]
+        assert sorted(fields) == sorted(f.name for f in dataclasses.fields(SimConfig))
+        assert cli._REQUIRED == {"n", "dt", "duration", "channels"}
 
     def test_missing_required_field(self):
         doc = minimal_doc()
