@@ -467,10 +467,10 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=helptext)
         cmd.add_argument("--config", required=True, help="JSON config path")
         cmd.add_argument("--output", help="output file path")
+        # Each override flag's dest is the SimConfig field it sets.
         cmd.add_argument("--trajectories", type=int, help="override trajectory count")
         cmd.add_argument("--seed", type=int, help="override RNG seed")
         cmd.add_argument("--dt", type=float, help="override time step")
-        # Each override flag's dest is the SimConfig field it sets.
         cmd.add_argument(
             "--no-feedback", dest="feedback_enabled", action="store_false",
             default=None, help="disable jump corrections",

@@ -167,7 +167,8 @@ class TestParseConfig:
         for row in ([0, 1], [0, True, 0], "xyz"):
             doc["code_override"] = [[[0, 0, 1], row]]
             with pytest.raises(
-                ConfigError, match=r"^code_override\[0\]\[1\]: needs an \[x, y, z\] triple$"
+                ConfigError,
+                match=r"^code_override\[0\]\[1\]: needs an \[x, y, z\] triple$",
             ):
                 parse_config(json.dumps(doc))
 
@@ -337,7 +338,9 @@ class TestExecute:
         assert manifest.config_digest == report["config_digest"]
 
         config = write_config(tmp_path, DEPHASING_DOC, "dephasing.json")
-        code, _ = execute(["synthesize", "--config", config, "--output", out, "--force"])
+        code, _ = execute(
+            ["synthesize", "--config", config, "--output", out, "--force"]
+        )
         assert code == 0
         assert "\ndriving Hamiltonian: 0\n" in capsys.readouterr().out
         assert json.loads((tmp_path / "synth.json").read_text())["hamiltonian"] == []
