@@ -50,10 +50,9 @@ from .linalg import IDENTITY, PAULIS
 from .trajectory import (
     SimConfig,
     StepSizeError,
-    master_equation_oracle,
+    oracle_distances,
     run_ensemble,
     simulation_code,
-    trace_distance,
 )
 
 __all__ = [
@@ -70,7 +69,8 @@ __all__ = [
 #: Residual above which the no-jump operator fails to act as a scalar.
 NOJUMP_ATOL = 1e-12
 
-#: Pauli-product coefficients below this are dropped from listings.
+#: Pauli-product coefficients, and imaginary parts, at most this times the
+#: listing's largest modulus (or this, below a modulus of 1) are rounding.
 PAULI_PRUNE_TOL = 1e-12
 
 #: The config document's top-level keys in read order, each with the
@@ -302,9 +302,9 @@ def pauli_coefficients(
 
     Labels are strings over ``IXYZ`` with the leftmost letter acting on
     qubit 0, listed in lexicographic order; coefficients of modulus at
-    most ``tol`` are dropped.  Each qubit's (row, column) bit pair is one
-    axis of length 4, mapped to ``(I, X, Y, Z)`` by one 4x4 product, from
-    qubit 0 on.
+    most ``tol * max(1, max |c|)`` are dropped, so the cut follows the
+    listing's scale.  Each qubit's (row, column) bit pair is one axis of
+    length 4, mapped to ``(I, X, Y, Z)`` by one 4x4 product, from qubit 0 on.
     """
     matrix = np.asarray(matrix, dtype=np.complex128)
     n = matrix.shape[0].bit_length() - 1
@@ -312,15 +312,22 @@ def pauli_coefficients(
     coeffs = matrix.reshape((2,) * 2 * n).transpose(pairs)
     for _ in range(n):  # the leading qubit axis goes, its Pauli axis comes last
         coeffs = coeffs.reshape(4, -1).T @ _PAULI_ROWS.T
+    moduli = np.abs(coeffs)
+    cut = _prune_cut(moduli.max(initial=0.0), tol)
     letters = str.maketrans("0123", "IXYZ")
     return [
         (np.base_repr(i, 4).rjust(n, "0").translate(letters), complex(coeffs.flat[i]))
-        for i in np.flatnonzero(np.abs(coeffs) > tol)
+        for i in np.flatnonzero(moduli > cut)
     ]
 
 
-def _format_coeff(value: complex) -> str:
-    if abs(value.imag) <= PAULI_PRUNE_TOL:
+def _prune_cut(scale: float, tol: float = PAULI_PRUNE_TOL) -> float:
+    """The cut for rounding in a listing whose largest modulus is ``scale``."""
+    return tol * max(1.0, scale)
+
+
+def _format_coeff(value: complex, scale: float) -> str:
+    if abs(value.imag) <= _prune_cut(scale):
         return f"{value.real:+.6g}"
     return f"({value.real:+.6g}{value.imag:+.6g}j)"
 
@@ -339,9 +346,10 @@ def _cmd_synthesize(cfg: SimConfig) -> tuple[int, Iterable[str]]:
     frame_h = -1j * code.dense(plan.driving_terms)  # the terms sum to i H
     terms = pauli_coefficients(code.operator_from_frame(frame_h))
     if terms:
+        scale = max(abs(value) for _, value in terms)
         print("driving Hamiltonian (Pauli coefficients):")
         for label, value in terms:
-            print(f"  {label}: {_format_coeff(value)}")
+            print(f"  {label}: {_format_coeff(value, scale)}")
     else:
         print("driving Hamiltonian: 0")
     report = {
@@ -438,11 +446,7 @@ def _cmd_oracle_compare(cfg: SimConfig) -> tuple[int, Iterable[str]]:
             '"feedback": false): the master-equation oracle has no jump '
             "corrections, so the distance would mean nothing"
         )
-    # The oracle goes first, so that RK4 work over its budget is refused
-    # before any trajectory runs.
-    times, oracle = master_equation_oracle(cfg)
-    result = run_ensemble(cfg, collect_density=True)
-    distances = trace_distance(result.mean_density, oracle)
+    times, distances = oracle_distances(cfg)
     rows = ("%.17g,%.17g\n" % row for row in zip(times, distances))
     print(
         f"max trace distance {distances.max():.6f} over {len(distances)} sampled times"

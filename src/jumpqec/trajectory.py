@@ -29,10 +29,12 @@ density series or a run's per-step series larger than
 The oracle evolves the unconditioned master equation on the ensemble's
 density grid, from the same Kraus set's no-jump generator and jumps, by
 exact per-qubit propagation when undriven and by fixed-step RK4 when
-driven, and is used to cross-validate ensemble means; it rotates those
-operators back once and evolves in the computational basis.  Undriven, the
-series is evolved 16 samples per product from each chunk's settled first
-sample; every sample is still settled and checked.
+driven, and is used to cross-validate ensemble means.  Like the ensemble
+it evolves in the frame, and its series is rotated back on return.
+Undriven, the series is evolved 16 samples per product from each chunk's
+settled first sample; every sample is still settled and checked.
+:func:`oracle_distances` compares the two holding one series: the blocks
+add their density sums straight into ``-N`` times the oracle's frame series.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ __all__ = [
     "prepare",
     "run_ensemble",
     "master_equation_oracle",
+    "oracle_distances",
     "trace_distance",
     "density_sample_indices",
 ]
@@ -315,7 +318,9 @@ def _run_block(
 ) -> _kernels.BlockResult:
     """Run trajectories ``indices`` as one block; a failed step raises
     :class:`StepSizeError`, naming its trajectory."""
-    uniforms = np.stack([_trajectory_uniforms(cfg, i) for i in indices], axis=1)
+    uniforms = np.empty((cfg.steps, len(indices)))
+    for column, i in enumerate(indices):
+        uniforms[:, column] = _trajectory_uniforms(cfg, i)
     try:
         return _kernels.run_steps(
             setup.psi0, setup.kraus, setup.corrections, uniforms, sample_indices,
@@ -358,19 +363,37 @@ def run_ensemble(cfg: SimConfig, collect_density: bool = True) -> EnsembleResult
     over ``DENSITY_BUDGET_BYTES`` raises ``ValueError`` before any setup; a
     step too large for its trajectory raises :class:`StepSizeError`.
     """
-    steps = cfg.steps
-    sample_indices = density_sample_indices(steps)
+    sample_indices = density_sample_indices(cfg.steps)
     if collect_density:
         _require_density_budget(cfg, sample_indices.shape[0])
     setup = prepare(cfg)
-    dim = setup.psi0.shape[0]
+    rho_sum = None
+    if collect_density:
+        dim = setup.psi0.shape[0]
+        rho_sum = np.zeros((sample_indices.shape[0], dim, dim), dtype=np.complex128)
+    record = _run_blocks(cfg, setup, sample_indices, rho_sum)
+    if rho_sum is None:
+        return EnsembleResult(record, None, None)
+    rho_sum /= cfg.trajectories  # in place, so the mean is not a second series
+    _rotate_back(setup.code, rho_sum)
+    return EnsembleResult(record, sample_indices * cfg.dt, rho_sum)
+
+
+def _run_blocks(
+    cfg: SimConfig,
+    setup: SimulationSetup,
+    sample_indices: np.ndarray,
+    rho_sum: np.ndarray | None,
+) -> FidelityRecord:
+    """Run every trajectory of ``cfg`` block by block and pool their statistics.
+
+    Each block adds its frame density sums ``psi psi^dag`` into ``rho_sum``
+    at ``sample_indices`` when it is given, whatever it holds already.
+    """
+    steps, n_traj = cfg.steps, cfg.trajectories
     infid_sum = np.zeros(steps + 1)
     infid_m2 = np.zeros(steps + 1)
     jump_sum = np.zeros(steps + 1, dtype=np.int64)
-    rho_sum = None
-    if collect_density:
-        rho_sum = np.zeros((sample_indices.shape[0], dim, dim), dtype=np.complex128)
-    n_traj = cfg.trajectories
     width = _kernels.block_width(setup.kraus, steps)
     for start in range(0, n_traj, width):
         indices = range(start, min(start + width, n_traj))
@@ -381,18 +404,21 @@ def run_ensemble(cfg: SimConfig, collect_density: bool = True) -> EnsembleResult
         infid_sum += block.infid_sum
         infid_m2 += block.infid_m2
         jump_sum += block.jump_counts
-    record = FidelityRecord(
+    return FidelityRecord(
         times=np.arange(steps + 1) * cfg.dt,
         mean_fidelity=np.clip(1.0 - infid_sum / n_traj, 0.0, 1.0),
         std_fidelity=np.sqrt(infid_m2 / n_traj),
         jump_counts=jump_sum,
     )
-    if rho_sum is None:
-        return EnsembleResult(record, None, None)
-    rho_sum /= n_traj  # in place, so the mean is not a second series
-    for i in range(0, rho_sum.shape[0], CHUNK):  # small temporaries
-        rho_sum[i : i + CHUNK] = setup.code.operator_from_frame(rho_sum[i : i + CHUNK])
-    return EnsembleResult(record, sample_indices * cfg.dt, rho_sum)
+
+
+def _rotate_back(code: StabilizerCode, series: np.ndarray) -> None:
+    """Rotate a frame density series to the computational basis in place.
+
+    ``CHUNK`` samples at a time keep the temporaries small.
+    """
+    for i in range(0, series.shape[0], CHUNK):
+        series[i : i + CHUNK] = code.operator_from_frame(series[i : i + CHUNK])
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
@@ -424,23 +450,55 @@ def master_equation_oracle(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     16 samples per product from each chunk's settled first sample;
     otherwise the density moves by classical fixed-step RK4 with internal
     substeps no longer than 1e-3 of the characteristic evolution time.  The
-    operators are rotated to the computational basis once, and the density
-    evolves there; every sample (every grid step under RK4) is
-    re-symmetrized, and a trace drift beyond 1e-6 aborts.  Returns
-    ``(sampled times, density matrices)``; a series over
-    ``DENSITY_BUDGET_BYTES`` raises ``ValueError`` before any setup, and
-    RK4 work over ``RK4_WORK_BUDGET`` before the first substep.
+    density evolves in the code's eigenframe from ``psi0 psi0^dag``, and the
+    series is rotated back to the computational basis on return; every
+    sample (every grid step under RK4) is re-symmetrized, and a trace drift
+    beyond 1e-6 aborts.  Returns ``(sampled times, density matrices)``; a
+    series over ``DENSITY_BUDGET_BYTES`` raises ``ValueError`` before any
+    setup, and RK4 work over ``RK4_WORK_BUDGET`` before the first substep.
     """
     sample_indices = density_sample_indices(cfg.steps)
     _require_density_budget(cfg, sample_indices.shape[0])
     setup = prepare(replace(cfg, feedback_enabled=False))
-    psi0 = setup.initial
-    rho0 = np.outer(psi0, psi0.conj())
-    if any(generator is not None for _, _, generator in setup.kraus.terms):
-        series = _rk4_series(setup.kraus, sample_indices, rho0)
-    else:
-        series = _product_series(setup.kraus, sample_indices, rho0)
+    series = _frame_oracle(setup, sample_indices)
+    _rotate_back(setup.code, series)
     return sample_indices * cfg.dt, series
+
+
+def oracle_distances(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Trace distance of the ensemble's mean density to the oracle's per sample.
+
+    Equal to ``trace_distance(run_ensemble(cfg).mean_density,
+    master_equation_oracle(cfg)[1])``, but one density series is held: the
+    oracle's frame series, scaled in place by ``-N`` for ``N`` trajectories,
+    gains each block's density sums and is divided by ``N``.  The trace norm
+    does not see the frame, so nothing is rotated.  The config is prepared
+    once; the oracle evolves first, so RK4 work over ``RK4_WORK_BUDGET`` is
+    refused before any trajectory runs.  Returns ``(sampled times,
+    distances)``.  Feedback on raises ``ValueError``, and so does a series
+    over ``DENSITY_BUDGET_BYTES``, before any setup.
+    """
+    if cfg.feedback_enabled:
+        raise ValueError(
+            "oracle_distances needs feedback off: the master-equation oracle has "
+            "no jump corrections, so the distance would mean nothing"
+        )
+    sample_indices = density_sample_indices(cfg.steps)
+    _require_density_budget(cfg, sample_indices.shape[0])
+    setup = prepare(cfg)
+    diff = _frame_oracle(setup, sample_indices)
+    diff *= -cfg.trajectories
+    _run_blocks(cfg, setup, sample_indices, diff)
+    diff /= cfg.trajectories
+    return sample_indices * cfg.dt, trace_distance(diff, 0.0)
+
+
+def _frame_oracle(setup: SimulationSetup, sample_indices: np.ndarray) -> np.ndarray:
+    """The oracle's density series in the frame, from ``setup.psi0``."""
+    rho0 = np.outer(setup.psi0, setup.psi0.conj())
+    if any(generator is not None for _, _, generator in setup.kraus.terms):
+        return _rk4_series(setup.kraus, sample_indices, rho0)
+    return _product_series(setup.kraus, sample_indices, rho0)
 
 
 def _settle(rhos: np.ndarray, times: np.ndarray, remedy: str) -> None:
@@ -462,11 +520,11 @@ def _settle(rhos: np.ndarray, times: np.ndarray, remedy: str) -> None:
 def _rk4_series(
     ks: KrausSet, sample_indices: np.ndarray, rho0: np.ndarray
 ) -> np.ndarray:
-    """RK4 over the grid from ``rho0``, settling every grid step.
+    """RK4 over the grid from the frame density ``rho0``, settling every grid step.
 
     ``K`` and the jumps are densified once in the frame by
-    :meth:`.codes.StabilizerCode.dense`, where the substep rule reads
-    ``K``'s anti-Hermitian part, and rotated back once.  Work over
+    :meth:`.codes.StabilizerCode.dense`, where the density evolves and the
+    substep rule reads ``K``'s anti-Hermitian part.  Work over
     ``RK4_WORK_BUDGET`` raises ``ValueError`` before the first substep.
     """
     code, dim = ks.code, 2**ks.n
@@ -494,7 +552,6 @@ def _rk4_series(
             "qubits or a shorter duration"
         )
 
-    ops = code.operator_from_frame(ops)
     k, jumps = ops[0], ops[1:]
     k_dag = k.conj().T
     wide = jumps.transpose(1, 0, 2).reshape(dim, -1)  # columns A_1 | ... | A_m
@@ -528,8 +585,7 @@ def _propagator_increments(
     4x4 matrix, on the row-major ``vec`` of a one-qubit density, of the
     Lindblad generator of qubit ``q``: ``K_q`` is minus the sum of the
     Kraus set's terms on ``q``, which must all be local, and the ``A_k`` are
-    the factors of its channels over ``sqrt(dt)``.  Built in the frame, it
-    is rotated to the computational basis by ``V_q (x) conj(V_q)``.
+    the factors of its channels over ``sqrt(dt)``, all frame data.
     """
     eye = np.eye(2)
     local = {ch.qubit: np.zeros((4, 4), dtype=np.complex128) for ch in ks.channels}
@@ -538,13 +594,9 @@ def _propagator_increments(
     for ch, factor in zip(ks.channels, ks.factors):
         a = factor / math.sqrt(ks.dt)
         local[ch.qubit] += np.kron(a, a.conj())
-    frames = ks.code.frames
     qubits = sorted(local)
     increments = np.empty((len(qubits), 4, 4), dtype=np.complex128)
     for row, q in enumerate(qubits):
-        if frames is not None:
-            w = np.kron(frames[q], frames[q].conj())
-            local[q] = w @ local[q] @ w.conj().T
         increments[row] = expm1(local[q] * tau)
     return qubits, increments
 
@@ -552,7 +604,7 @@ def _propagator_increments(
 def _product_series(
     ks: KrausSet, sample_indices: np.ndarray, rho0: np.ndarray
 ) -> np.ndarray:
-    """Exact per-qubit propagation of ``rho0`` over ``sample_indices``.
+    """Exact per-qubit propagation of frame density ``rho0`` over ``sample_indices``.
 
     Every gap but the last is the stride; the last may be shorter.  The samples
     go in chunks of 16: sample ``j`` of a chunk is its settled first

@@ -241,6 +241,16 @@ class TestPauliCoefficients:
             ("IIZ", 0.25), ("IZX", 0.5), ("XII", -0.75), ("ZYI", 0.25j)
         ]
 
+    def test_cut_follows_the_listing_scale(self):
+        # Below a largest modulus of 1 the cut is tol itself; above, it grows
+        # with the listing, in the pruning and in the printed imaginary part.
+        small = 0.25 * pauli_product("XY") + 1e-11j * pauli_product("ZZ")
+        assert [label for label, _ in pauli_coefficients(small)] == ["XY", "ZZ"]
+        large = 1e6 * pauli_product("XY") + 1e-9j * pauli_product("ZZ")
+        assert pauli_coefficients(large) == [("XY", 1e6)]
+        assert cli._format_coeff(1e6 + 1e-9j, 1e6) == "+1e+06"
+        assert cli._format_coeff(0.5 + 1e-9j, 0.5) == "(+0.5+1e-09j)"
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_every_coefficient_is_the_trace(self, n):
         rng = np.random.default_rng(40 + n)
@@ -577,7 +587,7 @@ class TestExecute:
         def reached(*args, **kwargs):
             raise AssertionError("trajectories or RK4 reached")
 
-        monkeypatch.setattr(cli, "run_ensemble", reached)
+        monkeypatch.setattr(trajectory, "_run_block", reached)
         monkeypatch.setattr(trajectory, "_settle", reached)
         doc = minimal_doc(
             n=8,
@@ -812,6 +822,13 @@ LARGE_RATE_DOC = minimal_doc(n=2, dt=1e-7, duration=1e-5, trajectories=2, channe
 ])
 
 
+#: Two relaxation channels at rates near 1e6 per second.
+SI_RATE_DOC = minimal_doc(n=2, dt=1e-8, duration=1e-6, channels=[
+    {"qubit": q, "E": [[[0, 0], [3000, 0]], [[0, 0], [0, 0]]], "gamma": 900}
+    for q in range(2)
+])
+
+
 class TestChannelBackaction:
     @pytest.mark.parametrize("command", ["synthesize", "verify", "simulate"])
     def test_large_rate_channel_runs(self, tmp_path, capsys, command):
@@ -824,11 +841,7 @@ class TestChannelBackaction:
     def test_si_rate_code_passes_its_own_check(self, tmp_path, capsys, command):
         # Rates near 1e6 per second: the synthesized code's residual is
         # rounding in proportion to the backaction's size, and passes.
-        doc = minimal_doc(n=2, dt=1e-8, duration=1e-6, channels=[
-            {"qubit": q, "E": [[[0, 0], [3000, 0]], [[0, 0], [0, 0]]], "gamma": 900}
-            for q in range(2)
-        ])
-        config = write_config(tmp_path, doc)
+        config = write_config(tmp_path, SI_RATE_DOC)
         out = tmp_path / "out"
         code, _ = execute([command, "--config", config, "--output", str(out)])
         captured = capsys.readouterr()
@@ -836,6 +849,17 @@ class TestChannelBackaction:
         if command == "verify":
             checks = json.loads(out.read_text())["checks"]
             assert checks["correctability"]["max_residual"] <= 1e-14
+
+    def test_si_rate_listing_is_real(self, tmp_path, capsys):
+        # The driving terms near 1e6 carry rounding of about 1e-10 in the
+        # other coefficients, which the listing's cut drops.
+        config = write_config(tmp_path, SI_RATE_DOC)
+        out = tmp_path / "out"
+        code, _ = execute(["synthesize", "--config", config, "--output", str(out)])
+        assert code == 0
+        terms = json.loads(out.read_text())["hamiltonian"]
+        assert terms and all(term["im"] == 0.0 for term in terms)
+        assert "j)" not in capsys.readouterr().out
 
     def test_overflowing_channel_exits_2_naming_it(self, tmp_path, capsys):
         doc = minimal_doc(channels=[
@@ -877,7 +901,7 @@ class TestOutputFile:
         def reached(*args, **kwargs):
             raise AssertionError("work reached")
 
-        for name in ("simulation_code", "run_ensemble", "master_equation_oracle"):
+        for name in ("simulation_code", "run_ensemble", "oracle_distances"):
             monkeypatch.setattr(cli, name, reached)
 
     @pytest.mark.parametrize("command", COMMANDS)

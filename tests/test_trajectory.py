@@ -214,6 +214,8 @@ class TestOperatorBudget:
         for driving in (True, False):
             oracle = master_equation_oracle(replace(cfg, driving_enabled=driving))
             assert oracle[1].shape == (21, 2**n, 2**n)
+            bare = replace(cfg, feedback_enabled=False, driving_enabled=driving)
+            assert trajectory.oracle_distances(bare)[1].shape == (21,)
 
     def test_refused_before_synthesis_at_twelve_qubits(self, monkeypatch):
         monkeypatch.setattr(trajectory, "build_code", _reached_synthesis)
@@ -374,6 +376,24 @@ class TestStateComparisons:
         assert trace_distance(a, b) == pytest.approx(1.0)
 
 
+#: Rank-3 pair, n=4, 1001 samples of 16 x 16: one density series is 4 MB.
+ONE_SERIES_CFG = SimConfig(
+    n=4, channels=rank3_channels(4), dt=1e-3, duration=1.0,
+    trajectories=20, feedback_enabled=False, driving_enabled=False,
+)
+
+
+def _traced_peak(run, cfg):
+    """``run(cfg)`` and the peak of the memory it traced."""
+    tracemalloc.start()
+    try:
+        result = run(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 class TestRunEnsemble:
     def test_single_trajectory_matches(self):
         cfg = SimConfig(
@@ -460,7 +480,7 @@ class TestRunEnsemble:
             n=10, channels=relaxation_channels(10), dt=1e-3, duration=1.0,
             feedback_enabled=False, driving_enabled=False,
         )
-        for run in (run_ensemble, master_equation_oracle):
+        for run in (run_ensemble, master_equation_oracle, trajectory.oracle_distances):
             with pytest.raises(ValueError, match=r"15\.6 GiB.*collect_density=False"):
                 run(cfg)
 
@@ -474,16 +494,7 @@ class TestRunEnsemble:
     def test_mean_density_peak_is_about_one_series(self):
         # The budget counts one density series; dividing the sum into a
         # second array for the mean would double the peak.
-        cfg = SimConfig(
-            n=4, channels=rank3_channels(4), dt=1e-3, duration=1.0,
-            trajectories=20, feedback_enabled=False, driving_enabled=False,
-        )
-        tracemalloc.start()
-        try:
-            res = run_ensemble(cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        res, peak = _traced_peak(run_ensemble, ONE_SERIES_CFG)
         assert peak <= 1.5 * res.mean_density.nbytes
 
     def test_protected_infidelity_at_machine_precision(self):
@@ -732,3 +743,49 @@ class TestExactOracle:
             return total
 
         assert 1.37 <= distance(100) / distance(400) <= 2.75
+
+
+class TestOracleDistances:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            _undriven(rank3_channels(4), 4, duration=0.2, seed=3, trajectories=30),
+            _undriven(relaxation_channels(2, gamma=0.3), 2, duration=0.5, seed=4,
+                      trajectories=40),
+            replace(_undriven(relaxation_channels(2, gamma=0.3), 2, duration=0.5,
+                              seed=5, trajectories=40), driving_enabled=True),
+        ],
+        ids=["generator-pair", "one-generator", "one-generator-driven"],
+    )
+    def test_equals_the_distance_of_the_two_series(self, monkeypatch, cfg):
+        rk4_calls = []
+        rk4 = trajectory._rk4_series
+        monkeypatch.setattr(
+            trajectory, "_rk4_series", lambda *a: rk4_calls.append(1) or rk4(*a)
+        )
+        times, distances = trajectory.oracle_distances(cfg)
+        assert bool(rk4_calls) == cfg.driving_enabled  # driven takes RK4
+        oracle_times, oracle = master_equation_oracle(cfg)
+        mean = run_ensemble(cfg).mean_density
+        assert np.array_equal(times, oracle_times)
+        assert distances.max() > 1e-3  # a finite ensemble misses the mean
+        assert np.max(np.abs(distances - trace_distance(mean, oracle))) <= 1e-14
+
+    def test_blocks_add_into_the_one_series(self, monkeypatch):
+        cfg = _undriven(rank3_channels(2), 2, duration=0.2, seed=6, trajectories=23)
+        _, one_block = trajectory.oracle_distances(cfg)
+        monkeypatch.setattr(_kernels, "block_width", lambda kraus, steps: 5)
+        _, five_blocks = trajectory.oracle_distances(cfg)
+        assert np.max(np.abs(five_blocks - one_block)) <= 1e-14
+
+    def test_peak_is_about_one_series(self):
+        # Holding the oracle's series next to the ensemble's would double it.
+        samples = trajectory.density_sample_indices(ONE_SERIES_CFG.steps).shape[0]
+        series = samples * 16 * 16 * np.dtype(np.complex128).itemsize
+        _, peak = _traced_peak(trajectory.oracle_distances, ONE_SERIES_CFG)
+        assert peak <= 1.5 * series
+
+    def test_feedback_on_is_refused(self):
+        cfg = replace(_undriven(relaxation_channels(2), 2), feedback_enabled=True)
+        with pytest.raises(ValueError, match="needs feedback off"):
+            trajectory.oracle_distances(cfg)
