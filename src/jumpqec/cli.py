@@ -3,7 +3,9 @@
 Subcommands:
 
 * ``synthesize`` - build the code and driving Hamiltonian, print them,
-  and write a JSON report.
+  and write a JSON report.  The Hamiltonian is reported as the control
+  plan's own terms: each term's Hermitian 2x2 factor on its qubit, which
+  the term's generator (if any) completes on the other qubits.
 * ``verify``     - check correctability and no-jump codespace invariance;
   nonzero exit on any breach.
 * ``simulate``   - run the trajectory ensemble and write the fidelity CSV.
@@ -46,7 +48,7 @@ from .control import (
     build_control_plan,
     nojump_invariance_check,
 )
-from .linalg import IDENTITY, PAULIS
+from .linalg import IDENTITY, PAULIS, bloch_matrix
 from .trajectory import (
     SimConfig,
     StepSizeError,
@@ -61,17 +63,12 @@ __all__ = [
     "parse_config",
     "canonical_config",
     "config_digest",
-    "pauli_coefficients",
     "execute",
     "main",
 ]
 
 #: Residual above which the no-jump operator fails to act as a scalar.
 NOJUMP_ATOL = 1e-12
-
-#: Pauli-product coefficients, and imaginary parts, at most this times the
-#: listing's largest modulus (or this, below a modulus of 1) are rounding.
-PAULI_PRUNE_TOL = 1e-12
 
 #: The config document's top-level keys in read order, each with the
 #: :class:`SimConfig` field it fills and its JSON kinds.  A key is required
@@ -269,7 +266,7 @@ def canonical_config(cfg: SimConfig) -> dict:
         {
             "qubit": ch.qubit,
             "label": ch.label,
-            "E": [[[val.real, val.imag] for val in row] for row in ch.operator],
+            "E": _pairs(ch.operator),
             "gamma": ch.gamma,
             "phi": ch.phi,
         }
@@ -286,50 +283,31 @@ def canonical_config(cfg: SimConfig) -> dict:
     return doc
 
 
+def _pairs(matrix: np.ndarray) -> list:
+    """A complex matrix as rows of ``[re, im]`` pairs, the config's format."""
+    return [[[val.real, val.imag] for val in row] for row in matrix]
+
+
 def config_digest(cfg: SimConfig) -> str:
     payload = json.dumps(canonical_config(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-#: Row P: the 2x2 map M -> tr(P M) / 2 on M flattened in (row, column) order.
-_PAULI_ROWS = np.array([p.T.reshape(4) for p in (IDENTITY, *PAULIS)]) / 2
+def _driving_factors(code, terms) -> Iterable[tuple[int, int | None, np.ndarray]]:
+    """``(qubit, generator, F)`` for each driving term whose factor is nonzero.
 
-
-def pauli_coefficients(
-    matrix: np.ndarray, tol: float = PAULI_PRUNE_TOL
-) -> list[tuple[str, complex]]:
-    """Nonzero coefficients of a matrix in the tensor-Pauli basis.
-
-    Labels are strings over ``IXYZ`` with the leftmost letter acting on
-    qubit 0, listed in lexicographic order; coefficients of modulus at
-    most ``tol * max(1, max |c|)`` are dropped, so the cut follows the
-    listing's scale.  Each qubit's (row, column) bit pair is one axis of
-    length 4, mapped to ``(I, X, Y, Z)`` by one 4x4 product, from qubit 0 on.
+    ``F`` is the term's Hermitian 2x2 factor on ``qubit``, computational
+    basis: ``H`` is the sum over terms of ``F`` times generator
+    ``generator``'s factors ``s_j`` on the other qubits (the identity for
+    ``None``).  It is ``(-i V_q d V_q^dag) s_q`` for the frame datum ``d``,
+    without the ``s_q`` for an offset term.
     """
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    n = matrix.shape[0].bit_length() - 1
-    pairs = np.arange(2 * n).reshape(2, n).T.ravel()  # r_0, c_0, r_1, c_1, ...
-    coeffs = matrix.reshape((2,) * 2 * n).transpose(pairs)
-    for _ in range(n):  # the leading qubit axis goes, its Pauli axis comes last
-        coeffs = coeffs.reshape(4, -1).T @ _PAULI_ROWS.T
-    moduli = np.abs(coeffs)
-    cut = _prune_cut(moduli.max(initial=0.0), tol)
-    letters = str.maketrans("0123", "IXYZ")
-    return [
-        (np.base_repr(i, 4).rjust(n, "0").translate(letters), complex(coeffs.flat[i]))
-        for i in np.flatnonzero(moduli > cut)
-    ]
-
-
-def _prune_cut(scale: float, tol: float = PAULI_PRUNE_TOL) -> float:
-    """The cut for rounding in a listing whose largest modulus is ``scale``."""
-    return tol * max(1.0, scale)
-
-
-def _format_coeff(value: complex, scale: float) -> str:
-    if abs(value.imag) <= _prune_cut(scale):
-        return f"{value.real:+.6g}"
-    return f"({value.real:+.6g}{value.imag:+.6g}j)"
+    for qubit, datum, generator in terms:
+        factor = -1j * code.local_from_frame(datum, qubit)  # the terms sum to i H
+        if generator is not None:
+            factor = factor @ bloch_matrix(code.generators[generator][qubit])
+        if factor.any():
+            yield qubit, generator, factor
 
 
 def _cmd_synthesize(cfg: SimConfig) -> tuple[int, Iterable[str]]:
@@ -343,22 +321,21 @@ def _cmd_synthesize(cfg: SimConfig) -> tuple[int, Iterable[str]]:
             for q, row in enumerate(gen)
         )
         print(f"generator {gi}: {rows}")
-    frame_h = -1j * code.dense(plan.driving_terms)  # the terms sum to i H
-    terms = pauli_coefficients(code.operator_from_frame(frame_h))
-    if terms:
-        scale = max(abs(value) for _, value in terms)
-        print("driving Hamiltonian (Pauli coefficients):")
-        for label, value in terms:
-            print(f"  {label}: {_format_coeff(value, scale)}")
-    else:
-        print("driving Hamiltonian: 0")
+    terms = list(_driving_factors(code, plan.driving_terms))
+    heading = " (Pauli coefficients of each term's factor):" if terms else ": 0"
+    print("driving Hamiltonian" + heading)
+    for q, g, factor in terms:
+        coeffs = [np.trace(p @ factor).real / 2 for p in (IDENTITY, *PAULIS)]
+        listed = "  ".join(f"{label} {c:+.6g}" for label, c in zip("IXYZ", coeffs))
+        where = "alone" if g is None else f"with generator {g} elsewhere"
+        print(f"  qubit {q} {where}: {listed}")
     report = {
         "n": cfg.n,
         "logical_count": code.logical_count,
         "generators": [np.asarray(g).tolist() for g in code.generators],
         "hamiltonian": [
-            {"pauli": label, "re": value.real, "im": value.imag}
-            for label, value in terms
+            {"qubit": q, "generator": g, "factor": _pairs(factor)}
+            for q, g, factor in terms
         ],
         "sector_map": PAIR_SECTORS if len(code.generators) == 2 else None,
         "config_digest": config_digest(cfg),

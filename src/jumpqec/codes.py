@@ -81,8 +81,9 @@ class StabilizerCode:
     states of even parity; of the pair, ``Z^n`` is the parity signs and
     ``X^n`` reverses the index, so ``P psi`` is the even-parity part of
     ``(psi + psi[::-1]) / 2``.  The code is the one place that moves data
-    between frames: :meth:`to_frame` rotates 2x2 data, :meth:`from_frame`
-    and :meth:`operator_from_frame` rotate vectors and operators back.
+    between frames: :meth:`to_frame` rotates 2x2 data, and
+    :meth:`local_from_frame`, :meth:`from_frame` and
+    :meth:`operator_from_frame` rotate 2x2 data, vectors and operators back.
 
     Attributes:
         n: physical qubit count.
@@ -140,6 +141,14 @@ class StabilizerCode:
             frame = self.frames[qubit]
             op = frame.conj().T @ op @ frame
         return op.real.copy() if not op.imag.any() else op
+
+    def local_from_frame(self, op: np.ndarray, qubit: int) -> np.ndarray:
+        """``V_q op V_q^dag`` for 2x2 frame data on ``qubit``, undoing
+        :meth:`to_frame`."""
+        if self.frames is None:
+            return op
+        frame = self.frames[qubit]
+        return frame @ op @ frame.conj().T
 
     def from_frame(self, m: np.ndarray) -> np.ndarray:
         """``V m`` for a frame vector ``(2**n,)`` or columns ``(2**n, k)``."""

@@ -90,7 +90,8 @@ class ControlPlan:
 
     Attributes:
         driving_terms: the driving Hamiltonian as the frame terms that
-            :func:`.kraus_set` appends to its own (see :func:`_driving_terms`).
+            :func:`.kraus_set` appends to its own and ``synthesize`` reports,
+            one 2x2 factor per term (see :func:`_driving_terms`).
         corrections: one :class:`Correction` per channel, in the order the
             channels were given.
     """
@@ -109,9 +110,11 @@ def _driving_terms(
 ) -> tuple[tuple[int, np.ndarray, int | None], ...]:
     """The driving Hamiltonian ``H`` as frame terms, channel by channel.
 
-    A term ``L S_g`` (``S_g`` the identity for an offset term) is kept as
-    ``(q, V_q^dag (i L s_q) V_q, g)``, so that ``code.dense`` of the terms
-    is ``i H`` in the frame.
+    A term of ``H`` is a Hermitian 2x2 factor ``F`` on qubit ``q`` times
+    generator ``g``'s factors ``s_j`` on the other qubits.  It is kept as
+    ``(q, V_q^dag (i F s_q) V_q, g)``, or ``(q, V_q^dag (i F) V_q, None)``
+    for an offset term, which acts on ``q`` alone, so that ``code.dense`` of
+    the terms is ``i H`` in the frame.  ``synthesize`` reports each ``F``.
     """
     gens = [[bloch_matrix(axis) for axis in g] for g in code.generators]
     terms = []

@@ -10,7 +10,7 @@ Lindblad generator.  Each builds what the package keeps as one-qubit
 data into full register matrices with ``tensor_embed`` and Kronecker
 products, never with the package's own densifier
 (``StabilizerCode.dense``), so the tests can check the engine, the oracle
-and the ``synthesize`` listing against plain products.
+and the ``synthesize`` report against plain products.
 """
 
 import math

@@ -140,6 +140,10 @@ class TestKrausSet:
         with pytest.raises(ValueError):
             kraus_set([lowering()], z_code(1), 0.0)
 
+    def test_rejects_a_channel_outside_the_code(self):
+        with pytest.raises(ValueError, match="^channel qubit 1 out of range for n=1$"):
+            kraus_set([lowering(qubit=1)], z_code(1), 0.01)
+
 
 class TestCptpDefect:
     def test_exact_value_for_unit_rate_lowering(self):
@@ -272,6 +276,16 @@ class TestErrorChannelValidation:
     def test_non_integer_qubit_rejected(self, qubit):
         with pytest.raises(ValueError, match="integer"):
             ErrorChannel(qubit=qubit, operator=SIGMA_MINUS)
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [("qubit", -1, "^qubit index must be non-negative, got -1$"),
+         ("operator", np.eye(3), r"^expected array of shape \(2, 2\), got \(3, 3\)$")],
+    )
+    def test_negative_qubit_and_wrong_shape_rejected(self, field, value, match):
+        fields = {"qubit": 0, "operator": SIGMA_MINUS, field: value}
+        with pytest.raises(ValueError, match=match):
+            ErrorChannel(**fields)
 
     def test_numpy_integer_qubit_kept_as_int(self):
         ch = ErrorChannel(qubit=np.int64(2), operator=SIGMA_MINUS)

@@ -1,9 +1,10 @@
 import builtins
 import dataclasses
 import errno
-import itertools
+import functools
 import json
 import os
+import sys
 import time
 import warnings
 from dataclasses import replace
@@ -26,10 +27,9 @@ from jumpqec.cli import (
     config_digest,
     execute,
     parse_config,
-    pauli_coefficients,
 )
 from jumpqec import channels as channel_module
-from jumpqec.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, max_abs
+from jumpqec.linalg import bloch_matrix, max_abs
 
 from helpers import (
     dense_driving_hamiltonian,
@@ -38,14 +38,25 @@ from helpers import (
     relaxation_channels,
 )
 
-PAULI_BASIS = {"I": np.eye(2), "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
+def rebuilt_hamiltonian(report):
+    """``sum F_t (x) s_j`` over a synthesize report's terms, by Kronecker products.
+
+    Each term's factor ``F_t`` sits on its qubit, and its generator's own
+    factors, read from the report, on the others (identities for ``null``).
+    """
+    n, gens = report["n"], report["generators"]
+    total = np.zeros((2**n, 2**n), dtype=complex)
+    for term in report["hamiltonian"]:
+        g = term["generator"]
+        ops = [np.eye(2) if g is None else bloch_matrix(gens[g][j]) for j in range(n)]
+        ops[term["qubit"]] = report_factor(term)
+        total += functools.reduce(np.kron, ops)
+    return total
 
 
-def pauli_product(label):
-    product = np.array([[1.0]], dtype=complex)
-    for letter in label:
-        product = np.kron(product, PAULI_BASIS[letter])
-    return product
+def report_factor(term):
+    return np.array([[complex(*pair) for pair in row] for row in term["factor"]])
+
 
 SIGMA_MINUS_JSON = [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]
 
@@ -207,62 +218,7 @@ class TestCanonicalConfig:
         assert config_digest(cfg) != config_digest(other)
 
 
-class TestPauliCoefficients:
-    def test_identity(self):
-        assert pauli_coefficients(np.eye(4)) == [("II", 1.0)]
-
-    def test_single_qubit(self):
-        assert pauli_coefficients(SIGMA_Z) == [("Z", 1.0)]
-
-    def test_driving_form(self):
-        ham = 0.25 * (np.kron(SIGMA_X, SIGMA_Y) + np.kron(SIGMA_Y, SIGMA_X))
-        assert pauli_coefficients(ham) == [("XY", 0.25), ("YX", 0.25)]
-
-    def test_random_reconstruction(self):
-        rng = np.random.default_rng(3)
-        raw = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        matrix = raw + raw.conj().T
-        terms = pauli_coefficients(matrix, tol=0.0)
-        basis = {"I": np.eye(2), "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
-        rebuilt = np.zeros((8, 8), dtype=complex)
-        for label, value in terms:
-            product = np.array([[1.0]], dtype=complex)
-            for letter in label:
-                product = np.kron(product, basis[letter])
-            rebuilt += value * product
-        assert np.max(np.abs(rebuilt - matrix)) <= 1e-10
-
-    def test_lexicographic_order_and_pruning(self):
-        # IZX precedes XII although its later letters are larger; YYY sits
-        # exactly at tol and is dropped.
-        parts = {"ZYI": 0.25j, "XII": -0.75, "YYY": 0.125, "IZX": 0.5, "IIZ": 0.25}
-        matrix = sum(value * pauli_product(label) for label, value in parts.items())
-        assert pauli_coefficients(matrix, tol=0.125) == [
-            ("IIZ", 0.25), ("IZX", 0.5), ("XII", -0.75), ("ZYI", 0.25j)
-        ]
-
-    def test_cut_follows_the_listing_scale(self):
-        # Below a largest modulus of 1 the cut is tol itself; above, it grows
-        # with the listing, in the pruning and in the printed imaginary part.
-        small = 0.25 * pauli_product("XY") + 1e-11j * pauli_product("ZZ")
-        assert [label for label, _ in pauli_coefficients(small)] == ["XY", "ZZ"]
-        large = 1e6 * pauli_product("XY") + 1e-9j * pauli_product("ZZ")
-        assert pauli_coefficients(large) == [("XY", 1e6)]
-        assert cli._format_coeff(1e6 + 1e-9j, 1e6) == "+1e+06"
-        assert cli._format_coeff(0.5 + 1e-9j, 0.5) == "(+0.5+1e-09j)"
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_every_coefficient_is_the_trace(self, n):
-        rng = np.random.default_rng(40 + n)
-        raw = rng.normal(size=(2**n, 2**n)) + 1j * rng.normal(size=(2**n, 2**n))
-        matrix = raw + raw.conj().T
-        terms = pauli_coefficients(matrix, tol=0.0)
-        labels = ["".join(p) for p in itertools.product("IXYZ", repeat=n)]
-        assert [label for label, _ in terms] == labels
-        for label, value in terms:
-            expected = np.trace(pauli_product(label) @ matrix) / 2**n
-            assert abs(value - expected) <= 1e-14
-
+class TestSynthesizeReport:
     @pytest.mark.parametrize(
         "n, channels",
         [
@@ -273,28 +229,64 @@ class TestPauliCoefficients:
         ],
         ids=["relaxation-8", "rank3-4", "one-a", "one-b", "pair-a", "pair-b"],
     )
-    def test_listing_rebuilds_the_driving_hamiltonian(self, n, channels, capsys):
-        # synthesize lists the Pauli coefficients of the plan's frame terms;
-        # they are those of the textbook driving Hamiltonian.  The sector map
-        # is the pair's, and null for one generator.
+    def test_factors_rebuild_the_driving_hamiltonian(self, n, channels, capsys):
+        # synthesize reports the plan's own terms, in order, leaving out the
+        # exactly zero ones; their Hermitian factors, times the generators'
+        # other factors, sum to the textbook driving Hamiltonian.  The sector
+        # map is the pair's, and null for one generator.
         cfg = SimConfig(n=n, channels=channels, dt=1e-3, duration=1e-3)
         _, chunks = cli._cmd_synthesize(cfg)
-        capsys.readouterr()
+        printed = capsys.readouterr().out
         report = json.loads("".join(chunks))
-        listed = [
-            (term["pauli"], complex(term["re"], term["im"]))
-            for term in report["hamiltonian"]
-        ]
         code = build_code(channels, n)
         pair = len(code.generators) == 2
         assert report["sector_map"] == ({"x": 1, "y": 0, "z": 0} if pair else None)
+        plan = control.build_control_plan(channels, code)
+        terms = report["hamiltonian"]
+        assert [(t["qubit"], t["generator"]) for t in terms] == [
+            (q, g) for q, datum, g in plan.driving_terms if datum.any()
+        ]
+        assert 8 <= len(terms) == printed.count("\n  qubit ")
+        for term in terms:
+            factor = report_factor(term)
+            assert max_abs(factor - factor.conj().T) <= 1e-15 * max_abs(factor)
         ham = dense_driving_hamiltonian(channels, code)
-        expected = pauli_coefficients(ham)
-        assert listed
-        assert [label for label, _ in listed] == [label for label, _ in expected]
-        assert max(abs(a - b) for (_, a), (_, b) in zip(listed, expected)) <= 1e-14
-        rebuilt = sum(value * pauli_product(label) for label, value in listed)
-        assert max_abs(rebuilt - ham) <= 1e-12
+        assert max_abs(rebuilt_hamiltonian(report) - ham) <= 1e-12
+
+    def test_printed_coefficients_are_the_factors(self, tmp_path, capsys):
+        # README config: each term's line gives its factor's I, X, Y, Z
+        # coefficients, which are real since the factor is Hermitian.
+        config = write_config(tmp_path, README_DOC)
+        out = tmp_path / "synth.json"
+        assert execute(["synthesize", "--config", config, "--output", str(out)])[0] == 0
+        lines = capsys.readouterr().out.splitlines()
+        start = lines.index(
+            "driving Hamiltonian (Pauli coefficients of each term's factor):"
+        )
+        assert lines[start + 1 :] == [
+            "  qubit 0 with generator 0 elsewhere: I +0  X +0  Y +0.353553  Z +0",
+            "  qubit 0 alone: I +0  X +0  Y -0.25  Z +0",
+            "  qubit 1 with generator 0 elsewhere: I +0  X +0  Y +0.353553  Z +0",
+            "  qubit 1 alone: I +0  X +0  Y -0.25  Z +0",
+        ]
+        terms = json.loads(out.read_text())["hamiltonian"]
+        assert_allclose(report_factor(terms[1]), [[0, 0.25j], [-0.25j, 0]], atol=1e-16)
+
+    def test_width_builds_no_register_matrix(self, monkeypatch, capsys):
+        # n = 11: the report is the plan's 2x2 factors, so neither densifier
+        # nor a 2^n x 2^n rotation runs.
+        def refused(*args, **kwargs):
+            raise AssertionError("a register-sized array was built")
+
+        for name in ("dense", "operator_from_frame"):
+            monkeypatch.setattr(codes.StabilizerCode, name, refused)
+        cfg = SimConfig(
+            n=11, channels=relaxation_channels(11, gamma=0.5), dt=1e-3, duration=1e-3
+        )
+        code, chunks = cli._cmd_synthesize(cfg)
+        assert code == 0
+        assert len(json.loads("".join(chunks))["hamiltonian"]) == 22
+        assert capsys.readouterr().out.count("\n  qubit ") == 22
 
 
 def rank3_doc(n):
@@ -333,6 +325,28 @@ def tilted_readme_doc(eps):
 
 
 class TestExecute:
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["synthesize"], 0),
+            (["verify", "--no-driving"], 1),
+            (["simulate", "--dt", "0"], 2),
+        ],
+        ids=["success", "verification-failure", "config-error"],
+    )
+    def test_main_exits_with_the_code(
+        self, tmp_path, capsys, monkeypatch, argv, expected
+    ):
+        config = write_config(tmp_path, rank3_doc(4))
+        out = str(tmp_path / "out")
+        monkeypatch.setattr(
+            sys, "argv", ["jumpqec", *argv, "--config", config, "--output", out]
+        )
+        with pytest.raises(SystemExit) as exited:
+            cli.main()
+        assert exited.value.code == expected
+        capsys.readouterr()
+
     def test_synthesize(self, tmp_path, capsys):
         config = write_config(tmp_path, rank3_doc(4))
         out = str(tmp_path / "synth.json")
@@ -850,16 +864,22 @@ class TestChannelBackaction:
             checks = json.loads(out.read_text())["checks"]
             assert checks["correctability"]["max_residual"] <= 1e-14
 
-    def test_si_rate_listing_is_real(self, tmp_path, capsys):
-        # The driving terms near 1e6 carry rounding of about 1e-10 in the
-        # other coefficients, which the listing's cut drops.
+    def test_si_rate_factors_rebuild_the_hamiltonian(self, tmp_path, capsys):
+        # Terms near 1e6 carry rounding near 1e-10: the factors rebuild the
+        # textbook Hamiltonian relative to its largest coefficient, and are
+        # Hermitian to rounding.
         config = write_config(tmp_path, SI_RATE_DOC)
         out = tmp_path / "out"
         code, _ = execute(["synthesize", "--config", config, "--output", str(out)])
-        assert code == 0
-        terms = json.loads(out.read_text())["hamiltonian"]
-        assert terms and all(term["im"] == 0.0 for term in terms)
-        assert "j)" not in capsys.readouterr().out
+        assert code == 0, capsys.readouterr().err
+        report = json.loads(out.read_text())
+        for term in report["hamiltonian"]:
+            factor = report_factor(term)
+            assert max_abs(factor - factor.conj().T) <= 1e-15 * max_abs(factor)
+        cfg = parse_config(json.dumps(SI_RATE_DOC))
+        ham = dense_driving_hamiltonian(cfg.channels, build_code(cfg.channels, 2))
+        assert max_abs(ham) > 1e5
+        assert max_abs(rebuilt_hamiltonian(report) - ham) <= 1e-12 * max_abs(ham)
 
     def test_overflowing_channel_exits_2_naming_it(self, tmp_path, capsys):
         doc = minimal_doc(channels=[

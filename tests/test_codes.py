@@ -55,6 +55,10 @@ class TestNullSpaceInvolution:
     def test_empty_constraints_pick_x_axis(self):
         assert_allclose(null_space_involution([]), [1, 0, 0])
 
+    def test_rejects_a_constraint_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="^constraints must be 3-component"):
+            null_space_involution([np.array([1.0, 0.0])])
+
     def test_orthogonality_for_random_planes(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
@@ -282,6 +286,10 @@ class TestFrame:
                 np.kron(code.to_frame(op, 0), np.eye(dim // 2))
             )
             assert_allclose(embedded, np.kron(op, np.eye(dim // 2)), atol=1e-14)
+            # Rotating it back on its qubit undoes it.
+            for q in range(n):
+                back = code.local_from_frame(code.to_frame(op, q), q)
+                assert_allclose(back, op, atol=1e-14)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_operators_and_stacks_rotate_back_densely(self, n):
@@ -299,6 +307,8 @@ class TestFrame:
         assert code.frames is None
         m = np.eye(16)
         assert code.from_frame(m) is m and code.operator_from_frame(m) is m
+        op = np.eye(2)
+        assert code.local_from_frame(op, 3) is op
 
     def test_codespace_is_built_on_first_access(self):
         code = build_code(relaxation_channels(3), 3)
@@ -375,6 +385,12 @@ class TestVerifyCorrectability:
             report = verify_correctability(code, channels)
             dense = dense_correctability_residuals(code, channels)
             assert_allclose(report.residuals, dense, rtol=0, atol=1e-14)
+
+    def test_rejects_a_channel_outside_the_code(self):
+        code = build_code(relaxation_channels(2), 2)
+        channel = relaxation_channels(3)[2]
+        with pytest.raises(ValueError, match="^channel qubit 2 out of range for n=2$"):
+            verify_correctability(code, [channel])
 
     def test_zero_channels_pass_vacuously(self):
         code = build_code(relaxation_channels(2), 2)

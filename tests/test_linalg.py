@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from jumpqec import ErrorChannel, StabilizerCode, kraus_set
 from jumpqec.linalg import (
+    MAX_QUBITS,
     SIGMA_X,
     SIGMA_Z,
     bloch_matrix,
@@ -43,6 +44,11 @@ class TestTensorEmbed:
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError):
             tensor_embed(np.eye(4), 0, 2)
+
+    @pytest.mark.parametrize("n", [0, MAX_QUBITS + 1])
+    def test_register_size_out_of_range(self, n):
+        with pytest.raises(ValueError, match=f"^register size must be in .*, got {n}$"):
+            tensor_embed(SIGMA_X, 0, n)
 
     def test_disjoint_embeddings_commute(self):
         rng = np.random.default_rng(7)

@@ -7,11 +7,13 @@ the tests use live in ``tests/helpers.py``.
 
 import dataclasses
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
 import jumpqec
-from jumpqec import _kernels, channels, codes, control, linalg, trajectory
+from jumpqec import _kernels, channels, cli, codes, control, linalg, trajectory
 
 KEPT = {
     "__version__",
@@ -80,7 +82,11 @@ REMOVED = [
     (linalg, "ORTHO_ATOL"),
     (linalg, "SIGMA_MINUS"),
     (linalg, "SIGMA_PLUS"),
+    (cli, "pauli_coefficients"),
+    (cli, "PAULI_PRUNE_TOL"),
 ]
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_top_level_exports_are_the_kept_set():
@@ -117,3 +123,12 @@ def test_setup_holds_no_time_grid():
     # The grid is the config's: ``run_ensemble`` derives it once.
     fields = {field.name for field in dataclasses.fields(trajectory.SimulationSetup)}
     assert fields == {"kraus", "corrections", "psi0"}
+
+
+def test_readme_library_example_runs(capsys):
+    # The one python block under "## Library" runs as documented, and its
+    # closed loop keeps the final mean fidelity at 1.
+    library = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    (example,) = re.findall(r"```python\n(.*?)```", library, re.S)
+    exec(compile(example, str(README), "exec"), {})
+    assert float(capsys.readouterr().out.splitlines()[-1]) >= 1.0 - 1e-12

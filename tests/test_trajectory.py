@@ -1,6 +1,8 @@
+import json
 import time
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from jumpqec import (
 )
 from jumpqec import _kernels, codes, linalg, trajectory
 from jumpqec.linalg import expm1, max_abs
+from jumpqec.cli import parse_config
 from jumpqec.trajectory import _run_block, simulation_code
 
 from helpers import (
@@ -395,6 +398,22 @@ def _traced_peak(run, cfg):
 
 
 class TestRunEnsemble:
+    @pytest.mark.parametrize(
+        "column, values, match",
+        [("times", np.zeros(2), "same length"),
+         ("mean_fidelity", [1.0, 1.5, 1.0], r"in \[0, 1\]"),
+         ("mean_fidelity", [1.0, -0.5, 1.0], r"in \[0, 1\]"),
+         ("std_fidelity", [0.0, -1e-3, 0.0], "nonnegative")],
+    )
+    def test_record_refuses_inconsistent_columns(self, column, values, match):
+        columns = {
+            "times": np.arange(3) * 0.1, "mean_fidelity": np.ones(3),
+            "std_fidelity": np.zeros(3), "jump_counts": np.zeros(3, dtype=int),
+        }
+        columns[column] = np.array(values)
+        with pytest.raises(ValueError, match=match):
+            jq.FidelityRecord(**columns)
+
     def test_single_trajectory_matches(self):
         cfg = SimConfig(
             n=2, channels=relaxation_channels(2, gamma=0.3), dt=0.01,
@@ -789,3 +808,36 @@ class TestOracleDistances:
         cfg = replace(_undriven(relaxation_channels(2), 2), feedback_enabled=True)
         with pytest.raises(ValueError, match="needs feedback off"):
             trajectory.oracle_distances(cfg)
+
+
+#: Seed-7 jump logs of the README, ``n8-simulate`` and ``rank3-oracle``
+#: configs, each with its config document, recorded with :func:`jump_log`.
+JUMP_LOGS = Path(__file__).with_name("jump_logs.json")
+
+
+def jump_log(cfg):
+    """``(step, trajectory, channel)`` of every jump, gathered block by block
+    over the blocks a run uses."""
+    setup = prepare(cfg)
+    samples = trajectory.density_sample_indices(cfg.steps)
+    width = _kernels.block_width(setup.kraus, cfg.steps)
+    log = []
+    for start in range(0, cfg.trajectories, width):
+        indices = range(start, min(start + width, cfg.trajectories))
+        block = _run_block(cfg, setup, indices, samples)
+        log += zip(
+            block.jump_steps.tolist(),
+            (start + block.jump_columns).tolist(),
+            block.jump_channels.tolist(),
+        )
+    return log
+
+
+class TestJumpLogs:
+    # A change that moves a log regenerates the file with jump_log.
+    @pytest.mark.parametrize("name", ["readme-simulate", "n8-simulate", "rank3-oracle"])
+    def test_seed_7_logs_are_unchanged(self, name):
+        entry = json.loads(JUMP_LOGS.read_text())[name]
+        cfg = parse_config(json.dumps(entry["config"]))
+        assert cfg.seed == 7
+        assert jump_log(cfg) == [tuple(jump) for jump in entry["log"]]
