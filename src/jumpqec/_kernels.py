@@ -19,8 +19,11 @@ weights scale alike with a column's norm.  Each step writes its state
 into one slot of a ``(chunk + 1, dim, B)`` buffer; once per chunk the
 engine tests the chunk's norms for a collapsed column, which aborts like
 an overflow, renormalizes the buffer in place, takes the chunk's overlaps
-``|<psi0|psi>|`` in one product and its density sums in another, and
-starts the next chunk from the last state.  A block either finishes or
+``|<psi0|psi>|`` in one product, hands out the chunk and its sampled
+states, and starts the next chunk from the last state.  The chunk loop is
+the generator :func:`advance`: :func:`run_steps` drains it for a whole
+block, and a caller that needs only the sampled states can hold several
+blocks at once and advance them in turn.  A block either finishes or
 raises :class:`StepFailure` at the end of the chunk that failed, naming
 the earlier step of two failures, an overflow before a collapse at the
 same step, and its lowest failing column.  A block too wide for
@@ -30,12 +33,13 @@ one step (:func:`chunk_length`).
 Column ``b`` reads only column ``b`` of the pre-drawn uniforms, so jump
 selections do not depend on the block size or on which trajectories
 share a block.  A block is bit-reproducible run to run; across block
-sizes the matrix products may round differently in the last bits.  The
-engine keeps each step's overlaps in a ``(steps + 1, B)`` array, as large
-as the uniforms, and reduces them once per block to infidelity sums and
-spreads; it also returns cumulative jump totals, the jump log and, on
-request, density sums.  The tests hold a per-trajectory reference for
-these semantics, on dense jump and correction matrices.
+sizes the matrix products may round differently in the last bits.
+:func:`run_steps` keeps each step's overlaps in a ``(steps + 1, B)``
+array, as large as the uniforms, and reduces them once per block to
+infidelity sums and spreads; it also returns cumulative jump totals, the
+jump log and, on request, density sums.  The tests hold a
+per-trajectory reference for these semantics, on dense jump and
+correction matrices.
 
 The engine is basis-blind: it runs in whatever frame its inputs share.
 ``trajectory.prepare`` gives it the code's eigenframe, where the
@@ -177,21 +181,36 @@ def chunk_length(dim, width):
     return max(1, min(CHUNK, BLOCK_BYTES // (16 * dim * width)))
 
 
-def run_steps(psi0, kraus, corrections, uniforms, sample_idx, rho_sum=None):
-    """Evolve ``uniforms.shape[1]`` trajectories from ``psi0`` as one block.
+class Chunk(NamedTuple):
+    """What :func:`advance` yields for one chunk of a block's steps.
 
-    ``kraus`` supplies the one-qubit jump ``factors`` of its ``channels``
-    and the dense ``no_jump`` operator, in the frame of ``psi0``, and
-    ``uniforms`` one uniform per step and trajectory ``(steps, B)``.  When
-    ``rho_sum`` is given, ``rho_sum[i]`` gains the block's summed outer
-    products ``psi psi^dagger`` at grid index ``sample_idx[i]``, in that
-    frame; the indices ascend.  A jump of channel ``k`` is followed by
-    ``corrections[k].apply`` unless ``corrections`` is ``None``.  The block
-    takes the result type of ``psi0``, the Kraus set's ``no_jump`` and
-    ``factors``, and each correction's ``u_dag`` and ``axis``.  A failed
-    step raises :class:`StepFailure` (see the module docstring).
+    ``overlaps`` holds ``|<psi0|psi>|`` after each of the chunk's steps,
+    ``(steps, B)``; ``sampled`` the block's normalized states at the samples
+    the chunk reached, in order, ``(k, dim, B)``, valid until the next chunk;
+    ``jumps`` the steps, columns and channels of its jumps, one array per
+    step with a click in each of three lists.
     """
-    steps, width = uniforms.shape
+
+    overlaps: np.ndarray
+    sampled: np.ndarray
+    jumps: tuple[list, list, list]
+
+
+def advance(psi0, kraus, corrections, windows, samples):
+    """Evolve a block of trajectories from ``psi0``, yielding each :class:`Chunk`.
+
+    ``windows`` gives the uniforms of consecutive steps, one per step and
+    trajectory, ``(rows, B)`` at a time.  A window starts a chunk, so
+    windows of whole chunks (:func:`chunk_length`) cut the steps as one
+    window does.  ``samples`` lists the ascending grid indices whose states
+    the chunks hand out, in the frame of ``psi0``.  The first chunk has no
+    steps and holds the state at index 0, if listed.  Arguments and
+    failures are :func:`run_steps`' own; a failed step raises
+    :class:`StepFailure` at the end of its chunk.
+    """
+    windows = iter(windows)
+    window = next(windows)
+    width = window.shape[1]
     arrays = [psi0, kraus.no_jump, kraus.factors]
     for c in corrections or ():
         arrays += [c.u_dag, c.axis]
@@ -204,70 +223,103 @@ def run_steps(psi0, kraus, corrections, uniforms, sample_idx, rho_sum=None):
     weights = jump_probabilities(factors.astype(dtype, copy=False), qubits, kraus.n)
     psi0 = psi0.astype(dtype, copy=False)
     ref = psi0.conj()
-    chunk = chunk_length(psi0.shape[0], width)
+    dim = psi0.shape[0]
+    chunk = chunk_length(dim, width)
     # Slot 0 holds the chunk's normalized first state, slot j + 1 the
     # unnormalized state after the chunk's step j.
-    buf = np.empty((chunk + 1, psi0.shape[0], width), dtype=dtype)
+    buf = np.empty((chunk + 1, dim, width), dtype=dtype)
     views = list(buf)
     views[0][:] = psi0[:, None]
+    sampled = buf[:1] if samples and samples[0] == 0 else buf[:0]
+    yield Chunk(np.empty((0, width)), sampled, ([], [], []))
+    acc, norm2 = weights(views[0])
+    offset = 0  # the window's first step
+    while window is not None:
+        for begin in range(0, window.shape[0], chunk):
+            start = offset + begin
+            norms, overflow = [], None
+            jumps = jump_steps, jump_columns, jump_channels = [], [], []
+            for j, u in enumerate(window[begin : begin + chunk]):
+                # A column clicks when its uniform falls below its total
+                # weight; a column over the probability bound clicks too,
+                # since u < 1.  The test does not depend on the column's scale.
+                threshold = u * norm2
+                clicks = acc[-1:] > threshold  # empty without channels
+                psi, nxt = views[j], views[j + 1]
+                np.matmul(no_jump, psi, out=nxt)
+                if np.count_nonzero(clicks):  # cheaper than nonzero() on no click
+                    clicked = clicks.nonzero()[1]
+                    total = acc[-1, clicked] / norm2[clicked]
+                    if (over := 1.0 - total < -PROBABILITY_SLACK).any():
+                        column = int(clicked[over.argmax()])
+                        overflow = StepFailure("overflow", start + j, column)
+                        break
+                    picked = (acc[:, clicked] <= threshold[clicked]).sum(axis=0)
+                    for k in set(picked.tolist()):
+                        cols = clicked[picked == k]
+                        branch = on_qubit(factors[k], qubits[k], psi[:, cols])
+                        if corrections is not None:
+                            branch = corrections[k].apply(branch)
+                        nxt[:, cols] = branch
+                    jump_steps.append(np.full(clicked.size, start + j))
+                    jump_columns.append(clicked)
+                    jump_channels.append(picked)
+                acc, norm2 = weights(nxt)
+                norms.append(norm2)
+            # (0, B) on a first-step overflow
+            norms = np.array(norms).reshape(-1, width)
+            if not norms.all():  # a collapsed column (norms are never negative)
+                collapsed = norms == 0.0
+                j = int(collapsed.any(axis=1).argmax())
+                raise StepFailure("collapse", start + j, int(collapsed[j].argmax()))
+            if overflow is not None:
+                raise overflow
+            done = norms.shape[0]
+            states = buf[1 : done + 1]
+            states *= (1.0 / np.sqrt(norms))[:, None, :]
+            lo = bisect.bisect_left(samples, start + 1)
+            hi = bisect.bisect_right(samples, start + done)
+            if hi > lo and samples[hi - 1] - samples[lo] == hi - lo - 1:  # a view
+                sampled = buf[samples[lo] - start : samples[hi - 1] - start + 1]
+            else:
+                sampled = buf[[i - start for i in samples[lo:hi]]]
+            yield Chunk(np.abs(ref @ states), sampled, jumps)
+            views[0][:] = views[done]
+        offset += window.shape[0]
+        window = next(windows, None)
+
+
+def run_steps(psi0, kraus, corrections, uniforms, sample_idx, rho_sum=None):
+    """Evolve ``uniforms.shape[1]`` trajectories from ``psi0`` as one block.
+
+    ``kraus`` supplies the one-qubit jump ``factors`` of its ``channels``
+    and the dense ``no_jump`` operator, in the frame of ``psi0``, and
+    ``uniforms`` one uniform per step and trajectory ``(steps, B)``.  When
+    ``rho_sum`` is given, ``rho_sum[i]`` gains the block's summed outer
+    products ``psi psi^dagger`` at grid index ``sample_idx[i]``, in that
+    frame; the indices ascend.  A jump of channel ``k`` is followed by
+    ``corrections[k].apply`` unless ``corrections`` is ``None``.  The block
+    takes the result type of ``psi0``, the Kraus set's ``no_jump`` and
+    ``factors``, and each correction's ``u_dag`` and ``axis``.  A failed
+    step raises :class:`StepFailure` (see the module docstring).  The block
+    runs as :func:`advance`'s chunks of one window, reduced here.
+    """
+    steps, width = uniforms.shape
     samples = [] if rho_sum is None else sample_idx.tolist()
     overlaps = np.ones((steps + 1, width))
-    jump_steps, jump_columns, jump_channels = [], [], []
-    if samples and samples[0] == 0:
-        rho_sum[0] += views[0] @ views[0].conj().T
-    acc, norm2 = weights(views[0])
-    for start in range(0, steps, chunk):
-        norms, overflow = [], None
-        for j, s in enumerate(range(start, min(start + chunk, steps))):
-            # A column clicks when its uniform falls below its total weight; a
-            # column over the probability bound clicks too, since u < 1.  The
-            # test does not depend on the column's scale.
-            threshold = uniforms[s] * norm2
-            clicks = acc[-1:] > threshold  # empty without channels
-            psi, nxt = views[j], views[j + 1]
-            np.matmul(no_jump, psi, out=nxt)
-            if np.count_nonzero(clicks):  # cheaper than nonzero() on no click
-                clicked = clicks.nonzero()[1]
-                total = acc[-1, clicked] / norm2[clicked]
-                if (over := 1.0 - total < -PROBABILITY_SLACK).any():
-                    overflow = StepFailure("overflow", s, int(clicked[over.argmax()]))
-                    break
-                picked = (acc[:, clicked] <= threshold[clicked]).sum(axis=0)
-                for k in set(picked.tolist()):
-                    cols = clicked[picked == k]
-                    branch = on_qubit(factors[k], qubits[k], psi[:, cols])
-                    if corrections is not None:
-                        branch = corrections[k].apply(branch)
-                    nxt[:, cols] = branch
-                jump_steps.append(np.full(clicked.size, s))
-                jump_columns.append(clicked)
-                jump_channels.append(picked)
-            acc, norm2 = weights(nxt)
-            norms.append(norm2)
-        norms = np.array(norms).reshape(-1, width)  # (0, B) on a first-step overflow
-        if not norms.all():  # a collapsed column (norms are never negative)
-            collapsed = norms == 0.0
-            j = int(collapsed.any(axis=1).argmax())
-            raise StepFailure("collapse", start + j, int(collapsed[j].argmax()))
-        if overflow is not None:
-            raise overflow
-        done = norms.shape[0]
-        states = buf[1 : done + 1]
-        states *= (1.0 / np.sqrt(norms))[:, None, :]
-        np.abs(ref @ states, out=overlaps[start + 1 : start + done + 1])
-        lo = bisect.bisect_left(samples, start + 1)
-        hi = bisect.bisect_right(samples, start + done)
-        if hi > lo:
-            offsets = [i - start for i in samples[lo:hi]]
-            if offsets[-1] - offsets[0] == hi - lo - 1:  # a view, not a copy
-                sampled = buf[offsets[0] : offsets[-1] + 1]
-            else:
-                sampled = buf[offsets]
-            rho_sum[lo:hi] += sampled @ sampled.conj().swapaxes(1, 2)
-        views[0][:] = views[done]
+    log = [], [], []
+    done = summed = 0
+    for chunk in advance(psi0, kraus, corrections, [uniforms], samples):
+        rows, count = chunk.overlaps.shape[0], chunk.sampled.shape[0]
+        overlaps[done + 1 : done + rows + 1] = chunk.overlaps
+        if count:
+            sampled = chunk.sampled
+            rho_sum[summed : summed + count] += sampled @ sampled.conj().swapaxes(1, 2)
+        done, summed = done + rows, summed + count
+        for part, jumps in zip(log, chunk.jumps):
+            part += jumps
     jump_steps, jump_columns, jump_channels = (
-        np.concatenate(log) if log else np.zeros(0, dtype=np.int64)
-        for log in (jump_steps, jump_columns, jump_channels)
+        np.concatenate(part) if part else np.zeros(0, dtype=np.int64) for part in log
     )
     counts = np.bincount(jump_steps + 1, minlength=steps + 1).cumsum()
     # In place: the reduction takes no array as large as the overlaps.

@@ -10,9 +10,11 @@ Subcommands:
   nonzero exit on any breach.
 * ``simulate``   - run the trajectory ensemble and write the fidelity CSV.
 * ``oracle-compare`` - trace distance between the ensemble mean and the
-  master-equation integration, as CSV.  The oracle has no feedback, so
-  runs with feedback on are refused (exit 2), and so is a driven oracle
-  over its RK4 work budget.
+  master-equation integration, as CSV, computed batch by batch with no
+  density series held.  The oracle has no feedback, so runs with feedback
+  on are refused (exit 2), and so, before any synthesis, is a comparison
+  over its time or memory budget, and a driven oracle over its RK4 work
+  budget before any trajectory runs.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error.
 """

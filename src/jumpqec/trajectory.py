@@ -24,7 +24,8 @@ real (float64) exactly when every rotated 2x2 datum and the initial
 coefficients are real, as for relaxation channels on the synthesized
 code.  Mean densities are rotated back to the computational basis.  A
 density series or a run's per-step series larger than
-``DENSITY_BUDGET_BYTES`` is refused before any setup.
+``DENSITY_BUDGET_BYTES`` is refused before any setup, and so is an oracle
+comparison over its time or memory budget.
 
 The oracle evolves the unconditioned master equation on the ensemble's
 density grid, from the same Kraus set's no-jump generator and jumps, by
@@ -32,15 +33,18 @@ exact per-qubit propagation when undriven and by fixed-step RK4 when
 driven, and is used to cross-validate ensemble means.  Like the ensemble
 it evolves in the frame, and its series is rotated back on return.
 Undriven, the series is evolved 16 samples per product from each chunk's
-settled first sample; every sample is still settled and checked.
-:func:`oracle_distances` compares the two holding one series: the blocks
-add their density sums straight into ``-N`` times the oracle's frame series.
+settled first sample; every sample is still settled and checked.  The
+oracle is a generator of batches of samples, and
+:func:`oracle_distances` compares the two holding no series: the blocks
+advance in lockstep, adding their density sums straight into ``-N`` times
+each batch of the oracle's frame densities, whose distances are then taken.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -79,6 +83,25 @@ DENSITY_BUDGET_BYTES = 2 * 2**30
 #: for m channels: about ten seconds at the 0.9-1.6e9 per second measured at
 #: n = 6 and 8 (2 vCPUs, OpenBLAS).
 RK4_WORK_BUDGET = 1e10
+
+#: Largest estimated time of an oracle comparison's per-sample work, in
+#: seconds: about a minute at n = 9 over 1001 samples passes, n = 10 does not.
+COMPARISON_SECONDS_BUDGET = 120.0
+
+#: Seconds per ``dim**3`` of one trace-norm eigensolve and per ``dim**2`` of
+#: one exact oracle sample: 46 and 309 ms per eigensolve at dim 512 and 1024,
+#: 19 and 94 ms per oracle sample at n = 9 and 10 (2 vCPUs, OpenBLAS).
+_SAMPLE_SECONDS = (3.4e-10, 9e-8)
+
+#: Density bytes an oracle comparison gathers before it takes their trace
+#: norms, or one chunk where that is larger.  Eigensolves between the
+#: engine's chunks slow the engine: at 16x16, one chunk at a time took
+#: 7-10 % longer than holding the series (2 vCPUs); 1 MiB at a time does not.
+_DISTANCE_BATCH_BYTES = 2**20
+
+#: Chunk-sized arrays an oracle comparison holds at its peak: its batch, then
+#: the trace norm's and the oracle's temporaries (4.8 measured at n = 8, 5.0 at 7).
+_CHUNK_COPIES = 5
 
 #: Bytes a run holds per time step: the grid times, the engine's and the
 #: ensemble's infidelity and jump sums and record columns, and a block's
@@ -304,9 +327,32 @@ def prepare(cfg: SimConfig) -> SimulationSetup:
     return SimulationSetup(kraus=ks, corrections=corrections, psi0=psi0)
 
 
+def _uniform_draws(cfg: SimConfig, trajectory_index: int):
+    """The draw method of the trajectory's counter-based generator.
+
+    Keyed by ``(seed, trajectory_index)``; successive draws continue one
+    stream, so drawing a run's uniforms in windows gives the same values.
+    """
+    return np.random.Generator(np.random.Philox(key=[cfg.seed, trajectory_index])).random
+
+
 def _trajectory_uniforms(cfg: SimConfig, trajectory_index: int) -> np.ndarray:
-    bits = np.random.Philox(key=[cfg.seed, trajectory_index])
-    return np.random.Generator(bits).random(cfg.steps)
+    return _uniform_draws(cfg, trajectory_index)(cfg.steps)
+
+
+def _step_size_error(
+    cfg: SimConfig, indices: range, failure: _kernels.StepFailure
+) -> StepSizeError:
+    """The :class:`StepSizeError` of a block's failed step, naming its trajectory."""
+    what = {
+        "overflow": "total jump probability exceeded 1",
+        "collapse": "the no-jump step annihilated the state",
+    }[failure.kind]
+    step = failure.step
+    return StepSizeError(
+        f"{what} at step {step} (t={step * cfg.dt:.6g}) in trajectory "
+        f"{indices[failure.column]}; decrease dt"
+    )
 
 
 def _run_block(
@@ -327,24 +373,51 @@ def _run_block(
             rho_sum,
         )
     except _kernels.StepFailure as failure:
-        what = {
-            "overflow": "total jump probability exceeded 1",
-            "collapse": "the no-jump step annihilated the state",
-        }[failure.kind]
-        step = failure.step
-        raise StepSizeError(
-            f"{what} at step {step} (t={step * cfg.dt:.6g}) in trajectory "
-            f"{indices[failure.column]}; decrease dt"
-        ) from None
+        raise _step_size_error(cfg, indices, failure) from None
 
 
-def _require_density_budget(cfg: SimConfig, samples: int) -> None:
-    """Refuse a density series above ``DENSITY_BUDGET_BYTES`` before allocating it."""
+def _block_states(
+    cfg: SimConfig, setup: SimulationSetup, indices: range, samples: list
+) -> Iterator[np.ndarray]:
+    """The states of block ``indices`` at ``samples``, chunk by chunk.
+
+    Each of the engine's chunks of the block yields its ``(k, dim, B)``
+    sampled states, in sample order and valid until the next one, and a
+    failed step raises :class:`StepSizeError`, naming its trajectory.
+    Uniforms are drawn in windows of whole chunks, so the run's chunks are
+    those of :func:`_run_block`, and all of a run's blocks' windows
+    together stay within ``BLOCK_BYTES`` where a chunk each allows.
+    """
+    length = _kernels.chunk_length(setup.psi0.shape[0], len(indices))
+    rows = max(1, _kernels.BLOCK_BYTES // (8 * cfg.trajectories))
+    rows = max(length, rows // length * length)
+    draws = [_uniform_draws(cfg, i) for i in indices]
+
+    def windows():
+        for start in range(0, cfg.steps, rows):
+            window = np.empty((min(rows, cfg.steps - start), len(indices)))
+            for column, draw in enumerate(draws):
+                window[:, column] = draw(window.shape[0])
+            yield window
+
+    try:
+        for chunk in _kernels.advance(
+            setup.psi0, setup.kraus, setup.corrections, windows(), samples
+        ):
+            yield chunk.sampled
+    except _kernels.StepFailure as failure:
+        raise _step_size_error(cfg, indices, failure) from None
+
+
+def _require_density_budget(cfg: SimConfig, samples: int, remedy: str) -> None:
+    """Refuse a density series above ``DENSITY_BUDGET_BYTES`` before allocating it.
+
+    ``remedy`` names what the caller offers instead.
+    """
     dim = 2**cfg.n
     need = samples * dim * dim * 16
     series = f"{samples} samples of {dim}x{dim} complex matrices"
     claim = f"the density series needs {need / 2**30:.1f} GiB ({series})"
-    remedy = "run the ensemble with collect_density=False, or use fewer qubits"
     _require_budget(need, claim, remedy)
 
 
@@ -365,7 +438,8 @@ def run_ensemble(cfg: SimConfig, collect_density: bool = True) -> EnsembleResult
     """
     sample_indices = density_sample_indices(cfg.steps)
     if collect_density:
-        _require_density_budget(cfg, sample_indices.shape[0])
+        remedy = "run the ensemble with collect_density=False, or use fewer qubits"
+        _require_density_budget(cfg, sample_indices.shape[0], remedy)
     setup = prepare(cfg)
     rho_sum = None
     if collect_density:
@@ -451,32 +525,75 @@ def master_equation_oracle(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     otherwise the density moves by classical fixed-step RK4 with internal
     substeps no longer than 1e-3 of the characteristic evolution time.  The
     density evolves in the code's eigenframe from ``psi0 psi0^dag``, and the
-    series is rotated back to the computational basis on return; every
-    sample (every grid step under RK4) is re-symmetrized, and a trace drift
-    beyond 1e-6 aborts.  Returns ``(sampled times, density matrices)``; a
-    series over ``DENSITY_BUDGET_BYTES`` raises ``ValueError`` before any
-    setup, and RK4 work over ``RK4_WORK_BUDGET`` before the first substep.
+    series is collected from the oracle's chunks and rotated back to the
+    computational basis on return; every sample (every grid step under RK4)
+    is re-symmetrized, and a trace drift beyond 1e-6 aborts.  Returns
+    ``(sampled times, density matrices)``; a series over
+    ``DENSITY_BUDGET_BYTES`` raises ``ValueError`` before any setup, and RK4
+    work over ``RK4_WORK_BUDGET`` before the first substep.
     """
     sample_indices = density_sample_indices(cfg.steps)
-    _require_density_budget(cfg, sample_indices.shape[0])
+    remedy = "use fewer qubits or fewer steps, or oracle_distances, which holds none"
+    _require_density_budget(cfg, sample_indices.shape[0], remedy)
     setup = prepare(replace(cfg, feedback_enabled=False))
-    series = _frame_oracle(setup, sample_indices)
+    dim = setup.psi0.shape[0]
+    series = np.empty((sample_indices.shape[0], dim, dim), dtype=np.complex128)
+    done = 0
+    for rhos in _frame_oracle(setup, sample_indices, CHUNK):
+        series[done : done + rhos.shape[0]] = rhos
+        done += rhos.shape[0]
     _rotate_back(setup.code, series)
     return sample_indices * cfg.dt, series
+
+
+def _require_comparison_budget(cfg: SimConfig, samples: int) -> None:
+    """Refuse an oracle comparison over its time or memory budget.
+
+    Time: ``samples`` times ``_SAMPLE_SECONDS`` at the width, against
+    ``COMPARISON_SECONDS_BUDGET``; the trajectories' time is not counted.
+    Memory: ``_CHUNK_COPIES`` chunks of densities and the blocks' states,
+    ``2 * CHUNK + 1`` per trajectory (a chunk's buffer and the conjugate of
+    its sampled states), against ``DENSITY_BUDGET_BYTES``.
+    """
+    dim = 2**cfg.n
+    eigh, oracle = _SAMPLE_SECONDS
+    seconds = samples * (eigh * dim**3 + oracle * dim**2)
+    if seconds > COMPARISON_SECONDS_BUDGET:
+        raise ValueError(
+            f"the oracle comparison would take about {seconds:.0f} s ({samples} "
+            f"samples of {dim}x{dim} densities), over its budget of "
+            f"{COMPARISON_SECONDS_BUDGET:g} s; use fewer qubits or fewer steps"
+        )
+    chunk = _CHUNK_COPIES * min(CHUNK, samples) * dim * dim * 16
+    states = (2 * CHUNK + 1) * cfg.trajectories * dim * 16
+    claim = (
+        f"the oracle comparison needs {(chunk + states) / 2**30:.1f} GiB "
+        f"({_CHUNK_COPIES} chunks of {min(CHUNK, samples)} {dim}x{dim} densities "
+        f"and {cfg.trajectories} trajectories' states)"
+    )
+    _require_budget(chunk + states, claim, "use fewer qubits or fewer trajectories")
 
 
 def oracle_distances(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """Trace distance of the ensemble's mean density to the oracle's per sample.
 
     Equal to ``trace_distance(run_ensemble(cfg).mean_density,
-    master_equation_oracle(cfg)[1])``, but one density series is held: the
-    oracle's frame series, scaled in place by ``-N`` for ``N`` trajectories,
-    gains each block's density sums and is divided by ``N``.  The trace norm
-    does not see the frame, so nothing is rotated.  The config is prepared
-    once; the oracle evolves first, so RK4 work over ``RK4_WORK_BUDGET`` is
-    refused before any trajectory runs.  Returns ``(sampled times,
-    distances)``.  Feedback on raises ``ValueError``, and so does a series
-    over ``DENSITY_BUDGET_BYTES``, before any setup.
+    master_equation_oracle(cfg)[1])`` within rounding, but no density series
+    is held.  The oracle's frame densities come in batches of whole chunks,
+    about ``_DISTANCE_BATCH_BYTES`` each; each batch, scaled in place by
+    ``-N`` for ``N`` trajectories, gains the density sums of every block,
+    added in block order, and is divided by ``N``.  Its trace norms are the
+    batch's distances, and then it is dropped.  The blocks advance in
+    lockstep, each to the batch's last sample, holding only their states and
+    a window of uniforms, so the sums add up in the order of one series and
+    the distances are its bits.  The trace norm does not see the frame, so
+    nothing is rotated.  The config is prepared once; the oracle's first
+    batch comes before any block's, so RK4 work over ``RK4_WORK_BUDGET`` is
+    refused before any trajectory runs, and a failed step names the lowest
+    failing block of the first batch in which one fails.  Returns ``(sampled
+    times, distances)``.  Feedback on raises ``ValueError``, and so does a
+    comparison over its time or memory budget, before any setup
+    (:func:`_require_comparison_budget`).
     """
     if cfg.feedback_enabled:
         raise ValueError(
@@ -484,21 +601,62 @@ def oracle_distances(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
             "no jump corrections, so the distance would mean nothing"
         )
     sample_indices = density_sample_indices(cfg.steps)
-    _require_density_budget(cfg, sample_indices.shape[0])
+    _require_comparison_budget(cfg, sample_indices.shape[0])
     setup = prepare(cfg)
-    diff = _frame_oracle(setup, sample_indices)
-    diff *= -cfg.trajectories
-    _run_blocks(cfg, setup, sample_indices, diff)
-    diff /= cfg.trajectories
-    return sample_indices * cfg.dt, trace_distance(diff, 0.0)
+    dim = setup.psi0.shape[0]
+    batch = CHUNK * max(1, _DISTANCE_BATCH_BYTES // (CHUNK * dim * dim * 16))
+    n_traj, samples = cfg.trajectories, sample_indices.tolist()
+    width = _kernels.block_width(setup.kraus, cfg.steps)
+    blocks = [
+        _block_states(cfg, setup, range(start, min(start + width, n_traj)), samples)
+        for start in range(0, n_traj, width)
+    ]
+    held = [np.empty((0, dim, 0))] * len(blocks)
+    distances = []
+    for rhos in _frame_oracle(setup, sample_indices, batch):
+        rhos *= -n_traj
+        for b, block in enumerate(blocks):
+            held[b] = _add_sums(rhos, block, held[b])
+        rhos /= n_traj
+        distances.append(trace_distance(rhos, 0.0))
+        del rhos  # before the oracle's next batch
+    return sample_indices * cfg.dt, np.concatenate(distances)
 
 
-def _frame_oracle(setup: SimulationSetup, sample_indices: np.ndarray) -> np.ndarray:
-    """The oracle's density series in the frame, from ``setup.psi0``."""
-    rho0 = np.outer(setup.psi0, setup.psi0.conj())
+def _add_sums(
+    acc: np.ndarray, block: Iterator[np.ndarray], held: np.ndarray
+) -> np.ndarray:
+    """Add a block's density sums at its next ``len(acc)`` samples into ``acc``.
+
+    The states come from ``held``, left over from the block's last chunk,
+    then from the chunks ``block`` yields.  Returns the states left over: a
+    view the block keeps valid, since it is resumed only once they are used.
+    """
+    filled, states = 0, held
+    while True:
+        take = min(states.shape[0], acc.shape[0] - filled)
+        if take:
+            part = states[:take]
+            acc[filled : filled + take] += part @ part.conj().swapaxes(1, 2)
+            filled += take
+        if filled == acc.shape[0]:
+            return states[take:]
+        states = next(block)
+
+
+def _frame_oracle(
+    setup: SimulationSetup, sample_indices: np.ndarray, batch: int
+) -> Iterator[np.ndarray]:
+    """The oracle's frame densities at ``sample_indices`` from ``setup.psi0``.
+
+    A generator of ``(k, d, d)`` stacks in sample order: the first holds
+    sample 0, each later one ``batch`` samples, a multiple of ``CHUNK``, or
+    the rest.  The caller may change a stack in place.
+    """
+    rho0 = np.outer(setup.psi0, setup.psi0.conj()).astype(np.complex128)
     if any(generator is not None for _, _, generator in setup.kraus.terms):
-        return _rk4_series(setup.kraus, sample_indices, rho0)
-    return _product_series(setup.kraus, sample_indices, rho0)
+        return _rk4_series(setup.kraus, sample_indices, rho0, batch)
+    return _product_series(setup.kraus, sample_indices, rho0, batch)
 
 
 def _settle(rhos: np.ndarray, times: np.ndarray, remedy: str) -> None:
@@ -518,14 +676,15 @@ def _settle(rhos: np.ndarray, times: np.ndarray, remedy: str) -> None:
 
 
 def _rk4_series(
-    ks: KrausSet, sample_indices: np.ndarray, rho0: np.ndarray
-) -> np.ndarray:
+    ks: KrausSet, sample_indices: np.ndarray, rho0: np.ndarray, batch: int
+) -> Iterator[np.ndarray]:
     """RK4 over the grid from the frame density ``rho0``, settling every grid step.
 
     ``K`` and the jumps are densified once in the frame by
     :meth:`.codes.StabilizerCode.dense`, where the density evolves and the
     substep rule reads ``K``'s anti-Hermitian part.  Work over
     ``RK4_WORK_BUDGET`` raises ``ValueError`` before the first substep.
+    Yields the samples as :func:`_frame_oracle` does.
     """
     code, dim = ks.code, 2**ks.n
     ops = np.stack([
@@ -561,19 +720,22 @@ def _rk4_series(
         # wide times the rows rho A_1^dag, ..., rho A_m^dag sums the jumps.
         return k @ rho + rho @ k_dag + wide @ (rho @ jumps_dag).reshape(-1, dim)
 
-    out = np.empty((sample_indices.shape[0], dim, dim), dtype=np.complex128)
-    out[0] = rho = rho0
-    for i in range(1, sample_indices.shape[0]):
-        for s in range(sample_indices[i - 1], sample_indices[i]):
-            for _ in range(substeps):
-                k1 = rhs(rho)
-                k2 = rhs(rho + 0.5 * h * k1)
-                k3 = rhs(rho + 0.5 * h * k2)
-                k4 = rhs(rho + h * k3)
-                rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            _settle(rho[None], [(s + 1) * ks.dt], "use a smaller dt")
-        out[i] = rho
-    return out
+    yield rho0[None].copy()  # the caller may change it
+    rho = rho0
+    for first in range(1, sample_indices.shape[0], batch):
+        rhos = np.empty((min(batch, sample_indices.shape[0] - first), dim, dim),
+                        dtype=np.complex128)
+        for i in range(first, first + rhos.shape[0]):
+            for s in range(sample_indices[i - 1], sample_indices[i]):
+                for _ in range(substeps):
+                    k1 = rhs(rho)
+                    k2 = rhs(rho + 0.5 * h * k1)
+                    k3 = rhs(rho + 0.5 * h * k2)
+                    k4 = rhs(rho + h * k3)
+                    rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                _settle(rho[None], [(s + 1) * ks.dt], "use a smaller dt")
+            rhos[i - first] = rho
+        yield rhos
 
 
 def _propagator_increments(
@@ -602,14 +764,15 @@ def _propagator_increments(
 
 
 def _product_series(
-    ks: KrausSet, sample_indices: np.ndarray, rho0: np.ndarray
-) -> np.ndarray:
+    ks: KrausSet, sample_indices: np.ndarray, rho0: np.ndarray, batch: int
+) -> Iterator[np.ndarray]:
     """Exact per-qubit propagation of frame density ``rho0`` over ``sample_indices``.
 
     Every gap but the last is the stride; the last may be shorter.  The samples
     go in chunks of 16: sample ``j`` of a chunk is its settled first
     sample moved by the increments ``exp(L_q j stride dt) - 1``, from one
-    table for ``j = 1..16``, one batched product per charged qubit.
+    table for ``j = 1..16``, one batched product per charged qubit.  Yields
+    the samples as :func:`_frame_oracle` does.
     """
     n, dt = ks.n, ks.dt
     gaps = np.diff(sample_indices)
@@ -623,19 +786,37 @@ def _product_series(
     if gaps[-1] != gaps[0]:
         _, final = _propagator_increments(ks, gaps[-1] * dt)
 
-    out = np.empty((sample_indices.shape[0], 2**n, 2**n), dtype=np.complex128)
-    out[0] = rho0
-    # Each density with axes (row_0, col_0, row_1, col_1, ...): qubit q's
-    # (row, col) pair is the q-th base-4 digit of the flattened index.
-    woven = out.reshape(-1, *(2,) * 2 * n).transpose(
-        0, *[1 + axis for q in range(n) for axis in (q, n + q)]
-    )
+    def woven(rhos):
+        # Each density with axes (row_0, col_0, row_1, col_1, ...): qubit q's
+        # (row, col) pair is the q-th base-4 digit of the flattened index.
+        return rhos.reshape(-1, *(2,) * 2 * n).transpose(
+            0, *[1 + axis for q in range(n) for axis in (q, n + q)]
+        )
+
+    def moved(rho, maps):
+        # The samples the increments ``maps`` move the settled ``rho`` to.
+        vec = woven(rho[None])[0].reshape(1, 4, -1)
+        for q in range(n):
+            # The product acts on the leading pair and moves it to the end,
+            # so qubit q + 1's pair leads next.
+            vec = vec.swapaxes(1, 2)
+            if q in rows:
+                product = vec @ maps[rows[q]].swapaxes(1, 2)
+                product += vec
+                vec = product
+            vec = vec.reshape(vec.shape[0], 4, -1)
+        return vec.reshape(-1, *(2,) * 2 * n)
+
     remedy = (
         "the exact propagation lost trace, which no choice of dt changes; "
         "check the channel operators"
     )
+    yield rho0[None].copy()  # the caller may change it
+    rho = rho0  # the chunk's settled first sample
     last = sample_indices.shape[0] - 1
     for start in range(0, last, CHUNK):
+        if start % batch == 0:
+            rhos = np.empty((min(batch, last - start), *rho.shape), dtype=np.complex128)
         stop = min(start + CHUNK, last)
         maps = table[:, : stop - start]
         if stop == last and final is not None:  # the shorter last gap
@@ -644,18 +825,11 @@ def _product_series(
             if stop - start > 1:
                 before = table[:, stop - start - 2]
                 maps[:, -1] += before + before @ final
-        vec = woven[start].reshape(1, 4, -1)
-        for q in range(n):
-            # The product acts on the leading pair and moves it to the end,
-            # so qubit q + 1's pair leads next.
-            vec = vec.swapaxes(1, 2)
-            if q in rows:
-                moved = vec @ maps[rows[q]].swapaxes(1, 2)
-                moved += vec
-                vec = moved
-            vec = vec.reshape(vec.shape[0], 4, -1)
-        chunk = slice(start + 1, stop + 1)
-        woven[chunk] = vec.reshape(-1, *(2,) * 2 * n)
-        _settle(out[chunk], sample_indices[chunk] * dt, remedy)
-    return out
-
+        chunk = slice(start % batch, start % batch + stop - start)
+        woven(rhos[chunk])[:] = moved(rho, maps)
+        _settle(rhos[chunk], sample_indices[start + 1 : stop + 1] * dt, remedy)
+        rho = rhos[chunk.stop - 1]
+        if chunk.stop == rhos.shape[0]:
+            rho = rho.copy()  # the caller may change the stack
+            yield rhos
+            del rhos  # before the next stack

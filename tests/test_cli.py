@@ -590,7 +590,11 @@ class TestExecute:
         assert code == 2 and manifest is None
         assert not out.exists()
         err = capsys.readouterr().err
-        assert "GiB" in err and "collect_density=False" in err
+        # The comparison holds no series; 1001 samples at n=10 are refused
+        # by their time, with a remedy the command offers.
+        assert "would take about" in err and "over its budget of 120 s" in err
+        assert "use fewer qubits or fewer steps" in err
+        assert "collect_density" not in err
 
     def test_driven_oracle_over_its_work_budget_exits_2(
         self, tmp_path, capsys, monkeypatch
@@ -602,6 +606,7 @@ class TestExecute:
             raise AssertionError("trajectories or RK4 reached")
 
         monkeypatch.setattr(trajectory, "_run_block", reached)
+        monkeypatch.setattr(trajectory._kernels, "advance", reached)
         monkeypatch.setattr(trajectory, "_settle", reached)
         doc = minimal_doc(
             n=8,

@@ -420,6 +420,9 @@ class TestKernelContract:
         # reads ``uniforms`` as the positional argument at index 3 and the
         # jump total as the first result field.
         assert jumpqec._kernels.run_steps is run_steps
+        # The hook times a call, so run_steps does the block's work itself,
+        # draining the chunk generator, rather than returning one.
+        assert not inspect.isgeneratorfunction(run_steps)
         params = list(inspect.signature(run_steps).parameters.values())
         assert params[3].name == "uniforms"
         assert params[3].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD

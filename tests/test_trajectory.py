@@ -1,4 +1,5 @@
 import json
+import re
 import time
 import tracemalloc
 from dataclasses import replace
@@ -23,6 +24,7 @@ from jumpqec import (
     trace_distance,
 )
 from jumpqec import _kernels, codes, linalg, trajectory
+from jumpqec._kernels import CHUNK
 from jumpqec.linalg import expm1, max_abs
 from jumpqec.cli import parse_config
 from jumpqec.trajectory import _run_block, simulation_code
@@ -493,15 +495,29 @@ class TestRunEnsemble:
             atol=1e-14,
         )
 
-    def test_oversized_density_series_refused_before_setup(self):
+    def test_oversized_density_series_refused_before_setup(self, monkeypatch):
         # n=10: 1001 samples of 1024 x 1024 complex matrices, about 16 GiB.
+        # Each refusal names a remedy its caller offers; the comparison holds
+        # no series and is refused by its time instead.
+        def reached(*args, **kwargs):
+            raise AssertionError("synthesis reached")
+
+        monkeypatch.setattr(trajectory, "prepare", reached)
         cfg = SimConfig(
             n=10, channels=relaxation_channels(10), dt=1e-3, duration=1.0,
             feedback_enabled=False, driving_enabled=False,
         )
-        for run in (run_ensemble, master_equation_oracle, trajectory.oracle_distances):
-            with pytest.raises(ValueError, match=r"15\.6 GiB.*collect_density=False"):
+        refusals = [
+            (run_ensemble, r"15\.6 GiB .*; run the ensemble with collect_density=False"),
+            (master_equation_oracle, r"15\.6 GiB .*; use fewer qubits or fewer steps, "
+             r"or oracle_distances"),
+            (trajectory.oracle_distances, r"would take about \d+ s \(1001 samples of "
+             r"1024x1024 densities\), over its budget of 120 s; use fewer qubits"),
+        ]
+        for run, message in refusals:
+            with pytest.raises(ValueError, match=message) as refused:
                 run(cfg)
+            assert ("collect_density" in str(refused.value)) == (run is run_ensemble)
 
     def test_density_collection_optional(self):
         cfg = SimConfig(
@@ -808,6 +824,133 @@ class TestOracleDistances:
         cfg = replace(_undriven(relaxation_channels(2), 2), feedback_enabled=True)
         with pytest.raises(ValueError, match="needs feedback off"):
             trajectory.oracle_distances(cfg)
+
+    @pytest.mark.parametrize(
+        "cfg, patch",
+        [
+            (_undriven(rank3_channels(2), 2, duration=0.2, seed=6, trajectories=23),
+             ("block_width", lambda kraus, steps: 5)),
+            (_undriven(rank3_channels(2), 2, duration=0.2, seed=6, trajectories=23),
+             ("block_width", lambda kraus, steps: 7)),
+            (_undriven(rank3_channels(2), 2, duration=2.5, seed=2, trajectories=12),
+             None),
+            (_undriven(rank3_channels(4), 4, duration=0.3, seed=8, trajectories=30),
+             ("chunk_length", lambda dim, width: 5)),
+            (replace(_undriven(relaxation_channels(2, gamma=0.3), 2, duration=0.5,
+                               seed=5, trajectories=40), driving_enabled=True),
+             ("block_width", lambda kraus, steps: 7)),
+            # Blocks of five, uniforms drawn 32 steps at a time.
+            (_undriven(rank3_channels(2), 2, duration=0.2, seed=9, trajectories=23),
+             ("BLOCK_BYTES", 2**13)),
+        ],
+        ids=["five-wide-blocks", "seven-wide-blocks", "stride-3", "five-step-chunks",
+             "driven", "uniform-windows"],
+    )
+    def test_streamed_equals_the_series_paths(self, monkeypatch, cfg, patch):
+        # Blocks, engine chunks and oracle batches need not align.  The sums
+        # are added in the order one series adds them, so the distances are
+        # bit for bit those of the series reference; against the two rotated
+        # series they differ by rounding only.
+        if patch is not None:
+            monkeypatch.setattr(_kernels, *patch)
+        times, distances = trajectory.oracle_distances(cfg)
+        assert np.array_equal(times, trajectory.density_sample_indices(cfg.steps) * cfg.dt)
+        assert np.array_equal(distances, _one_series_distances(cfg))
+        mean = run_ensemble(cfg).mean_density
+        two_series = trace_distance(mean, master_equation_oracle(cfg)[1])
+        assert np.max(np.abs(distances - two_series)) <= 1e-14
+
+    def test_peak_is_a_batch_and_the_blocks(self):
+        # The rank3-oracle benchmark config: a batch of densities, the
+        # uniforms and the states of a chunk; the 4 MB series is not held.
+        peak, expected = _comparison_peak(RANK3_ORACLE_CFG)
+        assert peak <= 1.5 * expected
+
+    def test_peak_grows_by_the_blocks_states_only(self, monkeypatch):
+        # Twenty blocks alive at once add their own states and tables, not a
+        # density series or a whole run's arrays each.
+        monkeypatch.setattr(_kernels, "block_width", lambda kraus, steps: 5)
+        peak, expected = _comparison_peak(RANK3_ORACLE_CFG)
+        assert peak <= 1.5 * expected
+
+    def test_a_failed_step_names_its_trajectory(self, monkeypatch):
+        # From |1> "down" fires with probability 0.5 a step; from |0> "up"
+        # would fire with probability 8, so every trajectory overflows the
+        # step after its first jump.  The blocks run in lockstep, and the
+        # trajectory named fails at the step named when it runs alone.
+        monkeypatch.setattr(_kernels, "block_width", lambda kraus, steps: 3)
+        channels = (
+            ErrorChannel(qubit=0, operator=5.0 * SIGMA_MINUS, label="down"),
+            ErrorChannel(qubit=0, operator=20.0 * SIGMA_MINUS.T, label="up"),
+        )
+        cfg = _undriven(channels, 1, dt=0.02, duration=1.0, trajectories=10,
+                        code_override=EXCITED_OVERRIDE)
+        with pytest.raises(StepSizeError) as failed:
+            trajectory.oracle_distances(cfg)
+        message = str(failed.value)
+        found = re.fullmatch(
+            r"total jump probability exceeded 1 at step (\d+) \(t=[\d.]+\) in "
+            r"trajectory (\d+); decrease dt",
+            message,
+        )
+        assert found is not None, message
+        step, index = map(int, found.groups())
+        samples = trajectory.density_sample_indices(cfg.steps)
+        with pytest.raises(StepSizeError, match=rf"at step {step} .* trajectory {index};"):
+            _run_block(cfg, prepare(cfg), range(index, index + 1), samples)
+
+    @pytest.mark.parametrize("n, admitted", [(9, True), (10, False)])
+    def test_width_is_admitted_by_time(self, monkeypatch, n, admitted):
+        # 1001 samples: about a minute at n = 9, about eight at n = 10, which
+        # is refused before synthesis.
+        class Reached(Exception):
+            pass
+
+        def reached(cfg):
+            raise Reached
+
+        monkeypatch.setattr(trajectory, "prepare", reached)
+        cfg = _undriven(relaxation_channels(n), n, duration=1.0, trajectories=100)
+        expected = Reached if admitted else ValueError
+        with pytest.raises(expected, match=None if admitted else "over its budget of"):
+            trajectory.oracle_distances(cfg)
+
+    def test_memory_is_refused_before_synthesis(self, monkeypatch):
+        # n = 11 over 21 samples is within the time budget, but five chunks
+        # of 2048 x 2048 densities take 5 GiB.
+        monkeypatch.setattr(trajectory, "prepare", None)
+        cfg = _undriven(relaxation_channels(11), 11, duration=0.02, trajectories=4)
+        with pytest.raises(ValueError, match=r"needs 5\.0 GiB .*; use fewer qubits"):
+            trajectory.oracle_distances(cfg)
+
+
+#: The ``rank3-oracle`` benchmark workload's config, at seed 7.
+RANK3_ORACLE_CFG = _undriven(rank3_channels(4), 4, duration=1.0, seed=7, trajectories=100)
+
+
+def _one_series_distances(cfg):
+    """The comparison as one density series makes it: the oracle's frame
+    series times ``-N`` gains every block's sums, block after block, and is
+    divided by ``N``."""
+    setup = prepare(cfg)
+    samples = trajectory.density_sample_indices(cfg.steps)
+    diff = np.concatenate(list(trajectory._frame_oracle(setup, samples, CHUNK)))
+    diff *= -cfg.trajectories
+    trajectory._run_blocks(cfg, setup, samples, diff)
+    diff /= cfg.trajectories
+    return trace_distance(diff, 0.0)
+
+
+def _comparison_peak(cfg):
+    """The traced peak of ``oracle_distances(cfg)``, and the bytes it is
+    expected to hold: a batch of densities, a window of uniforms per
+    trajectory and the states of a chunk, 16 B per amplitude."""
+    dim = 2**cfg.n
+    batch = max(trajectory._DISTANCE_BATCH_BYTES, CHUNK * dim * dim * 16)
+    uniforms = min(cfg.steps * cfg.trajectories * 8, _kernels.BLOCK_BYTES)
+    states = (CHUNK + 1) * dim * cfg.trajectories * 16
+    _, peak = _traced_peak(trajectory.oracle_distances, cfg)
+    return peak, batch + uniforms + states
 
 
 #: Seed-7 jump logs of the README, ``n8-simulate`` and ``rank3-oracle``
