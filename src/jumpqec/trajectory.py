@@ -99,9 +99,11 @@ _SAMPLE_SECONDS = (3.4e-10, 9e-8)
 #: 7-10 % longer than holding the series (2 vCPUs); 1 MiB at a time does not.
 _DISTANCE_BATCH_BYTES = 2**20
 
-#: Chunk-sized arrays an oracle comparison holds at its peak: its batch, then
-#: the trace norm's and the oracle's temporaries (4.8 measured at n = 8, 5.0 at 7).
-_CHUNK_COPIES = 5
+#: Densities an oracle comparison holds beside its batch, in slabs
+#: (:func:`_slab`): the temporaries of its trace norms, oracle products and
+#: density sums, and a few single densities (27.6 densities measured at n = 8,
+#: 8.6 at 9 and 5.6 at 10, slabs of 8, 2 and 1).
+_SLAB_COPIES = 7
 
 #: Bytes a run holds per time step: the grid times, the engine's and the
 #: ensemble's infidelity and jump sums and record columns, and a block's
@@ -495,18 +497,32 @@ def _rotate_back(code: StabilizerCode, series: np.ndarray) -> None:
         series[i : i + CHUNK] = code.operator_from_frame(series[i : i + CHUNK])
 
 
+def _batch(dim: int) -> int:
+    """Samples per batch of an oracle comparison: whole chunks, about
+    ``_DISTANCE_BATCH_BYTES`` of ``dim x dim`` complex densities."""
+    return CHUNK * max(1, _DISTANCE_BATCH_BYTES // (CHUNK * dim * dim * 16))
+
+
+def _slab(dim: int) -> int:
+    """Matrices per stack of temporaries: ``CHUNK``, fewer where that many
+    ``dim x dim`` complex matrices exceed ``BLOCK_BYTES``, at least one."""
+    return max(1, min(CHUNK, _kernels.BLOCK_BYTES // (16 * dim * dim)))
+
+
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     """Half the trace norm of ``a - b``, per pair if both are ``(..., d, d)`` stacks.
 
-    ``CHUNK`` pairs per eigensolve keep its three temporary stacks small next
-    to the series: one over a whole series raised an n=4 peak RSS by 26 %.
+    A :func:`_slab` of pairs per eigensolve keeps its three temporary stacks
+    small next to the series: one over a whole series raised an n=4 peak RSS
+    by 26 %.
     """
     a, b = np.broadcast_arrays(a, b)
     if a.ndim == 2:
         return trace_distance(a[None], b[None])[0]
     distances = []
-    for i in range(0, a.shape[0], CHUNK):
-        diff = a[i : i + CHUNK] - b[i : i + CHUNK]
+    slab = _slab(a.shape[-1])
+    for i in range(0, a.shape[0], slab):
+        diff = a[i : i + slab] - b[i : i + slab]
         diff = (diff + diff.conj().swapaxes(-1, -2)) / 2.0
         distances.append(0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1))
     return np.concatenate(distances)
@@ -551,7 +567,8 @@ def _require_comparison_budget(cfg: SimConfig, samples: int) -> None:
 
     Time: ``samples`` times ``_SAMPLE_SECONDS`` at the width, against
     ``COMPARISON_SECONDS_BUDGET``; the trajectories' time is not counted.
-    Memory: ``_CHUNK_COPIES`` chunks of densities and the blocks' states,
+    Memory: a batch of densities (:func:`_batch`), ``_SLAB_COPIES`` slabs
+    of them (:func:`_slab`) and the blocks' states,
     ``2 * CHUNK + 1`` per trajectory (a chunk's buffer and the conjugate of
     its sampled states), against ``DENSITY_BUDGET_BYTES``.
     """
@@ -564,14 +581,13 @@ def _require_comparison_budget(cfg: SimConfig, samples: int) -> None:
             f"samples of {dim}x{dim} densities), over its budget of "
             f"{COMPARISON_SECONDS_BUDGET:g} s; use fewer qubits or fewer steps"
         )
-    chunk = _CHUNK_COPIES * min(CHUNK, samples) * dim * dim * 16
-    states = (2 * CHUNK + 1) * cfg.trajectories * dim * 16
+    matrices = min(_batch(dim), samples) + _SLAB_COPIES * _slab(dim)
+    need = (matrices * dim + (2 * CHUNK + 1) * cfg.trajectories) * dim * 16
     claim = (
-        f"the oracle comparison needs {(chunk + states) / 2**30:.1f} GiB "
-        f"({_CHUNK_COPIES} chunks of {min(CHUNK, samples)} {dim}x{dim} densities "
-        f"and {cfg.trajectories} trajectories' states)"
+        f"the oracle comparison needs {need / 2**30:.1f} GiB ({matrices} "
+        f"{dim}x{dim} densities and {cfg.trajectories} trajectories' states)"
     )
-    _require_budget(chunk + states, claim, "use fewer qubits or fewer trajectories")
+    _require_budget(need, claim, "use fewer qubits or fewer trajectories")
 
 
 def oracle_distances(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -604,7 +620,6 @@ def oracle_distances(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     _require_comparison_budget(cfg, sample_indices.shape[0])
     setup = prepare(cfg)
     dim = setup.psi0.shape[0]
-    batch = CHUNK * max(1, _DISTANCE_BATCH_BYTES // (CHUNK * dim * dim * 16))
     n_traj, samples = cfg.trajectories, sample_indices.tolist()
     width = _kernels.block_width(setup.kraus, cfg.steps)
     blocks = [
@@ -613,7 +628,7 @@ def oracle_distances(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     ]
     held = [np.empty((0, dim, 0))] * len(blocks)
     distances = []
-    for rhos in _frame_oracle(setup, sample_indices, batch):
+    for rhos in _frame_oracle(setup, sample_indices, _batch(dim)):
         rhos *= -n_traj
         for b, block in enumerate(blocks):
             held[b] = _add_sums(rhos, block, held[b])
@@ -633,12 +648,13 @@ def _add_sums(
     view the block keeps valid, since it is resumed only once they are used.
     """
     filled, states = 0, held
+    slab = _slab(acc.shape[-1])
     while True:
         take = min(states.shape[0], acc.shape[0] - filled)
-        if take:
-            part = states[:take]
-            acc[filled : filled + take] += part @ part.conj().swapaxes(1, 2)
-            filled += take
+        for i in range(0, take, slab):
+            part = states[i : min(i + slab, take)]
+            acc[filled + i : filled + i + len(part)] += part @ part.conj().swapaxes(1, 2)
+        filled += take
         if filled == acc.shape[0]:
             return states[take:]
         states = next(block)
@@ -771,8 +787,8 @@ def _product_series(
     Every gap but the last is the stride; the last may be shorter.  The samples
     go in chunks of 16: sample ``j`` of a chunk is its settled first
     sample moved by the increments ``exp(L_q j stride dt) - 1``, from one
-    table for ``j = 1..16``, one batched product per charged qubit.  Yields
-    the samples as :func:`_frame_oracle` does.
+    table for ``j = 1..16``, one batched product per charged qubit and
+    :func:`_slab` of samples.  Yields the samples as :func:`_frame_oracle` does.
     """
     n, dt = ks.n, ks.dt
     gaps = np.diff(sample_indices)
@@ -814,6 +830,7 @@ def _product_series(
     yield rho0[None].copy()  # the caller may change it
     rho = rho0  # the chunk's settled first sample
     last = sample_indices.shape[0] - 1
+    slab = _slab(rho.shape[0])
     for start in range(0, last, CHUNK):
         if start % batch == 0:
             rhos = np.empty((min(batch, last - start), *rho.shape), dtype=np.complex128)
@@ -825,11 +842,14 @@ def _product_series(
             if stop - start > 1:
                 before = table[:, stop - start - 2]
                 maps[:, -1] += before + before @ final
-        chunk = slice(start % batch, start % batch + stop - start)
-        woven(rhos[chunk])[:] = moved(rho, maps)
-        _settle(rhos[chunk], sample_indices[start + 1 : stop + 1] * dt, remedy)
-        rho = rhos[chunk.stop - 1]
-        if chunk.stop == rhos.shape[0]:
+        first = start % batch  # the chunk's place in the stack
+        for j in range(0, stop - start, slab):
+            part = rhos[first + j :][: min(slab, stop - start - j)]
+            woven(part)[:] = moved(rho, maps[:, j : j + slab])
+            _settle(part, sample_indices[start + 1 + j :][: len(part)] * dt, remedy)
+        end = first + stop - start
+        rho = rhos[end - 1]
+        if end == rhos.shape[0]:
             rho = rho.copy()  # the caller may change the stack
             yield rhos
-            del rhos  # before the next stack
+            del rhos, part  # before the next stack

@@ -899,10 +899,25 @@ class TestOracleDistances:
         with pytest.raises(StepSizeError, match=rf"at step {step} .* trajectory {index};"):
             _run_block(cfg, prepare(cfg), range(index, index + 1), samples)
 
-    @pytest.mark.parametrize("n, admitted", [(9, True), (10, False)])
-    def test_width_is_admitted_by_time(self, monkeypatch, n, admitted):
-        # 1001 samples: about a minute at n = 9, about eight at n = 10, which
-        # is refused before synthesis.
+    @pytest.mark.parametrize(
+        "n, duration, trajectories, refusal",
+        [
+            (9, 1.0, 100, None),
+            (10, 1.0, 100, r"would take about 46\d s .* over its budget of 120 s"),
+            (11, 0.031, 100, None),
+            (11, 0.02, 1000, r"needs 2\.4 GiB .*; use fewer qubits or fewer trajectories"),
+        ],
+        ids=["n9-1001-samples", "n10-1001-samples", "n11-32-samples",
+             "n11-1000-trajectories"],
+    )
+    def test_width_is_admitted_by_time_and_memory(
+        self, monkeypatch, n, duration, trajectories, refusal
+    ):
+        # Over 1001 samples n = 9 takes about a minute and n = 10 about eight,
+        # which is refused before synthesis.  n = 11 over 32 samples, the most
+        # a 2 GiB series allowed, stays admitted: a batch and the slabs of
+        # temporaries are 23 densities of 64 MiB.  A thousand trajectories'
+        # states add another GiB.
         class Reached(Exception):
             pass
 
@@ -910,17 +925,9 @@ class TestOracleDistances:
             raise Reached
 
         monkeypatch.setattr(trajectory, "prepare", reached)
-        cfg = _undriven(relaxation_channels(n), n, duration=1.0, trajectories=100)
-        expected = Reached if admitted else ValueError
-        with pytest.raises(expected, match=None if admitted else "over its budget of"):
-            trajectory.oracle_distances(cfg)
-
-    def test_memory_is_refused_before_synthesis(self, monkeypatch):
-        # n = 11 over 21 samples is within the time budget, but five chunks
-        # of 2048 x 2048 densities take 5 GiB.
-        monkeypatch.setattr(trajectory, "prepare", None)
-        cfg = _undriven(relaxation_channels(11), 11, duration=0.02, trajectories=4)
-        with pytest.raises(ValueError, match=r"needs 5\.0 GiB .*; use fewer qubits"):
+        cfg = _undriven(relaxation_channels(n), n, duration=duration,
+                        trajectories=trajectories)
+        with pytest.raises(ValueError if refusal else Reached, match=refusal):
             trajectory.oracle_distances(cfg)
 
 
